@@ -11,6 +11,7 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -60,15 +61,14 @@ class ExperimentConfig:
             raise ConfigError("bump exponent m must be >= 2")
 
     def function(self):
-        # one shared instance per parameter triple, so per-function caches
-        # (seminorm constants, divided differences) persist across trials
-        key = (self.bump_center, self.bump_radius, self.bump_m)
-        if key not in _FUNCTION_CACHE:
-            _FUNCTION_CACHE[key] = make_poly_bump(*key)
-        return _FUNCTION_CACHE[key]
+        return _shared_bump(self.bump_center, self.bump_radius, self.bump_m)
 
 
-_FUNCTION_CACHE = {}
+@functools.cache
+def _shared_bump(center, radius, m):
+    # one instance per parameter triple and process, so the constants
+    # memoized on the function persist across trials
+    return make_poly_bump(center, radius, m)
 
 
 _INT_KEYS = {"seed", "trials", "bump_m", "jobs"}
@@ -190,8 +190,7 @@ def _sweep_trial(args):
     H0, V = make_instance(cfg, dim, order, trial)
     rems = taylor.remainder_sweep(f, H0, V, order, cfg.epsilons)
     try:
-        slope = taylor.scaling_exponent(f, H0, V, order, cfg.epsilons,
-                                        cfg.noise_floor)
+        slope = taylor.scaling_exponent(cfg.epsilons, rems, cfg.noise_floor)
     except taylor.InsufficientDataError:
         slope = float("nan")
     bc = []

@@ -2,95 +2,40 @@
 semantics, plus the scalar decomposition identities used by the norm bounds."""
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from .operator_core import _cluster
 from .scalar_functions import (DerivativeOrderError, dyadic_root, product_with_u,
-                               product_with_u2, sup_norm, weight_u)
+                               product_with_u2, weight_u)
 
 
-@dataclass
-class NodeList:
-    """Ordered real nodes with confluent-group merging.
-
-    Nodes closer than ``merge_tol * (1 + span)`` (chained) are collapsed onto
-    their group mean, so eigenvalues arriving with solver noise hit the exact
-    derivative branch of the recursion instead of a catastrophic quotient.
-    """
-
-    nodes: tuple
-    merge_tol: float = 1e-9
-    canonical: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        vals = np.sort(np.asarray(self.nodes, dtype=float))
-        if vals.size == 0:
-            raise ValueError("need at least one node")
-        span = float(vals[-1] - vals[0])
-        tol = self.merge_tol * (1.0 + span)
-        merged = np.empty_like(vals)
-        i = 0
-        while i < vals.size:
-            j = i + 1
-            while j < vals.size and vals[j] - vals[j - 1] < tol:
-                j += 1
-            merged[i:j] = np.mean(vals[i:j])
-            i = j
-        self.canonical = merged
-
-    @property
-    def order(self):
-        return len(self.canonical) - 1
-
-    def max_confluency(self):
-        _, counts = np.unique(self.canonical, return_counts=True)
-        return int(np.max(counts))
+def _merged_nodes(nodes):
+    """Sorted nodes with every gap-chained cluster (``operator_core._cluster``)
+    collapsed onto its mean, so eigenvalues arriving with solver noise hit
+    the exact derivative branch of the recursion instead of a catastrophic
+    quotient; also returns the largest cluster size."""
+    vals = np.sort(np.asarray(nodes, dtype=float))
+    if vals.size == 0:
+        raise ValueError("need at least one node")
+    runs, means = _cluster(vals)
+    sizes = [len(r) for r in runs]
+    return np.repeat(means, sizes), max(sizes)
 
 
-def _as_nodelist(nodes, merge_tol=1e-9):
-    if isinstance(nodes, NodeList):
-        return nodes
-    return NodeList(tuple(float(t) for t in nodes), merge_tol)
-
-
-class PolynomialProbe:
-    """x^k (or an arbitrary polynomial) with exact derivatives; oracle use only."""
-
-    def __init__(self, coeffs):
-        self.poly = np.polynomial.Polynomial(coeffs)
-        self.max_order = 10**6
-        self.support = None
-        self.unbounded = True
-
-    @classmethod
-    def monomial(cls, k):
-        return cls([0.0] * k + [1.0])
-
-    def value(self, x):
-        return self.poly(x)
-
-    def __call__(self, x):
-        return self.poly(x)
-
-    def deriv(self, j, x):
-        return self.poly.deriv(j)(x) if j else self.poly(x)
-
-
-def divided_difference(f, nodes, merge_tol=1e-9):
+def divided_difference(f, nodes):
     """The recursively defined divided difference f^[p] over p+1 nodes.
 
     Distinct nodes use the difference quotient; confluent groups use the
     exact-derivative branch f^(r)/r!.  Nodes are sorted first, so the result
     is deterministic; symmetry of f^[p] covers reorderings.
     """
-    nl = _as_nodelist(nodes, merge_tol)
-    vals = nl.canonical
-    p = nl.order
-    if f.max_order < nl.max_confluency() - 1:
+    vals, conf = _merged_nodes(nodes)
+    p = vals.size - 1
+    if f.max_order < conf - 1:
         raise DerivativeOrderError(
-            f"confluent group of size {nl.max_confluency()} needs derivatives "
-            f"up to order {nl.max_confluency() - 1}")
+            f"confluent group of size {conf} needs derivatives "
+            f"up to order {conf - 1}")
     # d[i][j] = f^[j-i](vals[i..j]) built over sorted canonical values
     d = [[None] * (p + 1) for _ in range(p + 1)]
     for i in range(p + 1):
@@ -108,16 +53,15 @@ def divided_difference(f, nodes, merge_tol=1e-9):
 class DividedDifferenceCache:
     """Memoized divided differences of one function, keyed by sorted nodes."""
 
-    def __init__(self, f, merge_tol=1e-9):
+    def __init__(self, f):
         self.f = f
-        self.merge_tol = merge_tol
         self._cache = {}
 
     def __call__(self, *nodes):
         key = tuple(sorted(nodes))
         v = self._cache.get(key)
         if v is None:
-            v = divided_difference(self.f, key, self.merge_tol)
+            v = divided_difference(self.f, key)
             self._cache[key] = v
         return v
 
@@ -138,9 +82,8 @@ def sqrt_split_residual(f, nodes):
     """Residual of the square-root splitting of f^[n] into products of
     divided differences of sqrt(f) over contiguous node slices."""
     g = dyadic_root(f, 1)
-    nl = _as_nodelist(nodes)
-    lam = nl.canonical
-    n = nl.order
+    lam, _ = _merged_nodes(nodes)
+    n = lam.size - 1
     dg = DividedDifferenceCache(g)
     rhs = 0.0
     for k in range((n - 1) // 2 + 1):
@@ -149,7 +92,7 @@ def sqrt_split_residual(f, nodes):
     if n % 2 == 0:
         h = n // 2
         rhs += dg(*lam[: h + 1]) * dg(*lam[h:])
-    lhs = divided_difference(f, nl)
+    lhs = divided_difference(f, nodes)
     return abs(lhs - rhs)
 
 
@@ -159,9 +102,8 @@ def u_conjugation_residual(f, nodes):
     u = weight_u()
     fu = product_with_u(f)
     fu2 = product_with_u2(f)
-    nl = _as_nodelist(nodes)
-    lam = nl.canonical
-    n = nl.order
+    lam, _ = _merged_nodes(nodes)
+    n = lam.size - 1
     df, du, dfu, dfu2 = (DividedDifferenceCache(h) for h in (f, u, fu, fu2))
     psi1 = sum(dfu(*lam[: n - k + 1]) * du(*lam[n - k:]) for k in range(1, n + 1))
     psi2 = sum(du(*lam[: k + 1]) * dfu(*lam[k:]) for k in range(1, n + 1))
@@ -179,9 +121,9 @@ def u_conjugation_residual(f, nodes):
 
 def mean_value_bound_check(f, nodes, slack=1e-9):
     """Classical |f^[p]| <= sup |f^(p)| / p! over the node hull (sanity oracle)."""
-    nl = _as_nodelist(nodes)
-    p = nl.order
-    lo, hi = float(nl.canonical[0]), float(nl.canonical[-1])
+    vals, _ = _merged_nodes(nodes)
+    p = vals.size - 1
+    lo, hi = float(vals[0]), float(vals[-1])
     x = np.linspace(lo, hi, 2001) if hi > lo else np.array([lo])
     bound = float(np.max(np.abs(f.deriv(p, x)))) / math.factorial(p)
-    return abs(divided_difference(f, nl)) <= bound + slack
+    return abs(divided_difference(f, nodes)) <= bound + slack

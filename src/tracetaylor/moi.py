@@ -13,9 +13,8 @@ from itertools import product
 import numpy as np
 
 from .divided_diff import DividedDifferenceCache
-from .operator_core import (HermitianOperator, apply_function, as_matrix,
-                            operator_norm, schatten_norm)
-from .scalar_functions import gp_seminorm, sup_norm
+from .operator_core import apply_function, as_matrix, schatten_norm
+from .scalar_functions import gp_seminorm
 
 
 @dataclass
@@ -74,12 +73,12 @@ def evaluate_symbol_moi(phi, D, perturbations, symmetric=False):
     return MoiResult(matrix=U @ M @ U.conj().T, order=p)
 
 
-def evaluate_moi(f, D, perturbations, merge_tol=1e-9):
+def evaluate_moi(f, D, perturbations):
     """T over the divided difference f^[p] of a scalar function f."""
     p = len(perturbations)
     if p == 0:
         return MoiResult(matrix=apply_function(f, D).mat, order=0)
-    dd = DividedDifferenceCache(f, merge_tol)
+    dd = DividedDifferenceCache(f)
     return evaluate_symbol_moi(dd, D, perturbations, symmetric=True)
 
 
@@ -87,38 +86,6 @@ def gateaux_derivative(f, D, V, p):
     """p-th Gateaux derivative of s -> f(H + sV) at 0, i.e. p! times the
     operator integral with symbol f^[p]."""
     return math.factorial(p) * evaluate_moi(f, D, [V] * p).matrix
-
-
-def finite_difference_derivative(f, H, V, p, h=None):
-    """Richardson-extrapolated 5-point central-difference derivative oracle."""
-    from .operator_core import decompose
-
-    Hm, Vm = as_matrix(H), as_matrix(V)
-    if h is None:
-        # balance the O(h^6) truncation against eps/h^p roundoff
-        h = (1e-16) ** (1.0 / (p + 6)) / (1.0 + operator_norm(Vm))
-
-    def fmat(s):
-        return apply_function(f, decompose(Hm + s * Vm)).mat
-
-    half = (p + 3) // 2
-    offs = [o for o in range(-half, half + 1) if o != 0 or p % 2 == 0]
-    # weights solve sum_i w_i o_i^k / k! = [k == p], k < len(offs)
-    A = np.array([[o**k / math.factorial(k) for o in offs] for k in range(len(offs))])
-    rhs_vec = np.zeros(len(offs))
-    rhs_vec[p] = 1.0
-    coefs = np.linalg.solve(A, rhs_vec)
-
-    def estimate(step):
-        acc = np.zeros_like(Hm)
-        for o, c in zip(offs, coefs):
-            acc = acc + c * fmat(o * step)
-        return acc / step**p
-
-    d1 = estimate(h)
-    d2 = estimate(h / 2.0)
-    # both stencils are 4th order accurate
-    return (16.0 * d2 - d1) / 15.0
 
 
 def trace_derivative_first(f, D, V):
@@ -146,12 +113,12 @@ def _cyclic_trace_sum(phi, D, V, p, symmetric=True):
     return complex(np.einsum(spec, F, *([Vt] * p)))
 
 
-def trace_derivative_higher(f, D, V, p, merge_tol=1e-9):
+def trace_derivative_higher(f, D, V, p):
     """(p-1)! sum over spectral tuples of (f')^[p-1] times the cyclic trace
     Tr(E V ... E V); equals the trace of the p-th Gateaux derivative."""
     if p < 2:
         raise ValueError("p must be >= 2; use trace_derivative_first")
-    dd = DividedDifferenceCache(f.derivative(), merge_tol)
+    dd = DividedDifferenceCache(f.derivative())
     return math.factorial(p - 1) * _cyclic_trace_sum(dd, D, V, p).real
 
 
@@ -211,7 +178,7 @@ def edge_multiplier_check(psi1, phi, psi2, D, perturbations):
     return schatten_norm(lhs.matrix - rhs.matrix, 2)
 
 
-def schatten_bound_check(f, D, perturbations, alphas, alpha, panels=64):
+def schatten_bound_check(f, D, perturbations, alphas, alpha):
     """Holder-type norm bound: ||T||_alpha <= ||f||_{G_p} prod ||V_j||_{alpha_j},
     with the seminorm's quadrature error added to the right side."""
     p = len(perturbations)
@@ -221,7 +188,7 @@ def schatten_bound_check(f, D, perturbations, alphas, alpha, panels=64):
         raise ValueError("Schatten exponents must satisfy 1/alpha = sum 1/alpha_j")
     T = evaluate_moi(f, D, perturbations)
     lhs = T.schatten(alpha)
-    rep = gp_seminorm(f, p, panels=panels)
+    rep = gp_seminorm(f, p)
     rhs = rep.value_gp + rep.quadrature_error
     for V, a in zip(perturbations, alphas):
         rhs *= schatten_norm(V, a)
@@ -238,6 +205,6 @@ def hilbert_schmidt_bound_check(phi, D, V):
     return T.schatten(2) <= rhs + 1e-9 * (1.0 + rhs)
 
 
-def first_order_symbol(f, merge_tol=1e-9):
+def first_order_symbol(f):
     """The two-variable divided-difference symbol of f, for the HS bound."""
-    return DividedDifferenceCache(f, merge_tol)
+    return DividedDifferenceCache(f)

@@ -122,34 +122,41 @@ class SpectralDecomposition:
         return vals
 
 
-def decompose(H, cluster_tol=1e-8):
-    """Eigendecomposition with gap-chained multiplicity clustering.
+CLUSTER_TOL = 1e-8
 
-    Indices share a cluster iff consecutive gaps are below
-    cluster_tol * (1 + spectral diameter).
+
+def _cluster(vals):
+    """Gap-chained clusters of ascending values: a run of consecutive gaps
+    below CLUSTER_TOL * (1 + span) is one cluster.  Returns the index ranges
+    and the mean of each run.
+
+    Eigendecompositions and divided differences share this rule, so nodes
+    taken from a decomposition's cluster values never merge again.
     """
-    if cluster_tol < 0:
-        raise ValueError("cluster_tol must be nonnegative")
+    tol = CLUSTER_TOL * (1.0 + float(vals[-1] - vals[0])) if vals.size else 0.0
+    runs = []
+    i = 0
+    while i < vals.size:
+        j = i + 1
+        while j < vals.size and vals[j] - vals[j - 1] < tol:
+            j += 1
+        runs.append(range(i, j))
+        i = j
+    return runs, np.array([float(np.mean(vals[r.start:r.stop])) for r in runs])
+
+
+def decompose(H):
+    """Eigendecomposition with gap-chained multiplicity clustering (see
+    ``_cluster``)."""
     M = as_matrix(H)
     try:
         w, U = np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigh failed for dim {M.shape[0]}: {exc}") from exc
-    diam = float(w[-1] - w[0]) if w.size else 0.0
-    tol = cluster_tol * (1.0 + diam)
-    clusters = []
-    i = 0
-    n = w.size
-    while i < n:
-        j = i + 1
-        while j < n and w[j] - w[j - 1] < tol:
-            j += 1
-        clusters.append(tuple(range(i, j)))
-        i = j
-    cvals = np.array([float(np.mean(w[list(c)])) for c in clusters])
+    runs, cvals = _cluster(w)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=U,
-                                 clusters=tuple(clusters), cluster_values=cvals,
-                                 source=M)
+                                 clusters=tuple(tuple(r) for r in runs),
+                                 cluster_values=cvals, source=M)
 
 
 def apply_function(f, D):

@@ -11,7 +11,7 @@ symbolic engine).
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial
@@ -85,6 +85,9 @@ class SmoothCompactFunction:
         self.whole_line = whole_line
         self.power = power  # (atom, integer exponent, coeff) when an exact power
         self._deriv_cache = {0: self}
+        # constants that depend only on this function and an order, keyed by
+        # (name, order); they live and die with the function
+        self._constants = {}
 
     # -- basic geometry -------------------------------------------------
 
@@ -440,13 +443,9 @@ class SeminormReport:
     fourier_error: float | None = None
 
 
-_GL_CACHE = {}
-
-
+@cache
 def _gauss_legendre(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _quad_edges(f, panels, domain=None):
@@ -531,7 +530,7 @@ def fourier_l1_norm(f, p, grid=2**14, span=None, pad_factor=16):
     return float(np.trapezoid(mag[band], s[band]))
 
 
-def sup_norm(f, extra_points=None, samples=4001):
+def sup_norm(f, extra_points=None):
     """Sup of |f| over its support (dense grid plus breakpoints and extras)."""
     if f.unbounded:
         lo, hi = -1e3, 1e3
@@ -539,7 +538,7 @@ def sup_norm(f, extra_points=None, samples=4001):
         lo, hi = f.support
         if hi <= lo:
             return 0.0
-    pts = [np.linspace(lo, hi, samples), np.asarray(getattr(f, "breaks", []), float)]
+    pts = [np.linspace(lo, hi, 4001), np.asarray(getattr(f, "breaks", []), float)]
     if extra_points is not None:
         ex = np.asarray(extra_points, float)
         pts.append(ex[(ex >= lo) & (ex <= hi)])

@@ -3,12 +3,10 @@ terms, remainder traces, the operator remainder, its integral representation,
 and remainder-scaling slope fits."""
 
 import math
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 
 import numpy as np
 
-from .divided_diff import DividedDifferenceCache
 from .moi import (evaluate_moi, gateaux_derivative, trace_derivative_first,
                   trace_derivative_higher)
 from .operator_core import (apply_function, as_matrix, decompose,
@@ -27,7 +25,7 @@ class ExpansionReport:
     perturbed_trace: float
     terms: list
     remainder_trace: float
-    operator_remainder_trace_norm: float | None = None
+    operator_remainder_trace_norm: float
     slope_fit: dict | None = None
 
     def identity_residual(self):
@@ -56,29 +54,6 @@ def expansion_terms(f, D0, V, n):
             out.append(trace_derivative_first(f, D0, V))
         else:
             out.append(trace_derivative_higher(f, D0, V, p) / math.factorial(p))
-    return out
-
-
-def expansion_terms_eigensum(f, D0, V, n):
-    """Direct eigenvector-sum oracle for the expansion terms (dim <= 6):
-    explicit loops over index tuples with matrix elements of V in the
-    eigenbasis.  Independent of the cluster/trace path."""
-    if D0.dim > 6:
-        raise ValueError("eigensum oracle capped at dim 6")
-    lam = D0.index_values()
-    U = D0.eigenvectors
-    Vt = U.conj().T @ as_matrix(V) @ U  # Vt[b, a] = <V psi_a, psi_b>
-    dd = DividedDifferenceCache(f.derivative())
-    out = []
-    for p in range(1, n):
-        total = 0.0 + 0.0j
-        for idx in product(range(D0.dim), repeat=p):
-            w = dd(*(lam[i] for i in idx))
-            prod_elem = 1.0 + 0.0j
-            for a, b in zip(idx, idx[1:] + idx[:1]):
-                prod_elem *= Vt[b, a]
-            total += w * prod_elem
-        out.append(float(total.real) / p)
     return out
 
 
@@ -138,12 +113,12 @@ def remainder_sweep(f, H0, V, n, eps_grid):
     return out
 
 
-def scaling_exponent(f, H0, V, n, eps_grid, noise_floor=1e-13):
-    """Least-squares slope of log|remainder| against log eps, skipping points
-    below the noise floor."""
-    rem = remainder_sweep(f, H0, V, n, eps_grid)
+def scaling_exponent(eps_grid, remainders, noise_floor=1e-13):
+    """Least-squares slope of log|remainder| against log eps (the output of
+    ``remainder_sweep`` over ``eps_grid``), skipping points below the noise
+    floor."""
     eps = np.asarray(eps_grid, float)
-    rem = np.abs(np.asarray(rem))
+    rem = np.abs(np.asarray(remainders))
     keep = rem > noise_floor
     if np.count_nonzero(keep) < 3:
         raise InsufficientDataError(
@@ -152,7 +127,7 @@ def scaling_exponent(f, H0, V, n, eps_grid, noise_floor=1e-13):
     return float(slope)
 
 
-def expansion_report(f, H0, V, n, with_operator_remainder=True):
+def expansion_report(f, H0, V, n):
     Hm, Vm = as_matrix(H0), as_matrix(V)
     D0 = decompose(Hm)
     D1 = decompose(Hm + Vm)
@@ -160,9 +135,7 @@ def expansion_report(f, H0, V, n, with_operator_remainder=True):
     pert = float(np.trace(apply_function(f, D1).mat).real)
     taus = expansion_terms(f, D0, Vm, n)
     rem = pert - base - sum(taus)
-    tn = None
-    if with_operator_remainder:
-        tn = schatten_norm(operator_remainder(f, H0, V, n), 1)
+    tn = schatten_norm(operator_remainder(f, H0, V, n), 1)
     return ExpansionReport(n=n, base_trace=base, perturbed_trace=pert,
                            terms=taus, remainder_trace=rem,
                            operator_remainder_trace_norm=tn)

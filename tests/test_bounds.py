@@ -1,8 +1,11 @@
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
 
+from tracetaylor import bounds
 from tracetaylor.bounds import (a_sequence, compact_trace_norm_bound,
                                 hs_constant, j_of, remainder_bound_compact,
                                 remainder_bound_hs)
@@ -114,3 +117,34 @@ def test_certificate_serialization():
     d = cert.to_json_dict()
     assert set(d) == {"kind", "lhs", "rhs", "passed", "ingredients"}
     assert d["passed"] is True
+
+
+def test_constants_are_computed_once_per_function(monkeypatch):
+    f = make_poly_bump(0.0, 1.0, 20)
+    H, V = rand_instance(4, 4)
+    D = decompose(H.mat)
+    calls = []
+    seminorm = bounds.gp_seminorm
+    monkeypatch.setattr(bounds, "gp_seminorm",
+                        lambda *a, **k: calls.append(a) or seminorm(*a, **k))
+
+    def certify():
+        return [remainder_bound_hs(f, H, V, 2).rhs,
+                remainder_bound_compact(f, H, V, 2).rhs,
+                compact_trace_norm_bound(f, D, V, 2).rhs]
+
+    first = certify()
+    n_first = len(calls)
+    assert n_first > 0
+    assert certify() == first
+    assert len(calls) == n_first
+
+
+def test_constants_do_not_keep_the_function_alive():
+    f = make_poly_bump(0.0, 1.0, 20)
+    H, V = rand_instance(5, 4)
+    assert remainder_bound_compact(f, H, V, 2).passed
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None

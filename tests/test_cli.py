@@ -92,9 +92,7 @@ def test_certify_flags_corrupted_constant(tmp_path, monkeypatch, capsys):
     # mutation check: zeroing the constant sequence must flag failures
     cfg = write_cfg(tmp_path)
     monkeypatch.setattr(bounds, "a_sequence", lambda n: 0)
-    bounds._signed_constant_cached.cache_clear()
     code = cli.main(["certify", "--config", cfg, "--out", str(tmp_path / "mut")])
-    bounds._signed_constant_cached.cache_clear()
     assert code == 1
 
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from tracetaylor.divided_diff import (DividedDifferenceCache, NodeList,
-                                      PolynomialProbe, divided_difference,
+from oracles import PolynomialProbe
+from tracetaylor.divided_diff import (DividedDifferenceCache, divided_difference,
                                       mean_value_bound_check,
                                       permutation_symmetry_residual,
                                       sqrt_split_residual,
                                       u_conjugation_residual)
+from tracetaylor.operator_core import CLUSTER_TOL, decompose
 from tracetaylor.scalar_functions import (DerivativeOrderError, dyadic_root,
                                           make_poly_bump)
 
@@ -32,13 +33,29 @@ def test_confluent_switch_continuity():
 
 
 def test_node_merging():
-    nl = NodeList((0.5, 0.5 + 1e-12, -0.2), merge_tol=1e-9)
-    assert nl.max_confluency() == 2
-    assert nl.order == 2
     f = make_poly_bump(0.0, 1.0, 6)
-    merged = divided_difference(f, nl)
+    merged = divided_difference(f, (0.5, 0.5 + 1e-12, -0.2))
     exact = divided_difference(f, (0.5, 0.5, -0.2))
     assert merged == pytest.approx(exact, abs=1e-9)
+    # a chain of small gaps is one confluent group of three, which needs a
+    # second derivative that a C^1 bump does not certify
+    c1 = make_poly_bump(0.0, 1.0, 2)
+    divided_difference(c1, (0.5, 0.5 + 1e-12))
+    with pytest.raises(DerivativeOrderError):
+        divided_difference(c1, (0.5, 0.5 + 1e-12, 0.5 + 2e-12))
+
+
+@pytest.mark.parametrize("gap_ratio", [0.5, 2.0])
+def test_decompose_and_divided_difference_share_one_clustering_rule(gap_ratio):
+    f = make_poly_bump(0.0, 1.0, 6)
+    k = gap_ratio * CLUSTER_TOL
+    delta = k / (1.0 - k)  # delta = gap_ratio * CLUSTER_TOL * (1 + span)
+    for a in (-0.45, 0.0, 0.3):
+        nodes = (a, a + delta)
+        one_cluster = len(decompose(np.diag(nodes).astype(complex)).clusters) == 1
+        confluent = (divided_difference(f, nodes)
+                     == f.deriv(1, float(np.mean(nodes))))
+        assert one_cluster == confluent == (gap_ratio < 1.0)
 
 
 def test_confluency_needs_derivatives():

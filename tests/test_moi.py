@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from tracetaylor.divided_diff import (DividedDifferenceCache, PolynomialProbe,
-                                      divided_difference)
+from oracles import PolynomialProbe, finite_difference_derivative
+from tracetaylor.divided_diff import DividedDifferenceCache, divided_difference
 from tracetaylor.moi import (additivity_check, edge_multiplier_check,
-                             evaluate_moi, evaluate_symbol_moi,
-                             finite_difference_derivative, first_order_symbol,
+                             evaluate_moi, evaluate_symbol_moi, first_order_symbol,
                              gateaux_derivative, hilbert_schmidt_bound_check,
                              moi_trace_identity_check, product_split_check,
                              schatten_bound_check, trace_derivative_first,

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from oracles import expansion_terms_eigensum
 from tracetaylor.divided_diff import divided_difference
 from tracetaylor.operator_core import (HermitianOperator, decompose,
                                        operator_norm, random_hermitian,
                                        random_hermitian_in_window)
 from tracetaylor.scalar_functions import make_poly_bump
 from tracetaylor.taylor import (InsufficientDataError, expansion_report,
-                                expansion_terms, expansion_terms_eigensum,
-                                integral_remainder_check, operator_remainder,
-                                remainder_sweep, remainder_trace,
-                                scaling_exponent)
+                                expansion_terms, integral_remainder_check,
+                                operator_remainder, remainder_sweep,
+                                remainder_trace, scaling_exponent)
 
 EPS_GRID = tuple(2.0 ** -k for k in range(3, 11))
 
@@ -109,10 +109,12 @@ def test_integral_remainder_representation():
 def test_scaling_exponent():
     f = make_poly_bump(0.0, 1.0, 12)
     H, V = rand_instance(7, 4)
-    assert scaling_exponent(f, H, V, 1, EPS_GRID) == pytest.approx(1.0, abs=0.1)
-    assert scaling_exponent(f, H, V, 2, EPS_GRID) == pytest.approx(2.0, abs=0.1)
+    for n in (1, 2):
+        rems = remainder_sweep(f, H, V, n, EPS_GRID)
+        assert scaling_exponent(EPS_GRID, rems) == pytest.approx(n, abs=0.1)
+    zero = remainder_sweep(f, H, np.zeros((4, 4)), 1, EPS_GRID)
     with pytest.raises(InsufficientDataError):
-        scaling_exponent(f, H, np.zeros((4, 4)), 1, EPS_GRID)
+        scaling_exponent(EPS_GRID, zero)
 
 
 def test_remainder_sweep_matches_direct():

@@ -14,7 +14,6 @@ from .operator_core import (Interval, as_matrix, counting_trace, decompose,
 from .scalar_functions import (decompose_signed, fractional_root, gp_seminorm,
                                product_with_u, product_with_u2, sup_norm,
                                weight_u)
-from .taylor import remainder_trace
 
 
 @dataclass
@@ -104,31 +103,32 @@ def _signed_root_constants(f, n):
     return halves, f1.support
 
 
-def remainder_bound_compact(f, H0, V, n):
-    """Remainder bound via the signed decomposition f = f1 - f2: the constant
-    is C(f1) + C(f2), and the sup over t of the eigenvalue count of the
-    padded support is replaced by its certified resolvent bound (a grid
-    supremum is reported alongside for diagnostics)."""
-    Hm, Vm = as_matrix(H0), as_matrix(V)
+def inv_resolvent_trace(H0):
+    """Tr (1 + H0^2)^-1, as the sum of 1 / (1 + lambda^2) over the eigenvalues
+    of H0: the instance factor of both remainder bounds and of the density
+    L1 bound."""
+    lam = decompose(as_matrix(H0)).eigenvalues
+    return float(np.sum(1.0 / (1.0 + lam * lam)))
+
+
+def remainder_bound_compact(f, H0, V, n, remainder):
+    """Certificate for |remainder|, the order-n remainder trace of f at (H0, V),
+    via the signed decomposition f = f1 - f2: the constant is C(f1) + C(f2),
+    and the sup over t of the eigenvalue count of the padded support is
+    replaced by its certified resolvent bound."""
     halves, (lo, hi) = _signed_root_constants(f, n)
     an = a_sequence(n)
     c1, c2 = (0.0 if h is None else an * h[0] * h[1]**n for h in halves)
-    vn = operator_norm(Vm)
+    vn = operator_norm(as_matrix(V))
     smax = max(abs(lo), abs(hi))
-    inv_res_trace = float(np.trace(
-        np.linalg.inv(np.eye(Hm.shape[0]) + Hm @ Hm)).real)
+    inv_res_trace = inv_resolvent_trace(H0)
     cert_count = (1.0 + smax * smax) * (1.0 + vn + vn * vn) * inv_res_trace
-    supp = Interval(lo, hi)
-    grid_count = max(counting_trace(decompose(Hm + t * Vm), supp)
-                     for t in np.linspace(0.0, 1.0, 33))
-    lhs = abs(remainder_trace(f, H0, V, n))
     rhs = (c1 + c2) * cert_count * vn**n
     return BoundCertificate(
-        kind="compact", lhs=lhs, rhs=rhs,
+        kind="compact", lhs=abs(remainder), rhs=rhs,
         ingredients={"a_n": an, "j_n": j_of(n),
                      "C_f1": c1, "C_f2": c2, "V_norm": vn,
                      "counting_trace_certified": cert_count,
-                     "counting_trace_grid": grid_count,
                      "inv_resolvent_trace": inv_res_trace})
 
 
@@ -149,17 +149,15 @@ def hs_constant(f, n):
             + 0.5 * n * (n + 3) * m1 * m2 * m2)
 
 
-def remainder_bound_hs(f, H0, V, n):
-    """Hilbert-Schmidt-resolvent remainder bound: the eigenvalue-count factor
-    is traded for Tr (1 + H0^2)^-1."""
-    Hm, Vm = as_matrix(H0), as_matrix(V)
+def remainder_bound_hs(f, H0, V, n, remainder):
+    """Hilbert-Schmidt-resolvent certificate for |remainder|, the order-n
+    remainder trace of f at (H0, V): the eigenvalue-count factor is traded
+    for Tr (1 + H0^2)^-1."""
     c = hs_constant(f, n)
-    vn = operator_norm(Vm)
-    inv_res_trace = float(np.trace(
-        np.linalg.inv(np.eye(Hm.shape[0]) + Hm @ Hm)).real)
-    lhs = abs(remainder_trace(f, H0, V, n))
+    vn = operator_norm(as_matrix(V))
+    inv_res_trace = inv_resolvent_trace(H0)
     rhs = c * inv_res_trace * (1.0 + vn + vn * vn) * vn**n
     return BoundCertificate(
-        kind="hilbert_schmidt", lhs=lhs, rhs=rhs,
+        kind="hilbert_schmidt", lhs=abs(remainder), rhs=rhs,
         ingredients={"c_fn": c, "inv_resolvent_trace": inv_res_trace,
                      "V_norm": vn})

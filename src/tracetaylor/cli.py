@@ -1,7 +1,7 @@
 """Batch certification harness.
 
 Subcommands:
-  expand   - expansion terms, remainder, and definitional identity per trial
+  expand   - expansion terms, remainder, and the two-route remainder identity
   sweep    - remainder scaling over an epsilon grid with slope fits and bounds
   certify  - trace-norm / remainder / Hilbert-Schmidt bound certificates
   shift    - first/second-order trace-formula residuals and shift data
@@ -165,7 +165,7 @@ def cmd_expand(cfg, out_dir):
     ok = True
     for dim, order, trial, rep in results:
         ident = rep.identity_residual()
-        # remainder trace vs trace of the operator remainder
+        # |remainder trace| against the trace norm of the operator remainder
         tr_match = abs(rep.remainder_trace) - rep.operator_remainder_trace_norm
         tr_ok = rep.operator_remainder_trace_norm + 1e-10 >= abs(rep.remainder_trace)
         if ident > 1e-10 * (1.0 + abs(rep.perturbed_trace)) or not tr_ok:
@@ -193,12 +193,11 @@ def _sweep_trial(args):
         slope = taylor.scaling_exponent(cfg.epsilons, rems, cfg.noise_floor)
     except taylor.InsufficientDataError:
         slope = float("nan")
-    bc = []
-    bh = []
-    for eps in cfg.epsilons:
+    bc, bh = [], []
+    for eps, rem in zip(cfg.epsilons, rems):
         Veps = eps * V.mat
-        bc.append(bounds.remainder_bound_compact(f, H0, Veps, order).rhs)
-        bh.append(bounds.remainder_bound_hs(f, H0, Veps, order).rhs)
+        bc.append(bounds.remainder_bound_compact(f, H0, Veps, order, rem).rhs)
+        bh.append(bounds.remainder_bound_hs(f, H0, Veps, order, rem).rhs)
     return (dim, order, trial, rems, bc, bh, slope)
 
 
@@ -209,16 +208,20 @@ def cmd_sweep(cfg, out_dir):
     header = ["seed", "dim", "n", "trial", "epsilon", "remainder_abs",
               "bound_compact", "bound_hs", "slope"]
     rows = []
-    ok = True
+    failures = []
     for dim, order, trial, rems, bc, bh, slope in results:
-        if not (slope >= order - cfg.slope_margin):
-            ok = False
+        threshold = order - cfg.slope_margin
+        if not (slope >= threshold):
+            failures.append(f"dim {dim}, n {order}, trial {trial}: "
+                            f"slope {slope:.6g} < threshold {threshold:.6g}")
         for eps, r, c, h in zip(cfg.epsilons, rems, bc, bh):
             rows.append([str(cfg.seed), str(dim), str(order), str(trial),
                          _fmt(eps), _fmt(abs(r)), _fmt(c), _fmt(h), _fmt(slope)])
     _write_rows(out_dir / "sweep.csv", header, rows)
-    print(f"sweep: {len(results)} fits, slopes {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    print(f"sweep: {len(results)} fits, slopes {'FAIL' if failures else 'PASS'}")
+    for line in failures:
+        print(f"sweep: FAIL {line}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 # -- certify --------------------------------------------------------------
@@ -228,10 +231,11 @@ def _certify_trial(args):
     f = cfg.function()
     H0, V = make_instance(cfg, dim, order, trial)
     D0 = decompose(H0.mat)
+    rem = taylor.remainder_trace(f, H0, V, order)
     certs = {
         "moi_trace_norm": bounds.compact_trace_norm_bound(f, D0, V, order),
-        "remainder_compact": bounds.remainder_bound_compact(f, H0, V, order),
-        "remainder_hs": bounds.remainder_bound_hs(f, H0, V, order),
+        "remainder_compact": bounds.remainder_bound_compact(f, H0, V, order, rem),
+        "remainder_hs": bounds.remainder_bound_hs(f, H0, V, order, rem),
     }
     if order == 2:
         window = shift.default_window(H0, V)
@@ -244,14 +248,15 @@ def cmd_certify(cfg, out_dir):
             for t in range(cfg.trials)]
     results = _map(cfg, _certify_trial, work)
     payload = []
-    ok = True
+    failures = []
     for dim, order, trial, certs in results:
         for name, cert in certs.items():
             d = cert.to_json_dict()
             d.update({"check": name, "seed": cfg.seed, "dim": dim,
                       "n": order, "trial": trial})
             if not cert.passed:
-                ok = False
+                failures.append(f"{name}, dim {dim}, n {order}, trial {trial}: "
+                                f"lhs {cert.lhs:.6g} > rhs {cert.rhs:.6g}")
             payload.append(d)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "certificates.json", "w") as fh:
@@ -259,8 +264,10 @@ def cmd_certify(cfg, out_dir):
         fh.write("\n")
     n_pass = sum(1 for d in payload if d["passed"])
     print(f"certify: {n_pass}/{len(payload)} certificates PASS"
-          + ("" if ok else " (FAILURES)"))
-    return 0 if ok else 1
+          + (" (FAILURES)" if failures else ""))
+    for line in failures:
+        print(f"certify: FAIL {line}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 # -- shift ----------------------------------------------------------------

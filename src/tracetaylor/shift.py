@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moi import trace_derivative_first
+from .bounds import BoundCertificate, inv_resolvent_trace
 from .operator_core import (Interval, as_matrix, apply_function, decompose)
 from .scalar_functions import _gauss_legendre
 from .taylor import remainder_trace
@@ -198,9 +198,6 @@ def second_order_check(f, H0, V, window, nodes_per_interval=32):
 
 def eta_l1_bound_check(H0, V, window):
     """Certificate for the L1 bound on the density over the window."""
-    from .bounds import BoundCertificate
-
-    Hm, Vm = as_matrix(H0), as_matrix(V)
     density = eta(H0, V, window)
     lhs = density.l1_norm()
     a, b = window.lo, window.hi
@@ -209,9 +206,8 @@ def eta_l1_bound_check(H0, V, window):
     u2_sup = 1.0 + babs * babs
     du2_sup = 2.0 * babs
     c_ab = 9.0 * max(1.0, (b - a) ** 2) * max(2.0, u_sup, u2_sup, du2_sup)
-    vn = float(np.linalg.norm(Vm, 2))
-    inv_res_trace = float(np.trace(
-        np.linalg.inv(np.eye(Hm.shape[0]) + Hm @ Hm)).real)
+    vn = float(np.linalg.norm(as_matrix(V), 2))
+    inv_res_trace = inv_resolvent_trace(H0)
     rhs = c_ab * inv_res_trace * (1.0 + vn + vn * vn) * vn * vn
     return BoundCertificate(
         kind="hilbert_schmidt", lhs=lhs, rhs=rhs,

@@ -25,22 +25,22 @@ class ExpansionReport:
     perturbed_trace: float
     terms: list
     remainder_trace: float
+    operator_remainder_trace: float
     operator_remainder_trace_norm: float
-    slope_fit: dict | None = None
 
     def identity_residual(self):
-        """Defect of base + sum(terms) + remainder = perturbed (0 by
-        construction, up to floating-point accumulation)."""
-        return abs(self.perturbed_trace
-                   - (self.base_trace + sum(self.terms) + self.remainder_trace))
+        """Defect of Tr R_n = remainder_trace: the trace of the assembled
+        operator remainder against the remainder from the expansion terms
+        (equal by the trace identity, up to floating-point error)."""
+        return abs(self.operator_remainder_trace - self.remainder_trace)
 
     def to_json_dict(self):
         return {"n": self.n, "base_trace": self.base_trace,
                 "perturbed_trace": self.perturbed_trace,
                 "terms": list(self.terms),
                 "remainder_trace": self.remainder_trace,
-                "operator_remainder_trace_norm": self.operator_remainder_trace_norm,
-                "slope_fit": self.slope_fit}
+                "operator_remainder_trace": self.operator_remainder_trace,
+                "operator_remainder_trace_norm": self.operator_remainder_trace_norm}
 
 
 def expansion_terms(f, D0, V, n):
@@ -60,12 +60,7 @@ def expansion_terms(f, D0, V, n):
 def remainder_trace(f, H0, V, n):
     """Tr f(H0+V) - Tr f(H0) - sum_{p<n} tau_p, traces from exact functional
     calculus."""
-    D0 = decompose(as_matrix(H0))
-    D1 = decompose(as_matrix(H0) + as_matrix(V))
-    base = float(np.trace(apply_function(f, D0).mat).real)
-    pert = float(np.trace(apply_function(f, D1).mat).real)
-    taus = expansion_terms(f, D0, V, n)
-    return pert - base - sum(taus)
+    return remainder_sweep(f, H0, V, n, (1.0,))[0]
 
 
 def operator_remainder(f, H0, V, p):
@@ -135,7 +130,8 @@ def expansion_report(f, H0, V, n):
     pert = float(np.trace(apply_function(f, D1).mat).real)
     taus = expansion_terms(f, D0, Vm, n)
     rem = pert - base - sum(taus)
-    tn = schatten_norm(operator_remainder(f, H0, V, n), 1)
+    R = operator_remainder(f, H0, V, n)
     return ExpansionReport(n=n, base_trace=base, perturbed_trace=pert,
                            terms=taus, remainder_trace=rem,
-                           operator_remainder_trace_norm=tn)
+                           operator_remainder_trace=float(np.trace(R).real),
+                           operator_remainder_trace_norm=schatten_norm(R, 1))

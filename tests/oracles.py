@@ -1,8 +1,9 @@
 """Reference implementations that the tests compare the library against.
 
-Each one takes an independent route to a quantity the library computes:
-exact polynomial derivatives, explicit loops over eigenvector index tuples,
-and finite differences of the functional calculus.
+Each one takes an independent route to a quantity the library computes or
+bounds: exact polynomial derivatives, explicit loops over eigenvector index
+tuples, finite differences of the functional calculus, and a sampled
+supremum of eigenvalue counts.
 """
 
 import math
@@ -11,7 +12,8 @@ from itertools import product
 import numpy as np
 
 from tracetaylor.divided_diff import DividedDifferenceCache
-from tracetaylor.operator_core import (apply_function, as_matrix, decompose,
+from tracetaylor.operator_core import (apply_function, as_matrix,
+                                       counting_trace, decompose,
                                        operator_norm)
 
 
@@ -89,3 +91,11 @@ def finite_difference_derivative(f, H, V, p, h=None):
     d2 = estimate(h / 2.0)
     # both stencils are 4th order accurate
     return (16.0 * d2 - d1) / 15.0
+
+
+def counting_trace_sup(H, V, interval, points=33):
+    """Grid supremum over t in [0, 1] of the number of eigenvalues of H + tV
+    in the interval; a lower bound for the certified counting factor."""
+    Hm, Vm = as_matrix(H), as_matrix(V)
+    return max(counting_trace(decompose(Hm + t * Vm), interval)
+               for t in np.linspace(0.0, 1.0, points))

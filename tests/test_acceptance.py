@@ -82,7 +82,8 @@ def test_criterion_03_compact_resolvent_bounds():
             D = decompose(H.mat)
             if not bounds.compact_trace_norm_bound(F20, D, V, n).passed:
                 ok = False
-            if not bounds.remainder_bound_compact(F20, H, V, n).passed:
+            rem = taylor.remainder_trace(F20, H, V, n)
+            if not bounds.remainder_bound_compact(F20, H, V, n, rem).passed:
                 ok = False
     verdict(3, "compact-resolvent trace-norm and remainder bounds, "
                "50 trials per n in {1,2,3}", ok)
@@ -93,7 +94,8 @@ def test_criterion_04_hilbert_schmidt_bounds():
     for n in (1, 2, 3):
         for trial in range(50):
             H, V = instance(4000 + 100 * n + trial, 4 + trial % 3, vnorm=0.15)
-            if not bounds.remainder_bound_hs(F20, H, V, n).passed:
+            rem = taylor.remainder_trace(F20, H, V, n)
+            if not bounds.remainder_bound_hs(F20, H, V, n, rem).passed:
                 ok = False
     verdict(4, "Hilbert-Schmidt-resolvent remainder bound, "
                "50 trials per n in {1,2,3}", ok)

@@ -5,14 +5,16 @@ import weakref
 import numpy as np
 import pytest
 
+from oracles import counting_trace_sup
 from tracetaylor import bounds
 from tracetaylor.bounds import (a_sequence, compact_trace_norm_bound,
                                 hs_constant, j_of, remainder_bound_compact,
                                 remainder_bound_hs)
-from tracetaylor.operator_core import (HermitianOperator, decompose,
+from tracetaylor.operator_core import (HermitianOperator, Interval, decompose,
                                        random_hermitian,
                                        random_hermitian_in_window)
-from tracetaylor.scalar_functions import make_poly_bump
+from tracetaylor.scalar_functions import decompose_signed, make_poly_bump
+from tracetaylor.taylor import remainder_trace
 
 A_TABLE = [2, 4, 6, 10, 14, 20, 26, 36, 46, 60, 74, 94, 114, 140]
 
@@ -71,18 +73,22 @@ def test_compact_bound_disjoint_spectrum():
 def test_remainder_bound_compact():
     f = make_poly_bump(0.0, 1.0, 20)
     H, V = rand_instance(1, 4)
-    assert remainder_bound_compact(f, H, np.zeros((4, 4)), 1).passed
+    Z = np.zeros((4, 4))
+    assert remainder_bound_compact(f, H, Z, 1, remainder_trace(f, H, Z, 1)).passed
     lam, v = 0.2, 0.1
     H1 = HermitianOperator(np.array([[lam]], dtype=complex))
-    assert remainder_bound_compact(f, H1, np.array([[v]]), 2).passed
+    V1 = np.array([[v]])
+    assert remainder_bound_compact(f, H1, V1, 2, remainder_trace(f, H1, V1, 2)).passed
     for seed in range(5):
         H, V = rand_instance(seed + 10, 5)
         for n in (1, 2, 3):
-            cert = remainder_bound_compact(f, H, V, n)
+            cert = remainder_bound_compact(f, H, V, n, remainder_trace(f, H, V, n))
             assert cert.passed
-            # the certified counting factor dominates the grid supremum
+            # the certified counting factor dominates the grid supremum over
+            # t in [0, 1] of the eigenvalue count of the padded support
+            supp = Interval(*decompose_signed(f, n)[0].support)
             assert (cert.ingredients["counting_trace_certified"]
-                    >= cert.ingredients["counting_trace_grid"] - 1e-9)
+                    >= counting_trace_sup(H, V, supp) - 1e-9)
 
 
 def test_hs_constant_structure():
@@ -101,19 +107,21 @@ def test_hs_constant_structure():
 def test_remainder_bound_hs():
     f = make_poly_bump(0.0, 1.0, 20)
     H, V = rand_instance(2, 4)
-    assert remainder_bound_hs(f, H, np.zeros((4, 4)), 1).passed
+    Z = np.zeros((4, 4))
+    assert remainder_bound_hs(f, H, Z, 1, remainder_trace(f, H, Z, 1)).passed
     H1 = HermitianOperator(np.array([[0.3]], dtype=complex))
-    assert remainder_bound_hs(f, H1, np.array([[0.05]]), 1).passed
+    V1 = np.array([[0.05]])
+    assert remainder_bound_hs(f, H1, V1, 1, remainder_trace(f, H1, V1, 1)).passed
     for seed in range(5):
         H, V = rand_instance(seed + 20, 5)
         for n in (1, 2, 3):
-            assert remainder_bound_hs(f, H, V, n).passed
+            assert remainder_bound_hs(f, H, V, n, remainder_trace(f, H, V, n)).passed
 
 
 def test_certificate_serialization():
     f = make_poly_bump(0.0, 1.0, 20)
     H, V = rand_instance(3, 4)
-    cert = remainder_bound_hs(f, H, V, 1)
+    cert = remainder_bound_hs(f, H, V, 1, remainder_trace(f, H, V, 1))
     d = cert.to_json_dict()
     assert set(d) == {"kind", "lhs", "rhs", "passed", "ingredients"}
     assert d["passed"] is True
@@ -128,9 +136,11 @@ def test_constants_are_computed_once_per_function(monkeypatch):
     monkeypatch.setattr(bounds, "gp_seminorm",
                         lambda *a, **k: calls.append(a) or seminorm(*a, **k))
 
+    rem = remainder_trace(f, H, V, 2)
+
     def certify():
-        return [remainder_bound_hs(f, H, V, 2).rhs,
-                remainder_bound_compact(f, H, V, 2).rhs,
+        return [remainder_bound_hs(f, H, V, 2, rem).rhs,
+                remainder_bound_compact(f, H, V, 2, rem).rhs,
                 compact_trace_norm_bound(f, D, V, 2).rhs]
 
     first = certify()
@@ -143,7 +153,7 @@ def test_constants_are_computed_once_per_function(monkeypatch):
 def test_constants_do_not_keep_the_function_alive():
     f = make_poly_bump(0.0, 1.0, 20)
     H, V = rand_instance(5, 4)
-    assert remainder_bound_compact(f, H, V, 2).passed
+    assert remainder_bound_compact(f, H, V, 2, remainder_trace(f, H, V, 2)).passed
     ref = weakref.ref(f)
     del f
     gc.collect()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tracetaylor import bounds, cli
+from tracetaylor import bounds, cli, taylor
 
 SMALL_CFG = """
 seed = 11
@@ -92,8 +92,60 @@ def test_certify_flags_corrupted_constant(tmp_path, monkeypatch, capsys):
     # mutation check: zeroing the constant sequence must flag failures
     cfg = write_cfg(tmp_path)
     monkeypatch.setattr(bounds, "a_sequence", lambda n: 0)
-    code = cli.main(["certify", "--config", cfg, "--out", str(tmp_path / "mut")])
+    out = tmp_path / "mut"
+    code = cli.main(["certify", "--config", cfg, "--out", str(out)])
     assert code == 1
+    # each failing certificate is named on stderr with its check, instance,
+    # lhs and rhs; stdout keeps the one summary line
+    captured = capsys.readouterr()
+    failed = [c for c in json.loads((out / "certificates.json").read_text())
+              if not c["passed"]]
+    lines = captured.err.splitlines()
+    assert failed and len(lines) == len(failed)
+    for c, line in zip(failed, lines):
+        assert line == (f"certify: FAIL {c['check']}, dim {c['dim']}, n {c['n']}, "
+                        f"trial {c['trial']}: lhs {c['lhs']:.6g} > rhs {c['rhs']:.6g}")
+    assert captured.out.splitlines()[-1].endswith("certificates PASS (FAILURES)")
+
+
+def test_sweep_names_failing_fits(tmp_path, capsys):
+    # a negative margin puts every threshold above n, so every fit fails
+    out_ok, out_bad = tmp_path / "ok", tmp_path / "bad"
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path),
+                     "--out", str(out_ok)]) == 0
+    capsys.readouterr()
+    bad = write_cfg(tmp_path, SMALL_CFG + "slope_margin = -10\n", "bad.txt")
+    assert cli.main(["sweep", "--config", bad, "--out", str(out_bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "sweep: 4 fits, slopes FAIL\n"
+    fits = {}
+    for row in (out_bad / "sweep.csv").read_text().splitlines()[1:]:
+        _, dim, n, trial, *_, slope = row.split(",")
+        fits[(int(dim), int(n), int(trial))] = float(slope)
+    assert captured.err.splitlines() == [
+        f"sweep: FAIL dim {d}, n {n}, trial {t}: "
+        f"slope {s:.6g} < threshold {n + 10:.6g}"
+        for (d, n, t), s in fits.items()]
+    # the report does not depend on the margin
+    assert (out_ok / "sweep.csv").read_bytes() == (out_bad / "sweep.csv").read_bytes()
+
+
+def test_bounds_take_the_remainder_they_certify(monkeypatch):
+    # the trials compute each remainder once and hand it to the bounds
+    calls = []
+    remainder_trace = taylor.remainder_trace
+
+    def counted(*args):
+        calls.append(args)
+        return remainder_trace(*args)
+
+    monkeypatch.setattr(taylor, "remainder_trace", counted)
+    monkeypatch.setattr(bounds, "remainder_trace", counted, raising=False)
+    cfg = cli.ExperimentConfig()
+    cli._sweep_trial((cfg, 4, 2, 0))
+    assert len(calls) == 0
+    cli._certify_trial((cfg, 4, 2, 0))
+    assert len(calls) == 1
 
 
 def test_shift_command(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import expansion_terms_eigensum
+from tracetaylor import taylor
 from tracetaylor.divided_diff import divided_difference
 from tracetaylor.operator_core import (HermitianOperator, decompose,
                                        operator_norm, random_hermitian,
@@ -132,5 +133,22 @@ def test_expansion_report_identity():
     assert rep.identity_residual() < 1e-12
     d = rep.to_json_dict()
     assert d["n"] == 3 and len(d["terms"]) == 2
+    assert d["operator_remainder_trace"] == rep.operator_remainder_trace
     # trace of the operator remainder is dominated by its trace norm
     assert abs(rep.remainder_trace) <= rep.operator_remainder_trace_norm + 1e-10
+
+
+def test_identity_residual_detects_a_wrong_term(monkeypatch):
+    # mutation check: Tr R_n does not go through the expansion terms, so a
+    # perturbed tau_1 shows up in the two-route residual
+    f = make_poly_bump(0.0, 1.0, 12)
+    H, V = rand_instance(9, 5)
+    expansion_terms = taylor.expansion_terms
+
+    def perturbed(*args):
+        taus = expansion_terms(*args)
+        taus[0] += 1e-6
+        return taus
+
+    monkeypatch.setattr(taylor, "expansion_terms", perturbed)
+    assert expansion_report(f, H, V, 3).identity_residual() > 1e-8

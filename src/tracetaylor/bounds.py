@@ -10,7 +10,7 @@ import numpy as np
 
 from .moi import evaluate_moi
 from .operator_core import (Interval, as_matrix, counting_trace, decompose,
-                            operator_norm)
+                            operator_norm, schatten_norm)
 from .scalar_functions import (decompose_signed, fractional_root, gp_seminorm,
                                product_with_u, product_with_u2, sup_norm,
                                weight_u)
@@ -80,7 +80,7 @@ def compact_trace_norm_bound(f, D, V, n):
     perturbations, against the eigenvalue count of supp f and dyadic-root
     seminorms of f."""
     Vm = as_matrix(V)
-    lhs = evaluate_moi(f, D, [Vm] * n).schatten(1)
+    lhs = schatten_norm(evaluate_moi(f, D, [Vm] * n), 1)
     an = a_sequence(n)
     lo, hi = f.support
     tr_e = counting_trace(D, Interval(lo, hi))

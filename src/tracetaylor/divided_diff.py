@@ -2,6 +2,7 @@
 semantics, plus the scalar decomposition identities used by the norm bounds."""
 
 import math
+from itertools import chain, combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -23,31 +24,64 @@ def _merged_nodes(nodes):
     return np.repeat(means, sizes), max(sizes)
 
 
+def _divided_difference_rows(f, rows):
+    """The triangular recursion d[i][j] = f^[j-i](x_i..x_j) run over every
+    row of ``rows`` (shape (m, p+1), each row ascending) at once; returns
+    f^[p] of each row.
+
+    Unequal nodes use the difference quotient; equal nodes, which are
+    adjacent in an ascending row, use the exact-derivative branch f^(r)/r!.
+    """
+    p = rows.shape[1] - 1
+    # d[i] holds d[i][i+w-1] before width w is processed, d[i][i+w] after
+    d = [np.asarray(f.deriv(0, rows[:, i]), dtype=float) for i in range(p + 1)]
+    for w in range(1, p + 1):
+        for i in range(p + 1 - w):
+            lo, hi = rows[:, i], rows[:, i + w]
+            same = hi == lo
+            q = np.divide(d[i + 1] - d[i], hi - lo, where=~same,
+                          out=np.empty_like(lo))
+            if same.any():
+                q[same] = f.deriv(w, lo[same]) / math.factorial(w)
+            d[i] = q
+    return d[0]
+
+
 def divided_difference(f, nodes):
     """The recursively defined divided difference f^[p] over p+1 nodes.
 
-    Distinct nodes use the difference quotient; confluent groups use the
-    exact-derivative branch f^(r)/r!.  Nodes are sorted first, so the result
-    is deterministic; symmetry of f^[p] covers reorderings.
+    Nodes are sorted and gap-chained clusters merged first, so the result is
+    deterministic; symmetry of f^[p] covers reorderings.  One row of
+    ``_divided_difference_rows``.
     """
     vals, conf = _merged_nodes(nodes)
-    p = vals.size - 1
     if f.max_order < conf - 1:
         raise DerivativeOrderError(
             f"confluent group of size {conf} needs derivatives "
             f"up to order {conf - 1}")
-    # d[i][j] = f^[j-i](vals[i..j]) built over sorted canonical values
-    d = [[None] * (p + 1) for _ in range(p + 1)]
-    for i in range(p + 1):
-        d[i][i] = float(f.deriv(0, vals[i]))
-    for w in range(1, p + 1):
-        for i in range(p + 1 - w):
-            j = i + w
-            if vals[j] == vals[i]:
-                d[i][j] = float(f.deriv(w, vals[i])) / math.factorial(w)
-            else:
-                d[i][j] = (d[i + 1][j] - d[i][j - 1]) / (vals[j] - vals[i])
-    return d[0][p]
+    return float(_divided_difference_rows(f, vals[None, :])[0])
+
+
+def divided_difference_tensor(f, lam, p):
+    """Tensor f^[p](lam_{i0},..,lam_{ip}) over all index tuples of the
+    ascending values ``lam`` (a decomposition's ``index_values()``).
+
+    Each sorted index tuple is evaluated once, all in one call of the
+    recursion and at the given values (no re-merging); every other ordering
+    of the indices is filled by the symmetry of f^[p].
+    """
+    lam = np.asarray(lam, dtype=float)
+    if np.any(np.diff(lam) < 0):
+        raise ValueError("lam must be ascending")
+    n = lam.size
+    idx = np.fromiter(chain.from_iterable(
+        combinations_with_replacement(range(n), p + 1)), dtype=np.intp)
+    idx = idx.reshape(-1, p + 1)
+    vals = _divided_difference_rows(f, lam[idx])
+    F = np.empty((n,) * (p + 1))
+    for perm in permutations(range(p + 1)):
+        F[tuple(idx[:, k] for k in perm)] = vals
+    return F
 
 
 class DividedDifferenceCache:

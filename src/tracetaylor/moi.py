@@ -7,54 +7,31 @@ to this exact sum, which is what everything here evaluates.
 """
 
 import math
-from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
-from .divided_diff import DividedDifferenceCache
+from .divided_diff import divided_difference_tensor
 from .operator_core import apply_function, as_matrix, schatten_norm
 from .scalar_functions import gp_seminorm
 
 
-@dataclass
-class MoiResult:
-    matrix: np.ndarray
-    order: int
-    _norm_cache: dict = field(default_factory=dict, repr=False)
-
-    def schatten(self, alpha):
-        key = float(alpha)
-        if key not in self._norm_cache:
-            self._norm_cache[key] = schatten_norm(self.matrix, alpha)
-        return self._norm_cache[key]
-
-
-def _symbol_tensor(phi, lam, p, symmetric):
-    """Tensor phi(lam_{i0},..,lam_{ip}) over all index tuples.
-
-    Values are cached per distinct value tuple (sorted when the symbol is
-    symmetric, as divided differences are), so degenerate spectra cost little.
-    """
-    n = lam.size
-    F = np.empty((n,) * (p + 1))
-    cache = {}
-    for idx in product(range(n), repeat=p + 1):
-        vals = tuple(lam[i] for i in idx)
-        key = tuple(sorted(vals)) if symmetric else vals
-        v = cache.get(key)
-        if v is None:
-            v = float(phi(*vals))
-            cache[key] = v
-        F[idx] = v
+def _tabulate(phi, lam, p):
+    """Tensor phi(lam_{i0},..,lam_{ip}) of a callable (p+1)-variable symbol
+    over all index tuples."""
+    F = np.empty((lam.size,) * (p + 1))
+    for idx in product(range(lam.size), repeat=p + 1):
+        F[idx] = float(phi(*(lam[i] for i in idx)))
     return F
 
 
 _EINSUM_LETTERS = "abcdefghij"
 
 
-def evaluate_symbol_moi(phi, D, perturbations, symmetric=False):
-    """Spectral-sum operator integral for an arbitrary (p+1)-variable symbol."""
+def evaluate_symbol_moi(phi, D, perturbations):
+    """Spectral-sum operator integral T_phi(V_1..V_p) as a matrix.  ``phi``
+    is a callable (p+1)-variable symbol or its tensor over the index tuples
+    of ``D.index_values()``."""
     p = len(perturbations)
     U = D.eigenvectors
     lam = D.index_values()
@@ -62,30 +39,29 @@ def evaluate_symbol_moi(phi, D, perturbations, symmetric=False):
     for V in perturbations:
         if as_matrix(V).shape != (n, n):
             raise ValueError("perturbation dimension mismatch")
+    F = _tabulate(phi, lam, p) if callable(phi) else phi
     if p == 0:
-        fv = np.array([float(phi(t)) for t in lam])
-        return MoiResult(matrix=(U * fv) @ U.conj().T, order=0)
+        return (U * F) @ U.conj().T
     Vt = [U.conj().T @ as_matrix(V) @ U for V in perturbations]
-    F = _symbol_tensor(phi, lam, p, symmetric)
     idx = _EINSUM_LETTERS[: p + 1]
     spec = idx + "," + ",".join(idx[i: i + 2] for i in range(p)) + "->" + idx[0] + idx[-1]
     M = np.einsum(spec, F, *Vt)
-    return MoiResult(matrix=U @ M @ U.conj().T, order=p)
+    return U @ M @ U.conj().T
 
 
 def evaluate_moi(f, D, perturbations):
     """T over the divided difference f^[p] of a scalar function f."""
     p = len(perturbations)
     if p == 0:
-        return MoiResult(matrix=apply_function(f, D).mat, order=0)
-    dd = DividedDifferenceCache(f)
-    return evaluate_symbol_moi(dd, D, perturbations, symmetric=True)
+        return apply_function(f, D).mat
+    F = divided_difference_tensor(f, D.index_values(), p)
+    return evaluate_symbol_moi(F, D, perturbations)
 
 
 def gateaux_derivative(f, D, V, p):
     """p-th Gateaux derivative of s -> f(H + sV) at 0, i.e. p! times the
     operator integral with symbol f^[p]."""
-    return math.factorial(p) * evaluate_moi(f, D, [V] * p).matrix
+    return math.factorial(p) * evaluate_moi(f, D, [V] * p)
 
 
 def trace_derivative_first(f, D, V):
@@ -99,33 +75,24 @@ def trace_derivative_first(f, D, V):
     return float(total)
 
 
-def _cyclic_trace_sum(phi, D, V, p, symmetric=True):
-    U = D.eigenvectors
-    lam = D.index_values()
-    Vt = U.conj().T @ as_matrix(V) @ U
-    if p == 1:
-        F = np.array([float(phi(t)) for t in lam])
-        return complex(np.sum(F * np.diag(Vt)))
-    F = _symbol_tensor(phi, lam, p - 1, symmetric)
-    idx = _EINSUM_LETTERS[:p]
-    pairs = [idx[i] + idx[(i + 1) % p] for i in range(p)]
-    spec = idx + "," + ",".join(pairs) + "->"
-    return complex(np.einsum(spec, F, *([Vt] * p)))
-
-
 def trace_derivative_higher(f, D, V, p):
     """(p-1)! sum over spectral tuples of (f')^[p-1] times the cyclic trace
     Tr(E V ... E V); equals the trace of the p-th Gateaux derivative."""
     if p < 2:
         raise ValueError("p must be >= 2; use trace_derivative_first")
-    dd = DividedDifferenceCache(f.derivative())
-    return math.factorial(p - 1) * _cyclic_trace_sum(dd, D, V, p).real
+    U = D.eigenvectors
+    Vt = U.conj().T @ as_matrix(V) @ U
+    F = divided_difference_tensor(f.derivative(), D.index_values(), p - 1)
+    idx = _EINSUM_LETTERS[:p]
+    pairs = [idx[i] + idx[(i + 1) % p] for i in range(p)]
+    spec = idx + "," + ",".join(pairs) + "->"
+    return math.factorial(p - 1) * complex(np.einsum(spec, F, *([Vt] * p))).real
 
 
 def moi_trace_identity_check(f, D, V, k):
     """|Tr T_{f^[k]}(V,..,V) - (1/k) sum (f')^[k-1] Tr(E V .. E V)|, both
     sides computed independently."""
-    lhs = np.trace(evaluate_moi(f, D, [V] * k).matrix).real
+    lhs = np.trace(evaluate_moi(f, D, [V] * k)).real
     if k == 1:
         rhs = trace_derivative_first(f, D, V)
     else:
@@ -138,7 +105,7 @@ def additivity_check(phi1, phi2, D, perturbations):
     both = evaluate_symbol_moi(lambda *a: phi1(*a) + phi2(*a), D, perturbations)
     t1 = evaluate_symbol_moi(phi1, D, perturbations)
     t2 = evaluate_symbol_moi(phi2, D, perturbations)
-    return schatten_norm(both.matrix - t1.matrix - t2.matrix, 2)
+    return schatten_norm(both - t1 - t2, 2)
 
 
 def product_split_check(phi1, phi2, D, perturbations, k):
@@ -154,7 +121,7 @@ def product_split_check(phi1, phi2, D, perturbations, k):
     whole = evaluate_symbol_moi(glued, D, perturbations)
     left = evaluate_symbol_moi(phi1, D, perturbations[:k])
     right = evaluate_symbol_moi(phi2, D, perturbations[k:])
-    return schatten_norm(whole.matrix - left.matrix @ right.matrix, 2)
+    return schatten_norm(whole - left @ right, 2)
 
 
 def edge_multiplier_check(psi1, phi, psi2, D, perturbations):
@@ -167,15 +134,11 @@ def edge_multiplier_check(psi1, phi, psi2, D, perturbations):
         return psi1(lams[0]) * phi(*lams) * psi2(lams[-1])
 
     lhs = evaluate_symbol_moi(weighted, D, perturbations)
-    U = D.eigenvectors
-    lam = D.index_values()
-    psi1H = (U * np.array([float(psi1(t)) for t in lam])) @ U.conj().T
-    psi2H = (U * np.array([float(psi2(t)) for t in lam])) @ U.conj().T
     mod = [as_matrix(V) for V in perturbations]
-    mod[0] = psi1H @ mod[0]
-    mod[-1] = mod[-1] @ psi2H
+    mod[0] = evaluate_symbol_moi(psi1, D, []) @ mod[0]
+    mod[-1] = mod[-1] @ evaluate_symbol_moi(psi2, D, [])
     rhs = evaluate_symbol_moi(phi, D, mod)
-    return schatten_norm(lhs.matrix - rhs.matrix, 2)
+    return schatten_norm(lhs - rhs, 2)
 
 
 def schatten_bound_check(f, D, perturbations, alphas, alpha):
@@ -186,8 +149,7 @@ def schatten_bound_check(f, D, perturbations, alphas, alpha):
     target = 0.0 if alpha == np.inf else 1.0 / alpha
     if abs(inv - target) > 1e-12:
         raise ValueError("Schatten exponents must satisfy 1/alpha = sum 1/alpha_j")
-    T = evaluate_moi(f, D, perturbations)
-    lhs = T.schatten(alpha)
+    lhs = schatten_norm(evaluate_moi(f, D, perturbations), alpha)
     rep = gp_seminorm(f, p)
     rhs = rep.value_gp + rep.quadrature_error
     for V, a in zip(perturbations, alphas):
@@ -198,13 +160,6 @@ def schatten_bound_check(f, D, perturbations, alphas, alpha):
 def hilbert_schmidt_bound_check(phi, D, V):
     """||T_phi(V)||_2 <= ||phi||_inf ||V||_2 with the sup taken over spectrum
     pairs (phi a two-variable bounded symbol)."""
-    T = evaluate_symbol_moi(phi, D, [V])
-    lam = D.index_values()
-    sup = max(abs(float(phi(a, b))) for a in lam for b in lam)
-    rhs = sup * schatten_norm(V, 2)
-    return T.schatten(2) <= rhs + 1e-9 * (1.0 + rhs)
-
-
-def first_order_symbol(f):
-    """The two-variable divided-difference symbol of f, for the HS bound."""
-    return DividedDifferenceCache(f)
+    F = _tabulate(phi, D.index_values(), 1)
+    rhs = float(np.max(np.abs(F))) * schatten_norm(V, 2)
+    return schatten_norm(evaluate_symbol_moi(F, D, [V]), 2) <= rhs + 1e-9 * (1.0 + rhs)

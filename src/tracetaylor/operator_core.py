@@ -128,7 +128,8 @@ CLUSTER_TOL = 1e-8
 def _cluster(vals):
     """Gap-chained clusters of ascending values: a run of consecutive gaps
     below CLUSTER_TOL * (1 + span) is one cluster.  Returns the index ranges
-    and the mean of each run.
+    and the value of each run: its mean, or its common value when all its
+    values are equal (a mean of equal values can be one ulp off them).
 
     Eigendecompositions and divided differences share this rule, so nodes
     taken from a decomposition's cluster values never merge again.
@@ -142,7 +143,9 @@ def _cluster(vals):
             j += 1
         runs.append(range(i, j))
         i = j
-    return runs, np.array([float(np.mean(vals[r.start:r.stop])) for r in runs])
+    values = [vals[r.start] if vals[r.start] == vals[r.stop - 1]
+              else np.mean(vals[r.start:r.stop]) for r in runs]
+    return runs, np.array(values, dtype=float)
 
 
 def decompose(H):

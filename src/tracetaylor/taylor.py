@@ -66,11 +66,15 @@ def remainder_trace(f, H0, V, n):
 def operator_remainder(f, H0, V, p):
     """f(H0+V) minus the Gateaux-derivative Taylor polynomial of order p-1."""
     Hm, Vm = as_matrix(H0), as_matrix(V)
-    D0 = decompose(Hm)
-    D1 = decompose(Hm + Vm)
+    return _operator_remainder(f, decompose(Hm), decompose(Hm + Vm), Vm, p)
+
+
+def _operator_remainder(f, D0, D1, Vm, p):
+    """``operator_remainder`` from the decompositions D0 of H0 and D1 of
+    H0+V."""
     R = apply_function(f, D1).mat.copy()
     for k in range(p):
-        R -= evaluate_moi(f, D0, [Vm] * k).matrix
+        R -= evaluate_moi(f, D0, [Vm] * k)
     return R
 
 
@@ -130,7 +134,7 @@ def expansion_report(f, H0, V, n):
     pert = float(np.trace(apply_function(f, D1).mat).real)
     taus = expansion_terms(f, D0, Vm, n)
     rem = pert - base - sum(taus)
-    R = operator_remainder(f, H0, V, n)
+    R = _operator_remainder(f, D0, D1, Vm, n)
     return ExpansionReport(n=n, base_trace=base, perturbed_trace=pert,
                            terms=taus, remainder_trace=rem,
                            operator_remainder_trace=float(np.trace(R).real),

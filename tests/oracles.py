@@ -1,9 +1,9 @@
 """Reference implementations that the tests compare the library against.
 
 Each one takes an independent route to a quantity the library computes or
-bounds: exact polynomial derivatives, explicit loops over eigenvector index
-tuples, finite differences of the functional calculus, and a sampled
-supremum of eigenvalue counts.
+bounds: exact polynomial derivatives, the scalar divided-difference loop,
+explicit loops over eigenvector index tuples, finite differences of the
+functional calculus, and a sampled supremum of eigenvalue counts.
 """
 
 import math
@@ -38,6 +38,21 @@ class PolynomialProbe:
 
     def deriv(self, j, x):
         return self.poly.deriv(j)(x) if j else self.poly(x)
+
+
+def divided_difference_loop(f, nodes):
+    """f^[p] by the scalar triangular recursion over the sorted nodes, one
+    entry at a time; equal nodes take f^(r)/r!, all others the quotient (no
+    merging of near-equal nodes)."""
+    x = sorted(float(t) for t in nodes)
+    d = [float(f.deriv(0, t)) for t in x]
+    for w in range(1, len(x)):
+        for i in range(len(x) - w):
+            if x[i + w] == x[i]:
+                d[i] = float(f.deriv(w, x[i])) / math.factorial(w)
+            else:
+                d[i] = (d[i + 1] - d[i]) / (x[i + w] - x[i])
+    return d[0]
 
 
 def expansion_terms_eigensum(f, D0, V, n):

@@ -128,7 +128,7 @@ def test_criterion_06_trace_identities():
         H, V = instance(6000 + trial, dim, vnorm=0.3)
         D = decompose(H.mat)
         for k in (1, 2, 3):
-            rel = 1.0 + abs(np.trace(moi.evaluate_moi(F12, D, [V] * k).matrix).real)
+            rel = 1.0 + abs(np.trace(moi.evaluate_moi(F12, D, [V] * k)).real)
             if moi.moi_trace_identity_check(F12, D, V, k) > 1e-9 * rel:
                 ok = False
     verdict(6, "trace identity for operator integrals via the spectral "
@@ -218,7 +218,8 @@ def test_criterion_10_norm_bounds():
         dim = 3 + trial % 6
         H, V = instance(11000 + trial, dim, vnorm=0.6)
         D = decompose(H.mat)
-        if not moi.hilbert_schmidt_bound_check(moi.first_order_symbol(F12), D, V):
+        if not moi.hilbert_schmidt_bound_check(
+                divided_diff.DividedDifferenceCache(F12), D, V):
             ok = False
     verdict(10, "Schatten-Holder and Hilbert-Schmidt symbol bounds, "
                 "100 trials each", ok)

@@ -1,8 +1,14 @@
+import math
+from itertools import combinations_with_replacement, permutations, product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import PolynomialProbe
+from oracles import PolynomialProbe, divided_difference_loop
 from tracetaylor.divided_diff import (DividedDifferenceCache, divided_difference,
+                                      divided_difference_tensor,
                                       mean_value_bound_check,
                                       permutation_symmetry_residual,
                                       sqrt_split_residual,
@@ -114,3 +120,46 @@ def test_cache_consistency():
     assert dd(*nodes) == pytest.approx(divided_difference(f, nodes))
     # permuted call hits the same cached value
     assert dd(0.1, 0.55, -0.25) == dd(*nodes)
+
+
+# spectra on a 1/20 grid inside the bump support; drawing grid points with
+# replacement gives exact repeats, and distinct values never cluster
+spectra = st.lists(st.integers(-18, 18), min_size=1, max_size=6).map(
+    lambda ks: np.sort(np.array(ks, dtype=float) / 20.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=spectra, p=st.integers(0, 4))
+def test_tensor_matches_scalar_divided_difference(lam, p):
+    f = make_poly_bump(0.0, 1.0, 12)
+    F = divided_difference_tensor(f, lam, p)
+    assert F.shape == (lam.size,) * (p + 1)
+    scalar = DividedDifferenceCache(f)  # one scalar call per node multiset
+    for idx in product(range(lam.size), repeat=p + 1):
+        assert F[idx] == scalar(*lam[list(idx)])
+    for idx in combinations_with_replacement(range(lam.size), p + 1):
+        assert F[idx] == divided_difference_loop(f, lam[list(idx)])
+    for perm in permutations(range(p + 1)):
+        assert np.array_equal(F, F.transpose(perm))
+
+
+def test_tensor_matches_polynomial_probe():
+    # x^k has f^[p](x_0..x_p) = h_{k-p}(x_0..x_p), the complete homogeneous
+    # symmetric polynomial; every intermediate of the recursion is an integer
+    # at integer nodes, so the values are exact
+    lam = np.array([-1.0, 0.0, 0.0, 1.0, 2.0])
+    for k in range(8):
+        probe = PolynomialProbe.monomial(k)
+        for p in range(5):
+            F = divided_difference_tensor(probe, lam, p)
+            for idx in product(range(lam.size), repeat=p + 1):
+                nodes = lam[list(idx)]
+                h = sum(math.prod(c) for c in
+                        combinations_with_replacement(nodes, k - p)) if k >= p else 0.0
+                assert F[idx] == h
+
+
+def test_tensor_needs_ascending_values():
+    f = make_poly_bump(0.0, 1.0, 8)
+    with pytest.raises(ValueError):
+        divided_difference_tensor(f, np.array([0.2, -0.1]), 1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tracetaylor.operator_core import (HermitianOperator,
+                                       _cluster,
                                        HermitianValidationError, Interval,
                                        apply_function, counting_trace,
                                        decompose, operator_norm,
@@ -47,6 +48,17 @@ def test_decompose_degenerate_identity():
     D = decompose(np.eye(3))
     assert len(D.clusters) == 1
     assert np.allclose(D.projections[0], np.eye(3))
+
+
+def test_cluster_keeps_a_run_of_equal_values():
+    # np.mean([0.1] * 3) is one ulp off 0.1; a cluster of equal values must
+    # keep their value, or nodes taken from it shift before a quotient
+    runs, values = _cluster(np.array([0.1] * 3))
+    assert [tuple(r) for r in runs] == [(0, 1, 2)]
+    assert values[0] == 0.1
+    runs, values = _cluster(np.array([-0.2, 0.1, 0.1, 0.1, 0.1 + 2e-9]))
+    assert [tuple(r) for r in runs] == [(0,), (1, 2, 3, 4)]
+    assert values[1] == np.mean([0.1, 0.1, 0.1, 0.1 + 2e-9])
 
 
 def test_decompose_completeness_and_reconstruction():

@@ -6,7 +6,7 @@ import pytest
 from oracles import expansion_terms_eigensum
 from tracetaylor import taylor
 from tracetaylor.divided_diff import divided_difference
-from tracetaylor.operator_core import (HermitianOperator, decompose,
+from tracetaylor.operator_core import (CLUSTER_TOL, HermitianOperator, decompose,
                                        operator_norm, random_hermitian,
                                        random_hermitian_in_window)
 from tracetaylor.scalar_functions import make_poly_bump
@@ -152,3 +152,24 @@ def test_identity_residual_detects_a_wrong_term(monkeypatch):
 
     monkeypatch.setattr(taylor, "expansion_terms", perturbed)
     assert expansion_report(f, H, V, 3).identity_residual() > 1e-8
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_expansion_report_identity_on_near_chains(seed):
+    # two chains of four eigenvalues with gaps of 2-5 cluster tolerances:
+    # decompose keeps all eight apart, so order 4 runs the quotient branch on
+    # near-confluent tuples, whose repeated values must enter it unshifted
+    rng = np.random.default_rng(seed)
+    span = 0.7 + 1e-6
+    gaps = rng.uniform(2.25, 4.75, size=(2, 3)) * CLUSTER_TOL * (1.0 + span)
+    chains = np.array([[-0.4], [0.3]]) + np.concatenate(
+        [np.zeros((2, 1)), np.cumsum(gaps, axis=1)], axis=1)
+    Q, R = np.linalg.qr(rng.standard_normal((8, 8))
+                        + 1j * rng.standard_normal((8, 8)))
+    U = Q * (np.diag(R) / np.abs(np.diag(R)))
+    H = HermitianOperator((U * chains.ravel()) @ U.conj().T)
+    assert len(decompose(H.mat).clusters) == 8
+    V = random_hermitian(rng, 8, norm=0.1)
+    f = make_poly_bump(0.0, 1.0, 20)
+    rep = expansion_report(f, H, V, 4)
+    assert rep.identity_residual() <= 1e-10 * (1.0 + abs(rep.perturbed_trace))

@@ -9,8 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .moi import evaluate_moi
-from .operator_core import (Interval, as_matrix, counting_trace, decompose,
-                            operator_norm, schatten_norm)
+from .operator_core import (Interval, as_matrix, counting_trace, operator_norm,
+                            schatten_norm)
+# unused here, kept because bench/tests/test_tracer.py checks its rebinding
+from .operator_core import decompose  # noqa: F401
 from .scalar_functions import (decompose_signed, fractional_root, gp_seminorm,
                                product_with_u, product_with_u2, sup_norm,
                                weight_u)
@@ -103,25 +105,26 @@ def _signed_root_constants(f, n):
     return halves, f1.support
 
 
-def inv_resolvent_trace(H0):
+def inv_resolvent_trace(D0):
     """Tr (1 + H0^2)^-1, as the sum of 1 / (1 + lambda^2) over the eigenvalues
-    of H0: the instance factor of both remainder bounds and of the density
-    L1 bound."""
-    lam = decompose(as_matrix(H0)).eigenvalues
+    of the decomposition D0 of H0: the instance factor of both remainder
+    bounds and of the density L1 bound."""
+    lam = D0.eigenvalues
     return float(np.sum(1.0 / (1.0 + lam * lam)))
 
 
-def remainder_bound_compact(f, H0, V, n, remainder):
-    """Certificate for |remainder|, the order-n remainder trace of f at (H0, V),
-    via the signed decomposition f = f1 - f2: the constant is C(f1) + C(f2),
-    and the sup over t of the eigenvalue count of the padded support is
-    replaced by its certified resolvent bound."""
+def remainder_bound_compact(f, D0, V, n, remainder):
+    """Certificate for |remainder|, the order-n remainder trace of f at (H0, V)
+    with D0 the decomposition of H0, via the signed decomposition
+    f = f1 - f2: the constant is C(f1) + C(f2), and the sup over t of the
+    eigenvalue count of the padded support is replaced by its certified
+    resolvent bound."""
     halves, (lo, hi) = _signed_root_constants(f, n)
     an = a_sequence(n)
     c1, c2 = (0.0 if h is None else an * h[0] * h[1]**n for h in halves)
     vn = operator_norm(as_matrix(V))
     smax = max(abs(lo), abs(hi))
-    inv_res_trace = inv_resolvent_trace(H0)
+    inv_res_trace = inv_resolvent_trace(D0)
     cert_count = (1.0 + smax * smax) * (1.0 + vn + vn * vn) * inv_res_trace
     rhs = (c1 + c2) * cert_count * vn**n
     return BoundCertificate(
@@ -149,13 +152,13 @@ def hs_constant(f, n):
             + 0.5 * n * (n + 3) * m1 * m2 * m2)
 
 
-def remainder_bound_hs(f, H0, V, n, remainder):
+def remainder_bound_hs(f, D0, V, n, remainder):
     """Hilbert-Schmidt-resolvent certificate for |remainder|, the order-n
-    remainder trace of f at (H0, V): the eigenvalue-count factor is traded
-    for Tr (1 + H0^2)^-1."""
+    remainder trace of f at (H0, V) with D0 the decomposition of H0: the
+    eigenvalue-count factor is traded for Tr (1 + H0^2)^-1."""
     c = hs_constant(f, n)
     vn = operator_norm(as_matrix(V))
-    inv_res_trace = inv_resolvent_trace(H0)
+    inv_res_trace = inv_resolvent_trace(D0)
     rhs = c * inv_res_trace * (1.0 + vn + vn * vn) * vn**n
     return BoundCertificate(
         kind="hilbert_schmidt", lhs=abs(remainder), rhs=rhs,

@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -71,11 +71,16 @@ def _shared_bump(center, radius, m):
     return make_poly_bump(center, radius, m)
 
 
-_INT_KEYS = {"seed", "trials", "bump_m", "jobs"}
-_FLOAT_KEYS = {"bump_center", "bump_radius", "perturbation_scale",
-               "noise_floor", "slope_margin"}
-_LIST_INT_KEYS = {"dims", "orders"}
-_LIST_FLOAT_KEYS = {"epsilons"}
+def _parser(default):
+    """Parser of a config value, chosen by the type of the key's default: a
+    tuple is a comma-separated list of its first item's type."""
+    if isinstance(default, tuple):
+        item = type(default[0])
+        return lambda val: tuple(item(s) for s in val.split(",") if s.strip())
+    return type(default)
+
+
+_PARSERS = {f.name: _parser(f.default) for f in fields(ExperimentConfig)}
 
 
 def parse_config_file(path):
@@ -88,19 +93,10 @@ def parse_config_file(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, val = (s.strip() for s in line.split("=", 1))
+        if key not in _PARSERS:
+            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         try:
-            if key in _INT_KEYS:
-                setattr(cfg, key, int(val))
-            elif key in _FLOAT_KEYS:
-                setattr(cfg, key, float(val))
-            elif key in _LIST_INT_KEYS:
-                setattr(cfg, key, tuple(int(s) for s in val.split(",") if s.strip()))
-            elif key in _LIST_FLOAT_KEYS:
-                setattr(cfg, key, tuple(float(s) for s in val.split(",") if s.strip()))
-            elif key == "out_dir":
-                cfg.out_dir = val
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+            setattr(cfg, key, _PARSERS[key](val))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     cfg.validate()
@@ -162,14 +158,17 @@ def cmd_expand(cfg, out_dir):
               + ["remainder_trace", "operator_remainder_trace_norm",
                  "identity_residual", "trace_norm_slack"])
     rows = []
-    ok = True
+    failures = []
     for dim, order, trial, rep in results:
+        where = f"dim {dim}, n {order}, trial {trial}"
         ident = rep.identity_residual()
+        ident_tol = 1e-10 * (1.0 + abs(rep.perturbed_trace))
+        if ident > ident_tol:
+            failures.append(f"{where}: identity_residual {ident:.6g} > {ident_tol:.6g}")
         # the trace norm of the operator remainder dominates |remainder trace|
         slack = rep.operator_remainder_trace_norm - abs(rep.remainder_trace)
-        tr_ok = slack >= -1e-10
-        if ident > 1e-10 * (1.0 + abs(rep.perturbed_trace)) or not tr_ok:
-            ok = False
+        if not slack >= -1e-10:
+            failures.append(f"{where}: trace_norm_slack {slack:.6g} < -1e-10")
         taus = list(rep.terms) + [0.0] * (max_tau - len(rep.terms))
         rows.append([str(cfg.seed), str(dim), str(order), str(trial),
                      _fmt(rep.base_trace), _fmt(rep.perturbed_trace)]
@@ -178,8 +177,10 @@ def cmd_expand(cfg, out_dir):
                        _fmt(rep.operator_remainder_trace_norm),
                        _fmt(ident), _fmt(slack)])
     _write_rows(out_dir / "expand.csv", header, rows)
-    print(f"expand: {len(rows)} trials, identities {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    print(f"expand: {len(rows)} trials, identities {'FAIL' if failures else 'PASS'}")
+    for line in failures:
+        print(f"expand: FAIL {line}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 # -- sweep ----------------------------------------------------------------
@@ -193,11 +194,12 @@ def _sweep_trial(args):
         slope = taylor.scaling_exponent(cfg.epsilons, rems, cfg.noise_floor)
     except taylor.InsufficientDataError:
         slope = float("nan")
+    D0 = decompose(H0.mat)
     bc, bh = [], []
     for eps, rem in zip(cfg.epsilons, rems):
         Veps = eps * V.mat
-        bc.append(bounds.remainder_bound_compact(f, H0, Veps, order, rem).rhs)
-        bh.append(bounds.remainder_bound_hs(f, H0, Veps, order, rem).rhs)
+        bc.append(bounds.remainder_bound_compact(f, D0, Veps, order, rem).rhs)
+        bh.append(bounds.remainder_bound_hs(f, D0, Veps, order, rem).rhs)
     return (dim, order, trial, rems, bc, bh, slope)
 
 
@@ -234,8 +236,8 @@ def _certify_trial(args):
     rem = taylor.remainder_trace(f, H0, V, order)
     certs = {
         "moi_trace_norm": bounds.compact_trace_norm_bound(f, D0, V, order),
-        "remainder_compact": bounds.remainder_bound_compact(f, H0, V, order, rem),
-        "remainder_hs": bounds.remainder_bound_hs(f, H0, V, order, rem),
+        "remainder_compact": bounds.remainder_bound_compact(f, D0, V, order, rem),
+        "remainder_hs": bounds.remainder_bound_hs(f, D0, V, order, rem),
     }
     if order == 2:
         window = shift.default_window(H0, V)
@@ -288,11 +290,16 @@ def cmd_shift(cfg, out_dir):
     work = [(cfg, d, t) for d in cfg.dims for t in range(cfg.trials)]
     results = _map(cfg, _shift_trial, work)
     rows = []
-    ok = True
+    failures = []
     out_dir.mkdir(parents=True, exist_ok=True)
     for dim, trial, r1, r2, cert, data in results:
-        if r1 > 1e-10 or r2 > 1e-8 or not cert.passed:
-            ok = False
+        where = f"dim {dim}, trial {trial}"
+        if r1 > 1e-10:
+            failures.append(f"{where}: first_order_residual {r1:.6g} > 1e-10")
+        if r2 > 1e-8:
+            failures.append(f"{where}: second_order_residual {r2:.6g} > 1e-08")
+        if not cert.passed:
+            failures.append(f"{where}: eta_l1 {cert.lhs:.6g} > {cert.rhs:.6g}")
         rows.append([str(cfg.seed), str(dim), str(trial), _fmt(r1), _fmt(r2),
                      _fmt(cert.lhs), _fmt(cert.rhs)])
         with open(out_dir / f"shift_d{dim}_t{trial}.json", "w") as fh:
@@ -301,8 +308,10 @@ def cmd_shift(cfg, out_dir):
     _write_rows(out_dir / "shift.csv",
                 ["seed", "dim", "trial", "first_order_residual",
                  "second_order_residual", "eta_l1", "eta_l1_bound"], rows)
-    print(f"shift: {len(rows)} trials {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    print(f"shift: {len(rows)} trials {'FAIL' if failures else 'PASS'}")
+    for line in failures:
+        print(f"shift: FAIL {line}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 # -- selftest -------------------------------------------------------------

@@ -64,22 +64,10 @@ def gateaux_derivative(f, D, V, p):
     return math.factorial(p) * evaluate_moi(f, D, [V] * p)
 
 
-def trace_derivative_first(f, D, V):
-    """Trace of the first derivative via the spectral measure: sum of
-    f'(lambda_c) Tr(P_c V)."""
-    fp = f.derivative()
-    Vm = as_matrix(V)
-    total = 0.0
-    for lam_c, P in zip(D.cluster_values, D.projections):
-        total += fp.value(lam_c) * np.trace(P @ Vm).real
-    return float(total)
-
-
-def trace_derivative_higher(f, D, V, p):
-    """(p-1)! sum over spectral tuples of (f')^[p-1] times the cyclic trace
-    Tr(E V ... E V); equals the trace of the p-th Gateaux derivative."""
-    if p < 2:
-        raise ValueError("p must be >= 2; use trace_derivative_first")
+def _trace_derivative(f, D, V, p):
+    """(p-1)! sum over index tuples of (f')^[p-1] times the cyclic product of
+    the eigenbasis entries of V: the trace of the p-th Gateaux derivative,
+    for any p >= 1 (at p = 1, sum f'(lambda_i) (U*VU)_ii)."""
     U = D.eigenvectors
     Vt = U.conj().T @ as_matrix(V) @ U
     F = divided_difference_tensor(f.derivative(), D.index_values(), p - 1)
@@ -87,6 +75,20 @@ def trace_derivative_higher(f, D, V, p):
     pairs = [idx[i] + idx[(i + 1) % p] for i in range(p)]
     spec = idx + "," + ",".join(pairs) + "->"
     return math.factorial(p - 1) * complex(np.einsum(spec, F, *([Vt] * p))).real
+
+
+def trace_derivative_first(f, D, V):
+    """Trace of the first derivative, integral of f' against the spectral
+    measure Tr(E(.) V): sum of f'(lambda_i) (U*VU)_ii."""
+    return _trace_derivative(f, D, V, 1)
+
+
+def trace_derivative_higher(f, D, V, p):
+    """(p-1)! sum over spectral tuples of (f')^[p-1] times the cyclic trace
+    Tr(E V ... E V); equals the trace of the p-th Gateaux derivative."""
+    if p < 2:
+        raise ValueError("p must be >= 2; use trace_derivative_first")
+    return _trace_derivative(f, D, V, p)
 
 
 def moi_trace_identity_check(f, D, V, k):

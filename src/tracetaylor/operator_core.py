@@ -3,7 +3,7 @@ traces, Schatten norms, and the PSD resolvent/projection inequalities."""
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,9 +65,6 @@ class HermitianOperator:
         o = other.mat if isinstance(other, HermitianOperator) else other
         return HermitianOperator(self.mat + o)
 
-    def scaled(self, c):
-        return HermitianOperator(c * self.mat)
-
     def to_json_dict(self):
         return {"dim": self.dim,
                 "re": self.mat.real.tolist(),
@@ -93,26 +90,18 @@ def as_matrix(A):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues, orthonormal eigenvectors, multiplicity clusters
-    and one Hermitian eigenprojection per cluster."""
+    """Ascending eigenvalues, orthonormal eigenvectors (the columns) and
+    multiplicity clusters: every spectral sum reads these in the eigenbasis,
+    with no projector matrices."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     clusters: tuple            # tuple of index tuples
     cluster_values: np.ndarray  # representative (mean) eigenvalue per cluster
-    source: np.ndarray = field(repr=False)
 
     @property
     def dim(self):
         return self.eigenvalues.size
-
-    @property
-    def projections(self):
-        out = []
-        for idx in self.clusters:
-            Psi = self.eigenvectors[:, list(idx)]
-            out.append(Psi @ Psi.conj().T)
-        return out
 
     def index_values(self):
         """Cluster representative value for every eigenvector index."""
@@ -159,7 +148,7 @@ def decompose(H):
     runs, cvals = _cluster(w)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=U,
                                  clusters=tuple(tuple(r) for r in runs),
-                                 cluster_values=cvals, source=M)
+                                 cluster_values=cvals)
 
 
 def apply_function(f, D):

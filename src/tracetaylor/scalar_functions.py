@@ -76,12 +76,11 @@ class SmoothCompactFunction:
     (used only for the weight ``u`` and its relatives).
     """
 
-    def __init__(self, breaks, piece_terms, max_order, family,
-                 whole_line=None, power=None):
+    def __init__(self, breaks, piece_terms, max_order, whole_line=None,
+                 power=None):
         self.breaks = np.asarray(breaks, dtype=float)
         self.piece_terms = piece_terms
         self.max_order = max_order
-        self.family = family
         self.whole_line = whole_line
         self.power = power  # (atom, integer exponent, coeff) when an exact power
         self._deriv_cache = {0: self}
@@ -167,12 +166,12 @@ class SmoothCompactFunction:
             prev = self._derivative_obj(j - 1)
             if prev.whole_line is not None:
                 g = SmoothCompactFunction(
-                    prev.breaks, [], max(prev.max_order - 1, 0), prev.family,
+                    prev.breaks, [], max(prev.max_order - 1, 0),
                     whole_line=self._diff_terms(prev.whole_line))
             else:
                 g = SmoothCompactFunction(
                     prev.breaks, [self._diff_terms(t) for t in prev.piece_terms],
-                    max(prev.max_order - 1, 0), prev.family)
+                    max(prev.max_order - 1, 0))
             self._deriv_cache[j] = g
         return self._deriv_cache[j]
 
@@ -214,7 +213,7 @@ class SmoothCompactFunction:
                     merged[k] = merged[k] + Q if k in merged else Q
             pieces.append(merged)
         return SmoothCompactFunction(
-            breaks, pieces, min(self.max_order, other.max_order), "sum")
+            breaks, pieces, min(self.max_order, other.max_order))
 
     def scale(self, c):
         c = float(c)
@@ -225,11 +224,10 @@ class SmoothCompactFunction:
         mapper = lambda terms: {k: c * P for k, P in terms.items()}
         if self.whole_line is not None:
             return SmoothCompactFunction(self.breaks, [], self.max_order,
-                                         "scalar-multiple",
                                          whole_line=mapper(self.whole_line))
         return SmoothCompactFunction(self.breaks,
                                      [mapper(t) for t in self.piece_terms],
-                                     self.max_order, "scalar-multiple", power=power)
+                                     self.max_order, power=power)
 
     def mul(self, other):
         """Pointwise product; at least one operand compactly supported."""
@@ -240,7 +238,7 @@ class SmoothCompactFunction:
                     k = k1 + k2
                     tl[k] = tl[k] + P1 * P2 if k in tl else P1 * P2
             return SmoothCompactFunction([], [], min(self.max_order, other.max_order),
-                                         "product", whole_line=tl)
+                                         whole_line=tl)
         if self.unbounded:
             return other.mul(self)
         lo, hi = self.breaks[0], self.breaks[-1]
@@ -264,7 +262,7 @@ class SmoothCompactFunction:
                     prod[k] = prod[k] + Q if k in prod else Q
             pieces.append(prod)
         return SmoothCompactFunction(breaks, pieces,
-                                     min(self.max_order, other.max_order), "product")
+                                     min(self.max_order, other.max_order))
 
 
 class FractionalPower:
@@ -286,7 +284,6 @@ class FractionalPower:
         self.alpha = float(alpha)
         self.max_order = max_order
         self.breaks = base.breaks
-        self.family = "dyadic-root"
         self.whole_line = None
 
     @property
@@ -331,7 +328,7 @@ class FractionalPower:
 
 
 def zero_function():
-    return SmoothCompactFunction([0.0, 0.0], [{}], _UNLIMITED, "polynomial-bump")
+    return SmoothCompactFunction([0.0, 0.0], [{}], _UNLIMITED)
 
 
 def make_poly_bump(center, radius, m):
@@ -352,7 +349,7 @@ def make_poly_bump(center, radius, m):
                   domain=[center - radius, center + radius],
                   window=[-1.0, 1.0])
     return SmoothCompactFunction(
-        [center - radius, center + radius], [{0: P}], m - 1, "polynomial-bump",
+        [center - radius, center + radius], [{0: P}], m - 1,
         power=(_BumpAtom(float(center), float(radius)), int(m), 1.0))
 
 
@@ -378,7 +375,7 @@ def make_plateau_bump(inner_lo, inner_hi, pad, edge_order, exponent=1, coeff=1.0
     atom = _PlateauAtom(float(lo), float(inner_lo), float(inner_hi), float(hi),
                         int(edge_order))
     return SmoothCompactFunction(
-        [lo, inner_lo, inner_hi, hi], pieces, edge_order, "polynomial-bump",
+        [lo, inner_lo, inner_hi, hi], pieces, edge_order,
         power=(atom, int(exponent), float(coeff)))
 
 
@@ -417,7 +414,7 @@ def fractional_root(f, k, max_order):
 @lru_cache(maxsize=1)
 def weight_u():
     """The weight u(t) = (1 + t^2)^(1/2), with exact derivatives of all orders."""
-    return SmoothCompactFunction([], [], _UNLIMITED, "weighted",
+    return SmoothCompactFunction([], [], _UNLIMITED,
                                  whole_line={1: Chebyshev([1.0])})
 
 
@@ -427,7 +424,7 @@ def product_with_u(f):
 
 def product_with_u2(f):
     """f(x) * (1 + x^2); stays polynomial-piecewise."""
-    u2 = SmoothCompactFunction([], [], _UNLIMITED, "weighted",
+    u2 = SmoothCompactFunction([], [], _UNLIMITED,
                                whole_line={0: Chebyshev([1.5, 0.0, 0.5])})
     return f.mul(u2)
 
@@ -439,8 +436,6 @@ class SeminormReport:
     p: int
     value_gp: float
     quadrature_error: float
-    value_fourier: float | None = None
-    fourier_error: float | None = None
 
 
 @cache
@@ -448,22 +443,17 @@ def _gauss_legendre(n):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _quad_edges(f, panels, domain=None):
-    if domain is None:
-        if f.unbounded:
-            domain = (-100.0, 100.0)
-        else:
-            domain = f.support
-    lo, hi = domain
+def _quad_edges(f, panels):
+    lo, hi = (-100.0, 100.0) if f.unbounded else f.support
     edges = np.linspace(lo, hi, panels + 1)
     br = np.asarray(getattr(f, "breaks", []), float)
     br = br[(br > lo) & (br < hi)]
     return np.unique(np.concatenate([edges, br]))
 
 
-def integrate(fn, edges, nodes=16):
-    """Composite Gauss-Legendre integral of a vectorized callable."""
-    x0, w0 = _gauss_legendre(nodes)
+def integrate(fn, edges):
+    """Composite 16-point Gauss-Legendre integral of a vectorized callable."""
+    x0, w0 = _gauss_legendre(16)
     a = edges[:-1][:, None]
     b = edges[1:][:, None]
     X = 0.5 * (b - a) * x0[None, :] + 0.5 * (a + b)
@@ -472,13 +462,13 @@ def integrate(fn, edges, nodes=16):
     return float(np.sum(vals * W))
 
 
-def _l2_norm_deriv(f, order, panels, nodes):
+def _l2_norm_deriv(f, order, panels):
     edges = _quad_edges(f, panels)
-    val = integrate(lambda x: f.deriv(order, x) ** 2, edges, nodes)
+    val = integrate(lambda x: f.deriv(order, x) ** 2, edges)
     return math.sqrt(max(val, 0.0))
 
 
-def gp_seminorm(f, p, panels=64, nodes=16):
+def gp_seminorm(f, p, panels=64):
     """sqrt(2)/p! * (||f^(p)||_2 + ||f^(p+1)||_2), by composite Gauss-Legendre.
 
     The quadrature error is estimated by panel doubling; for the whole-line
@@ -490,22 +480,23 @@ def gp_seminorm(f, p, panels=64, nodes=16):
     if p + 1 > f.max_order:
         raise DerivativeOrderError(
             f"G_{p} needs derivatives up to order {p + 1}; have {f.max_order}")
-    coarse = (_l2_norm_deriv(f, p, panels, nodes)
-              + _l2_norm_deriv(f, p + 1, panels, nodes))
-    fine = (_l2_norm_deriv(f, p, 2 * panels, nodes)
-            + _l2_norm_deriv(f, p + 1, 2 * panels, nodes))
+    coarse = _l2_norm_deriv(f, p, panels) + _l2_norm_deriv(f, p + 1, panels)
+    fine = (_l2_norm_deriv(f, p, 2 * panels)
+            + _l2_norm_deriv(f, p + 1, 2 * panels))
     c = math.sqrt(2.0) / math.factorial(p)
     return SeminormReport(p=p, value_gp=c * fine, quadrature_error=c * abs(fine - coarse))
 
 
-def fourier_l1_norm(f, p, grid=2**14, span=None, pad_factor=16):
-    """L1 norm of the Fourier transform of f^(p) over [-span, span].
+def fourier_l1_norm(f, p, grid=2**14):
+    """L1 norm of the Fourier transform of f^(p) over [-span, span], span =
+    200 / (half the support width).
 
     Convention: fhat(s) = (1/2pi) * integral f(x) exp(-i s x) dx, under which
     ||fhat^(p)||_1 / p! <= ||f||_{G_p} holds.  The transform is computed by
-    sampling the exact derivative on a uniform grid, zero-padding, and an FFT;
-    truncation/aliasing are controlled by the grid size and the span (the
-    integrand decays polynomially for the bump family).
+    sampling the exact derivative on a uniform grid, zero-padding to 16 times
+    its length, and an FFT; truncation/aliasing are controlled by the grid
+    size and the span (the integrand decays polynomially for the bump
+    family).
     """
     if p > f.max_order:
         raise DerivativeOrderError("derivative order unavailable")
@@ -514,12 +505,11 @@ def fourier_l1_norm(f, p, grid=2**14, span=None, pad_factor=16):
     lo, hi = f.support
     if hi <= lo:
         return 0.0
-    if span is None:
-        span = 200.0 / (0.5 * (hi - lo))
+    span = 200.0 / (0.5 * (hi - lo))
     x = np.linspace(lo, hi, grid, endpoint=False)
     dx = (hi - lo) / grid
     g = f.deriv(p, x)
-    npad = pad_factor * grid
+    npad = 16 * grid
     F = np.fft.fft(g, n=npad)
     s = 2.0 * np.pi * np.fft.fftfreq(npad, d=dx)
     mag = (dx / (2.0 * np.pi)) * np.abs(F)

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundCertificate, inv_resolvent_trace
-from .operator_core import (Interval, as_matrix, apply_function, decompose)
+from .operator_core import (Interval, apply_function, as_matrix, decompose,
+                            operator_norm)
 from .scalar_functions import _gauss_legendre
 from .taylor import remainder_trace
 
@@ -38,13 +39,6 @@ class AtomicMeasure:
     """Point masses (location, weight)."""
 
     atoms: list
-
-    def total_mass(self):
-        return sum(w for _, w in self.atoms)
-
-    def cumulative_open(self, x):
-        """Measure of (a, x): atoms strictly left of x."""
-        return sum(w for t, w in self.atoms if t < x)
 
 
 @dataclass
@@ -85,34 +79,40 @@ def _check_window(eigs, window, label):
                 f"{label} eigenvalue {t:.6g} outside window ({lo:.6g}, {hi:.6g})")
 
 
-def default_window(H0, V, margin=1.0):
-    """Window (a, b) capturing both spectra: a = min eigenvalue - margin -
-    ||V||, b symmetric on the other side."""
+def _spectra(H0, V):
+    """The decompositions of H0 and H0 + V, and V as a matrix: every public
+    function here solves each of the two matrices once."""
     Hm, Vm = as_matrix(H0), as_matrix(V)
-    w0 = np.linalg.eigvalsh(Hm)
-    w1 = np.linalg.eigvalsh(Hm + Vm)
-    vn = float(np.linalg.norm(Vm, 2))
-    lo = float(min(w0[0], w1[0])) - margin - vn
-    hi = float(max(w0[-1], w1[-1])) + margin + vn
+    return decompose(Hm), decompose(Hm + Vm), Vm
+
+
+def default_window(H0, V):
+    """Window (a, b) capturing both spectra: a = min eigenvalue - 1 - ||V||,
+    b symmetric on the other side."""
+    D0, D1, Vm = _spectra(H0, V)
+    w0, w1 = D0.eigenvalues, D1.eigenvalues
+    vn = operator_norm(Vm)
+    lo = float(min(w0[0], w1[0])) - 1.0 - vn
+    hi = float(max(w0[-1], w1[-1])) + 1.0 + vn
     return Interval(lo, hi, closed_lo=False, closed_hi=False)
+
+
+def _xi(D0, D1, window):
+    w0, w1 = D0.eigenvalues, D1.eigenvalues
+    _check_window(w0, window, "unperturbed")
+    _check_window(w1, window, "perturbed")
+    breaks = np.unique(np.concatenate([w0, w1]))
+    # eigenvalues of H0 in (a, t] minus those of H0 + V (both ascending)
+    vals = (np.searchsorted(w0, breaks, side="right")
+            - np.searchsorted(w1, breaks, side="right"))
+    return StepFunction(breakpoints=breaks, values=vals.astype(float))
 
 
 def xi(H0, V, window):
     """Counting difference: eigenvalues of H0 in (a, x] minus eigenvalues of
     H0 + V in (a, x], as a step function on the merged spectra."""
-    Hm, Vm = as_matrix(H0), as_matrix(V)
-    w0 = np.linalg.eigvalsh(Hm)
-    w1 = np.linalg.eigvalsh(Hm + Vm)
-    _check_window(w0, window, "unperturbed")
-    _check_window(w1, window, "perturbed")
-    jumps = {}
-    for t in w0:
-        jumps[float(t)] = jumps.get(float(t), 0) + 1
-    for t in w1:
-        jumps[float(t)] = jumps.get(float(t), 0) - 1
-    breaks = np.array(sorted(jumps))
-    vals = np.cumsum([jumps[t] for t in breaks])
-    return StepFunction(breakpoints=breaks, values=vals.astype(float))
+    D0, D1, _ = _spectra(H0, V)
+    return _xi(D0, D1, window)
 
 
 def first_order_check(f, H0, V, window):
@@ -122,55 +122,54 @@ def first_order_check(f, H0, V, window):
     lo, hi = f.support
     if not (window.lo < lo and hi < window.hi):
         raise WindowError("supp f must lie inside the window")
-    step = xi(H0, V, window)
+    D0, D1, _ = _spectra(H0, V)
+    step = _xi(D0, D1, window)
     # int f' xi = sum_k xi_k (f(t_{k+1}) - f(t_k)), last interval reaches b
     knots = np.append(step.breakpoints, window.hi)
     fvals = f.value(knots)
     integral = float(np.sum(step.values * (fvals[1:] - fvals[:-1])))
-    Hm, Vm = as_matrix(H0), as_matrix(V)
-    tr0 = float(np.trace(apply_function(f, decompose(Hm)).mat).real)
-    tr1 = float(np.trace(apply_function(f, decompose(Hm + Vm)).mat).real)
+    tr0 = float(np.trace(apply_function(f, D0).mat).real)
+    tr1 = float(np.trace(apply_function(f, D1).mat).real)
     return abs(tr1 - tr0 - integral)
 
 
 def mu_measure(D0, V, window):
     """First-order measure: one atom per cluster inside the window, weighted
-    by Tr(P_c V)."""
-    Vm = as_matrix(V)
+    by Tr(E_c V), the sum of the diagonal of U*VU over the cluster."""
+    U = D0.eigenvectors
+    diag = np.einsum("ij,ij->j", U.conj(), as_matrix(V) @ U).real
     atoms = []
-    for lam_c, P in zip(D0.cluster_values, D0.projections):
+    for lam_c, idx in zip(D0.cluster_values, D0.clusters):
         if window.lo < lam_c < window.hi:
-            atoms.append((float(lam_c), float(np.trace(P @ Vm).real)))
+            atoms.append((float(lam_c), float(np.sum(diag[list(idx)]))))
     return AtomicMeasure(atoms=atoms)
+
+
+def _eta(step, mu, window):
+    """Density pieces from the counting difference and the first-order
+    measure: on each piece (lo, hi) between consecutive breakpoints, xi is
+    its value at lo, mu((a, x)) is the mass of the atoms at or left of lo,
+    and the running integral of xi is a cumulative sum over earlier pieces."""
+    locs = np.array([t for t, _ in mu.atoms], dtype=float)
+    mass = np.cumsum([0.0] + [w for _, w in mu.atoms])
+    hi = np.unique(np.concatenate([step.breakpoints, locs, [window.hi]]))
+    lo = np.concatenate([[window.lo], hi[:-1]])
+    xival = step(lo)
+    running = np.concatenate([[0.0], np.cumsum(xival * (hi - lo))[:-1]])
+    intercept = mass[np.searchsorted(locs, lo, side="right")] - running
+    return PiecewiseLinearFunction(pieces=[
+        (float(a), float(b), float(-x), float(c))
+        for a, b, x, c in zip(lo, hi, xival, intercept)])
 
 
 def eta(H0, V, window):
     """Second-order density: mu((a, x)) minus the running integral of the
     counting difference, stored exactly as affine pieces."""
-    Hm, Vm = as_matrix(H0), as_matrix(V)
-    step = xi(H0, V, window)
-    D0 = decompose(Hm)
-    mu = mu_measure(D0, V, window)
-    breaks = np.unique(np.concatenate(
-        [step.breakpoints, [t for t, _ in mu.atoms], [window.hi]]))
-    pieces = []
-    running = 0.0  # integral of xi from a to the current breakpoint
-    prev = window.lo
-    for k, t in enumerate(breaks):
-        if k > 0:
-            prev = breaks[k - 1]
-        hi = t
-        if hi <= prev:
-            continue
-        xival = float(step(np.array([0.5 * (prev + hi)]))[0])
-        mass = mu.cumulative_open(0.5 * (prev + hi))
-        intercept = mass - running
-        pieces.append((float(prev), float(hi), -xival, float(intercept)))
-        running += xival * (hi - prev)
-    return PiecewiseLinearFunction(pieces=pieces)
+    D0, D1, Vm = _spectra(H0, V)
+    return _eta(_xi(D0, D1, window), mu_measure(D0, Vm, window), window)
 
 
-def second_order_check(f, H0, V, window, nodes_per_interval=32):
+def second_order_check(f, H0, V, window):
     """Residual of the second-order remainder against the integral of f''
     times the density, by per-piece Gauss-Legendre (the density is affine on
     each piece, so the quadrature is exact for polynomial f'')."""
@@ -181,7 +180,7 @@ def second_order_check(f, H0, V, window, nodes_per_interval=32):
         raise WindowError("supp f must lie inside the window")
     density = eta(H0, V, window)
     fpp = f.derivative().derivative()
-    x0, w0 = _gauss_legendre(nodes_per_interval)
+    x0, w0 = _gauss_legendre(32)
     total = 0.0
     fbreaks = np.asarray(f.breaks, float)
     for plo, phi, slope, intercept in density.pieces:
@@ -198,7 +197,8 @@ def second_order_check(f, H0, V, window, nodes_per_interval=32):
 
 def eta_l1_bound_check(H0, V, window):
     """Certificate for the L1 bound on the density over the window."""
-    density = eta(H0, V, window)
+    D0, D1, Vm = _spectra(H0, V)
+    density = _eta(_xi(D0, D1, window), mu_measure(D0, Vm, window), window)
     lhs = density.l1_norm()
     a, b = window.lo, window.hi
     babs = max(abs(a), abs(b))
@@ -206,8 +206,8 @@ def eta_l1_bound_check(H0, V, window):
     u2_sup = 1.0 + babs * babs
     du2_sup = 2.0 * babs
     c_ab = 9.0 * max(1.0, (b - a) ** 2) * max(2.0, u_sup, u2_sup, du2_sup)
-    vn = float(np.linalg.norm(as_matrix(V), 2))
-    inv_res_trace = inv_resolvent_trace(H0)
+    vn = operator_norm(Vm)
+    inv_res_trace = inv_resolvent_trace(D0)
     rhs = c_ab * inv_res_trace * (1.0 + vn + vn * vn) * vn * vn
     return BoundCertificate(
         kind="hilbert_schmidt", lhs=lhs, rhs=rhs,
@@ -218,10 +218,10 @@ def eta_l1_bound_check(H0, V, window):
 def shift_data_json(H0, V, window):
     """Serializable bundle: counting-difference breakpoints/values, density
     pieces, and the first-order atoms."""
-    step = xi(H0, V, window)
-    D0 = decompose(as_matrix(H0))
-    mu = mu_measure(D0, V, window)
-    density = eta(H0, V, window)
+    D0, D1, Vm = _spectra(H0, V)
+    step = _xi(D0, D1, window)
+    mu = mu_measure(D0, Vm, window)
+    density = _eta(step, mu, window)
     return {
         "breakpoints": [float(t) for t in step.breakpoints],
         "xi_values": [float(v) for v in step.values],

@@ -83,7 +83,7 @@ def test_criterion_03_compact_resolvent_bounds():
             if not bounds.compact_trace_norm_bound(F20, D, V, n).passed:
                 ok = False
             rem = taylor.remainder_trace(F20, H, V, n)
-            if not bounds.remainder_bound_compact(F20, H, V, n, rem).passed:
+            if not bounds.remainder_bound_compact(F20, D, V, n, rem).passed:
                 ok = False
     verdict(3, "compact-resolvent trace-norm and remainder bounds, "
                "50 trials per n in {1,2,3}", ok)
@@ -95,7 +95,7 @@ def test_criterion_04_hilbert_schmidt_bounds():
         for trial in range(50):
             H, V = instance(4000 + 100 * n + trial, 4 + trial % 3, vnorm=0.15)
             rem = taylor.remainder_trace(F20, H, V, n)
-            if not bounds.remainder_bound_hs(F20, H, V, n, rem).passed:
+            if not bounds.remainder_bound_hs(F20, decompose(H.mat), V, n, rem).passed:
                 ok = False
     verdict(4, "Hilbert-Schmidt-resolvent remainder bound, "
                "50 trials per n in {1,2,3}", ok)

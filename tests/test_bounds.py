@@ -74,15 +74,18 @@ def test_remainder_bound_compact():
     f = make_poly_bump(0.0, 1.0, 20)
     H, V = rand_instance(1, 4)
     Z = np.zeros((4, 4))
-    assert remainder_bound_compact(f, H, Z, 1, remainder_trace(f, H, Z, 1)).passed
+    assert remainder_bound_compact(f, decompose(H), Z, 1,
+                                   remainder_trace(f, H, Z, 1)).passed
     lam, v = 0.2, 0.1
     H1 = HermitianOperator(np.array([[lam]], dtype=complex))
     V1 = np.array([[v]])
-    assert remainder_bound_compact(f, H1, V1, 2, remainder_trace(f, H1, V1, 2)).passed
+    assert remainder_bound_compact(f, decompose(H1), V1, 2,
+                                   remainder_trace(f, H1, V1, 2)).passed
     for seed in range(5):
         H, V = rand_instance(seed + 10, 5)
         for n in (1, 2, 3):
-            cert = remainder_bound_compact(f, H, V, n, remainder_trace(f, H, V, n))
+            cert = remainder_bound_compact(f, decompose(H), V, n,
+                                           remainder_trace(f, H, V, n))
             assert cert.passed
             # the certified counting factor dominates the grid supremum over
             # t in [0, 1] of the eigenvalue count of the padded support
@@ -108,20 +111,22 @@ def test_remainder_bound_hs():
     f = make_poly_bump(0.0, 1.0, 20)
     H, V = rand_instance(2, 4)
     Z = np.zeros((4, 4))
-    assert remainder_bound_hs(f, H, Z, 1, remainder_trace(f, H, Z, 1)).passed
+    assert remainder_bound_hs(f, decompose(H), Z, 1, remainder_trace(f, H, Z, 1)).passed
     H1 = HermitianOperator(np.array([[0.3]], dtype=complex))
     V1 = np.array([[0.05]])
-    assert remainder_bound_hs(f, H1, V1, 1, remainder_trace(f, H1, V1, 1)).passed
+    assert remainder_bound_hs(f, decompose(H1), V1, 1,
+                              remainder_trace(f, H1, V1, 1)).passed
     for seed in range(5):
         H, V = rand_instance(seed + 20, 5)
         for n in (1, 2, 3):
-            assert remainder_bound_hs(f, H, V, n, remainder_trace(f, H, V, n)).passed
+            assert remainder_bound_hs(f, decompose(H), V, n,
+                                      remainder_trace(f, H, V, n)).passed
 
 
 def test_certificate_serialization():
     f = make_poly_bump(0.0, 1.0, 20)
     H, V = rand_instance(3, 4)
-    cert = remainder_bound_hs(f, H, V, 1, remainder_trace(f, H, V, 1))
+    cert = remainder_bound_hs(f, decompose(H), V, 1, remainder_trace(f, H, V, 1))
     d = cert.to_json_dict()
     assert set(d) == {"kind", "lhs", "rhs", "passed", "ingredients"}
     assert d["passed"] is True
@@ -139,8 +144,8 @@ def test_constants_are_computed_once_per_function(monkeypatch):
     rem = remainder_trace(f, H, V, 2)
 
     def certify():
-        return [remainder_bound_hs(f, H, V, 2, rem).rhs,
-                remainder_bound_compact(f, H, V, 2, rem).rhs,
+        return [remainder_bound_hs(f, D, V, 2, rem).rhs,
+                remainder_bound_compact(f, D, V, 2, rem).rhs,
                 compact_trace_norm_bound(f, D, V, 2).rhs]
 
     first = certify()
@@ -153,7 +158,8 @@ def test_constants_are_computed_once_per_function(monkeypatch):
 def test_constants_do_not_keep_the_function_alive():
     f = make_poly_bump(0.0, 1.0, 20)
     H, V = rand_instance(5, 4)
-    assert remainder_bound_compact(f, H, V, 2, remainder_trace(f, H, V, 2)).passed
+    assert remainder_bound_compact(f, decompose(H), V, 2,
+                                   remainder_trace(f, H, V, 2)).passed
     ref = weakref.ref(f)
     del f
     gc.collect()

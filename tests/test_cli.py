@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tracetaylor import bounds, cli, taylor
+from tracetaylor import bounds, cli, shift, taylor
 
 SMALL_CFG = """
 seed = 11
@@ -36,6 +36,37 @@ def test_config_errors(tmp_path):
         cli.parse_config_file(write_cfg(tmp_path, "nonsense = 3\n", "bad2.txt"))
     with pytest.raises(cli.ConfigError):
         cli.parse_config_file(write_cfg(tmp_path, "trials = 0\n", "bad3.txt"))
+
+
+def test_every_config_key_parses_by_its_default_type(tmp_path):
+    cfg = cli.parse_config_file(write_cfg(tmp_path, """
+seed = 7
+dims = 4, 8
+orders = 1,2,3
+trials = 3
+epsilons = 0.5, 0.25
+bump_center = 1
+bump_radius = 0.9
+bump_m = 12
+perturbation_scale = 5e-2
+noise_floor = 1e-12
+slope_margin = 0.2
+out_dir = some/dir  # comment
+jobs = 2
+"""))
+    expected = dict(seed=7, dims=(4, 8), orders=(1, 2, 3), trials=3,
+                    epsilons=(0.5, 0.25), bump_center=1.0, bump_radius=0.9,
+                    bump_m=12, perturbation_scale=0.05, noise_floor=1e-12,
+                    slope_margin=0.2, out_dir="some/dir", jobs=2)
+    for key, value in expected.items():
+        got = getattr(cfg, key)
+        assert got == value and type(got) is type(value)
+        if isinstance(value, tuple):
+            assert all(type(g) is type(v) for g, v in zip(got, value))
+    for bad in ("trials = 2.5", "dims = 4, x", "bump_center = one",
+                "function = 3", "validate = 1"):
+        with pytest.raises(cli.ConfigError):
+            cli.parse_config_file(write_cfg(tmp_path, bad + "\n", "bad.txt"))
 
 
 def test_exit_code_on_config_error(tmp_path):
@@ -128,6 +159,56 @@ def test_sweep_names_failing_fits(tmp_path, capsys):
         for (d, n, t), s in fits.items()]
     # the report does not depend on the margin
     assert (out_ok / "sweep.csv").read_bytes() == (out_bad / "sweep.csv").read_bytes()
+
+
+def test_expand_names_failing_rows(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path)
+    out_ok, out_bad = tmp_path / "ok", tmp_path / "bad"
+    assert cli.main(["expand", "--config", cfg, "--out", str(out_ok)]) == 0
+    assert capsys.readouterr().err == ""
+    # a wrong tau_1 breaks the two-route identity of every order-2 row
+    expansion_terms = taylor.expansion_terms
+
+    def wrong_tau_1(f, D0, V, n):
+        taus = expansion_terms(f, D0, V, n)
+        return [t + 1e-6 * (p == 0) for p, t in enumerate(taus)]
+
+    monkeypatch.setattr(taylor, "expansion_terms", wrong_tau_1)
+    assert cli.main(["expand", "--config", cfg, "--out", str(out_bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "expand: 4 trials, identities FAIL\n"
+    expected = []
+    for row in (out_bad / "expand.csv").read_text().splitlines()[1:]:
+        _, dim, n, trial, _, pert, *_, ident, slack = row.split(",")
+        ident, slack = float(ident), float(slack)
+        where = f"expand: FAIL dim {dim}, n {n}, trial {trial}"
+        tol = 1e-10 * (1.0 + abs(float(pert)))
+        if ident > tol:
+            expected.append(f"{where}: identity_residual {ident:.6g} > {tol:.6g}")
+        if not slack >= -1e-10:
+            expected.append(f"{where}: trace_norm_slack {slack:.6g} < -1e-10")
+    assert len(expected) >= 2 and captured.err.splitlines() == expected
+    assert all(", n 2, " in line for line in expected)
+
+
+def test_shift_names_failing_trials(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path)
+    assert cli.main(["shift", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+    assert capsys.readouterr().err == ""
+    # an off remainder breaks the second-order formula of every trial
+    remainder_trace = taylor.remainder_trace
+    monkeypatch.setattr(shift, "remainder_trace",
+                        lambda *args: remainder_trace(*args) + 1e-6)
+    out = tmp_path / "bad"
+    assert cli.main(["shift", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "shift: 2 trials FAIL\n"
+    rows = [row.split(",") for row in
+            (out / "shift.csv").read_text().splitlines()[1:]]
+    assert captured.err.splitlines() == [
+        f"shift: FAIL dim {dim}, trial {trial}: "
+        f"second_order_residual {float(r2):.6g} > 1e-08"
+        for _, dim, trial, _, r2, *_ in rows]
 
 
 def test_bounds_take_the_remainder_they_certify(monkeypatch):

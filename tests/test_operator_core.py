@@ -47,7 +47,8 @@ def test_decompose_diagonal():
 def test_decompose_degenerate_identity():
     D = decompose(np.eye(3))
     assert len(D.clusters) == 1
-    assert np.allclose(D.projections[0], np.eye(3))
+    U = D.eigenvectors[:, list(D.clusters[0])]
+    assert np.allclose(U @ U.conj().T, np.eye(3))
 
 
 def test_cluster_keeps_a_run_of_equal_values():
@@ -65,8 +66,9 @@ def test_decompose_completeness_and_reconstruction():
     rng = np.random.default_rng(1)
     H = random_hermitian(rng, 8)
     D = decompose(H.mat)
-    assert np.max(np.abs(sum(D.projections) - np.eye(8))) < 1e-10
-    rec = sum(v * P for v, P in zip(D.cluster_values, D.projections))
+    U = D.eigenvectors
+    assert np.max(np.abs(U @ U.conj().T - np.eye(8))) < 1e-10
+    rec = (U * D.index_values()) @ U.conj().T
     scale = max(1.0, float(np.max(np.abs(H.mat))))
     assert np.max(np.abs(rec - H.mat)) < 1e-9 * scale
 

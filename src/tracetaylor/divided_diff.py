@@ -100,18 +100,6 @@ class DividedDifferenceCache:
         return v
 
 
-def permutation_symmetry_residual(f, nodes):
-    """Max deviation of f^[p] under 10 seeded random node permutations."""
-    nodes = tuple(float(t) for t in nodes)
-    ref = divided_difference(f, nodes)
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(10):
-        perm = tuple(np.asarray(nodes)[rng.permutation(len(nodes))])
-        worst = max(worst, abs(divided_difference(f, perm) - ref))
-    return worst
-
-
 def sqrt_split_residual(f, nodes):
     """Residual of the square-root splitting of f^[n] into products of
     divided differences of sqrt(f) over contiguous node slices."""
@@ -151,13 +139,3 @@ def u_conjugation_residual(f, nodes):
     lhs = u0 * df(*lam) * un
     rhs = dfu2(*lam) - psi1 - psi2 + psi3
     return abs(lhs - rhs)
-
-
-def mean_value_bound_check(f, nodes):
-    """Classical |f^[p]| <= sup |f^(p)| / p! over the node hull (sanity oracle)."""
-    vals, _ = _merged_nodes(nodes)
-    p = vals.size - 1
-    lo, hi = float(vals[0]), float(vals[-1])
-    x = np.linspace(lo, hi, 2001) if hi > lo else np.array([lo])
-    bound = float(np.max(np.abs(f.deriv(p, x)))) / math.factorial(p)
-    return abs(divided_difference(f, nodes)) <= bound + 1e-9

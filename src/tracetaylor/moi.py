@@ -13,7 +13,6 @@ import numpy as np
 
 from .divided_diff import divided_difference_tensor
 from .operator_core import apply_function, as_matrix, schatten_norm
-from .scalar_functions import gp_seminorm
 
 
 def _tabulate(phi, lam, p):
@@ -141,27 +140,3 @@ def edge_multiplier_check(psi1, phi, psi2, D, perturbations):
     mod[-1] = mod[-1] @ evaluate_symbol_moi(psi2, D, [])
     rhs = evaluate_symbol_moi(phi, D, mod)
     return schatten_norm(lhs - rhs, 2)
-
-
-def schatten_bound_check(f, D, perturbations, alphas, alpha):
-    """Holder-type norm bound: ||T||_alpha <= ||f||_{G_p} prod ||V_j||_{alpha_j},
-    with the seminorm's quadrature error added to the right side."""
-    p = len(perturbations)
-    inv = sum(0.0 if a == np.inf else 1.0 / a for a in alphas)
-    target = 0.0 if alpha == np.inf else 1.0 / alpha
-    if abs(inv - target) > 1e-12:
-        raise ValueError("Schatten exponents must satisfy 1/alpha = sum 1/alpha_j")
-    lhs = schatten_norm(evaluate_moi(f, D, perturbations), alpha)
-    rep = gp_seminorm(f, p)
-    rhs = rep.value_gp + rep.quadrature_error
-    for V, a in zip(perturbations, alphas):
-        rhs *= schatten_norm(V, a)
-    return lhs <= rhs + 1e-9 * (1.0 + rhs)
-
-
-def hilbert_schmidt_bound_check(phi, D, V):
-    """||T_phi(V)||_2 <= ||phi||_inf ||V||_2 with the sup taken over spectrum
-    pairs (phi a two-variable bounded symbol)."""
-    F = _tabulate(phi, D.index_values(), 1)
-    rhs = float(np.max(np.abs(F))) * schatten_norm(V, 2)
-    return schatten_norm(evaluate_symbol_moi(F, D, [V]), 2) <= rhs + 1e-9 * (1.0 + rhs)

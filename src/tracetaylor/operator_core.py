@@ -1,13 +1,9 @@
 """Hermitian matrix algebra: spectral decompositions, functional calculus,
-traces, Schatten norms, and the PSD resolvent/projection inequalities."""
+traces, Schatten norms and eigenvalue counts."""
 
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .scalar_functions import sup_norm
 
 
 class HermitianValidationError(ValueError):
@@ -77,11 +73,6 @@ class HermitianOperator:
         if m.shape != (n, n):
             raise HermitianValidationError("dim does not match matrix shape")
         return cls(m)
-
-    @classmethod
-    def load_json(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def as_matrix(A):
@@ -181,67 +172,6 @@ def counting_trace(D, interval):
     """Number of eigenvalues (with multiplicity) in the interval; equals the
     trace of the corresponding spectral projection."""
     return int(np.count_nonzero(interval.contains(D.eigenvalues)))
-
-
-def psd_leq(A, B, tol=1e-10):
-    """A <= B in the positive-semidefinite order, up to -tol on the minimum
-    eigenvalue of B - A."""
-    Am, Bm = as_matrix(A), as_matrix(B)
-    if Am.shape != Bm.shape:
-        raise ValueError("dimension mismatch")
-    w = np.linalg.eigvalsh(Bm - Am)
-    return bool(w[0] >= -tol)
-
-
-def resolvent_inequality_check(H0, W, tol=1e-10):
-    """(1 + (H0+W)^2)^-1 <= (1 + ||W|| + ||W||^2) (1 + H0^2)^-1."""
-    H0m, Wm = as_matrix(H0), as_matrix(W)
-    n = H0m.shape[0]
-    I = np.eye(n)
-    lhs = np.linalg.inv(I + (H0m + Wm) @ (H0m + Wm))
-    wn = operator_norm(Wm)
-    rhs = (1.0 + wn + wn * wn) * np.linalg.inv(I + H0m @ H0m)
-    return psd_leq(lhs, rhs, tol)
-
-
-def spectral_projection(D, interval):
-    mask = interval.contains(D.eigenvalues).astype(float)
-    U = D.eigenvectors
-    return (U * mask) @ U.conj().T
-
-
-def projection_inequality_check(H0, W, interval, tol=1e-10):
-    """E_{H0+W}(I) <= (1 + max_I |s|^2)(1 + ||W|| + ||W||^2)(1 + H0^2)^-1."""
-    H0m, Wm = as_matrix(H0), as_matrix(W)
-    n = H0m.shape[0]
-    D = decompose(H0m + Wm)
-    E = spectral_projection(D, interval)
-    wn = operator_norm(Wm)
-    smax = interval.abs_max()
-    rhs = ((1.0 + smax * smax) * (1.0 + wn + wn * wn)
-           * np.linalg.inv(np.eye(n) + H0m @ H0m))
-    return psd_leq(E, rhs, tol)
-
-
-def trace_class_bound_check(f, D, tol=1e-10):
-    """Both trace-norm bounds for f(H): against the eigenvalue count of the
-    support and, u-weighted, against the Hilbert-Schmidt resolvent norm."""
-    lam = D.index_values()
-    fv = f.value(lam)
-    lo, hi = f.support
-    supp = Interval(lo, hi)
-    lhs1 = float(np.sum(np.abs(fv)))
-    rhs1 = sup_norm(f, extra_points=lam) * counting_trace(D, supp)
-    ok1 = lhs1 <= rhs1 + tol * (1.0 + rhs1)
-    u = np.sqrt(1.0 + lam * lam)
-    lhs2 = float(np.sqrt(np.sum((fv * u) ** 2)))
-    # ||f u^2||_inf over the support, including the spectrum points
-    x = np.unique(np.concatenate([np.linspace(lo, hi, 8001),
-                                  lam[(lam >= lo) & (lam <= hi)]]))
-    fu2_sup = float(np.max(np.abs(f.value(x)) * (1.0 + x * x))) if x.size else 0.0
-    rhs2 = fu2_sup * float(np.sqrt(np.sum(1.0 / (1.0 + lam * lam))))
-    ok2 = lhs2 <= rhs2 + tol * (1.0 + rhs2)
-    return ok1 and ok2
 
 
 def random_hermitian(rng, n, norm=None):

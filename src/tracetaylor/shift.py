@@ -1,16 +1,20 @@
 """First- and second-order trace-formula data: the eigenvalue-counting
 difference, the first-order atomic measure, and the piecewise-linear density
-representing the second-order remainder."""
+representing the second-order remainder.
+
+Everything here reads one pair of spectra, the decompositions D0 of H0 and D1
+of H0 + V, with V as a matrix; ``shift_data`` builds the three objects once
+and the checks read them."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import BoundCertificate, inv_resolvent_trace
-from .operator_core import (Interval, apply_function, as_matrix, decompose,
-                            operator_norm)
+from .operator_core import Interval, apply_function, as_matrix, operator_norm
+# unused here, kept because bench/tests/test_tracer.py checks its rebinding
+from .operator_core import decompose  # noqa: F401
 from .scalar_functions import _gauss_legendre
-from .taylor import remainder_trace
 
 
 class WindowError(ValueError):
@@ -79,25 +83,26 @@ def _check_window(eigs, window, label):
                 f"{label} eigenvalue {t:.6g} outside window ({lo:.6g}, {hi:.6g})")
 
 
-def _spectra(H0, V):
-    """The decompositions of H0 and H0 + V, and V as a matrix: every public
-    function here solves each of the two matrices once."""
-    Hm, Vm = as_matrix(H0), as_matrix(V)
-    return decompose(Hm), decompose(Hm + Vm), Vm
+def _check_support(f, window):
+    lo, hi = f.support
+    if not (window.lo < lo and hi < window.hi):
+        raise WindowError(f"supp f [{lo:.6g}, {hi:.6g}] must lie inside the "
+                          f"window ({window.lo:.6g}, {window.hi:.6g})")
 
 
-def default_window(H0, V):
+def default_window(D0, D1, V):
     """Window (a, b) capturing both spectra: a = min eigenvalue - 1 - ||V||,
     b symmetric on the other side."""
-    D0, D1, Vm = _spectra(H0, V)
     w0, w1 = D0.eigenvalues, D1.eigenvalues
-    vn = operator_norm(Vm)
+    vn = operator_norm(V)
     lo = float(min(w0[0], w1[0])) - 1.0 - vn
     hi = float(max(w0[-1], w1[-1])) + 1.0 + vn
     return Interval(lo, hi, closed_lo=False, closed_hi=False)
 
 
-def _xi(D0, D1, window):
+def xi(D0, D1, window):
+    """Counting difference: eigenvalues of H0 in (a, x] minus eigenvalues of
+    H0 + V in (a, x], as a step function on the merged spectra."""
     w0, w1 = D0.eigenvalues, D1.eigenvalues
     _check_window(w0, window, "unperturbed")
     _check_window(w1, window, "perturbed")
@@ -106,31 +111,6 @@ def _xi(D0, D1, window):
     vals = (np.searchsorted(w0, breaks, side="right")
             - np.searchsorted(w1, breaks, side="right"))
     return StepFunction(breakpoints=breaks, values=vals.astype(float))
-
-
-def xi(H0, V, window):
-    """Counting difference: eigenvalues of H0 in (a, x] minus eigenvalues of
-    H0 + V in (a, x], as a step function on the merged spectra."""
-    D0, D1, _ = _spectra(H0, V)
-    return _xi(D0, D1, window)
-
-
-def first_order_check(f, H0, V, window):
-    """Residual of Tr f(H0+V) = Tr f(H0) + integral of f' against the
-    counting difference; the step integral telescopes exactly, so no
-    quadrature error enters."""
-    lo, hi = f.support
-    if not (window.lo < lo and hi < window.hi):
-        raise WindowError("supp f must lie inside the window")
-    D0, D1, _ = _spectra(H0, V)
-    step = _xi(D0, D1, window)
-    # int f' xi = sum_k xi_k (f(t_{k+1}) - f(t_k)), last interval reaches b
-    knots = np.append(step.breakpoints, window.hi)
-    fvals = f.value(knots)
-    integral = float(np.sum(step.values * (fvals[1:] - fvals[:-1])))
-    tr0 = float(np.trace(apply_function(f, D0).mat).real)
-    tr1 = float(np.trace(apply_function(f, D1).mat).real)
-    return abs(tr1 - tr0 - integral)
 
 
 def mu_measure(D0, V, window):
@@ -145,11 +125,12 @@ def mu_measure(D0, V, window):
     return AtomicMeasure(atoms=atoms)
 
 
-def _eta(step, mu, window):
-    """Density pieces from the counting difference and the first-order
-    measure: on each piece (lo, hi) between consecutive breakpoints, xi is
-    its value at lo, mu((a, x)) is the mass of the atoms at or left of lo,
-    and the running integral of xi is a cumulative sum over earlier pieces."""
+def eta(step, mu, window):
+    """Second-order density: mu((a, x)) minus the running integral of the
+    counting difference, stored exactly as affine pieces.  On each piece
+    (lo, hi) between consecutive breakpoints, xi is its value at lo,
+    mu((a, x)) is the mass of the atoms at or left of lo, and the running
+    integral of xi is a cumulative sum over earlier pieces."""
     locs = np.array([t for t, _ in mu.atoms], dtype=float)
     mass = np.cumsum([0.0] + [w for _, w in mu.atoms])
     hi = np.unique(np.concatenate([step.breakpoints, locs, [window.hi]]))
@@ -162,28 +143,53 @@ def _eta(step, mu, window):
         for a, b, x, c in zip(lo, hi, xival, intercept)])
 
 
-def eta(H0, V, window):
-    """Second-order density: mu((a, x)) minus the running integral of the
-    counting difference, stored exactly as affine pieces."""
-    D0, D1, Vm = _spectra(H0, V)
-    return _eta(_xi(D0, D1, window), mu_measure(D0, Vm, window), window)
+@dataclass
+class ShiftData:
+    """The counting difference, the first-order measure and the second-order
+    density of one pair H0, H0 + V over a window."""
+
+    window: Interval
+    xi: StepFunction
+    mu: AtomicMeasure
+    eta: PiecewiseLinearFunction
 
 
-def second_order_check(f, H0, V, window):
-    """Residual of the second-order remainder against the integral of f''
-    times the density, by per-piece Gauss-Legendre (the density is affine on
-    each piece, so the quadrature is exact for polynomial f'')."""
+def shift_data(D0, D1, V, window):
+    """xi, mu and eta from the decompositions D0 of H0 and D1 of H0 + V,
+    each built once."""
+    step = xi(D0, D1, window)
+    mu = mu_measure(D0, V, window)
+    return ShiftData(window=window, xi=step, mu=mu, eta=eta(step, mu, window))
+
+
+def first_order_check(f, D0, D1, data):
+    """Residual of Tr f(H0+V) = Tr f(H0) + integral of f' against the
+    counting difference; the step integral telescopes exactly, so no
+    quadrature error enters."""
+    _check_support(f, data.window)
+    step = data.xi
+    # int f' xi = sum_k xi_k (f(t_{k+1}) - f(t_k)), last interval reaches b
+    knots = np.append(step.breakpoints, data.window.hi)
+    fvals = f.value(knots)
+    integral = float(np.sum(step.values * (fvals[1:] - fvals[:-1])))
+    tr0 = float(np.trace(apply_function(f, D0).mat).real)
+    tr1 = float(np.trace(apply_function(f, D1).mat).real)
+    return abs(tr1 - tr0 - integral)
+
+
+def second_order_check(f, data, remainder):
+    """Residual of ``remainder``, the order-2 remainder trace of f at (H0, V),
+    against the integral of f'' times the density, by per-piece
+    Gauss-Legendre (the density is affine on each piece, so the quadrature is
+    exact for polynomial f'')."""
     if f.max_order < 3:
         raise ValueError("needs a C^3 function")
-    lo, hi = f.support
-    if not (window.lo < lo and hi < window.hi):
-        raise WindowError("supp f must lie inside the window")
-    density = eta(H0, V, window)
+    _check_support(f, data.window)
     fpp = f.derivative().derivative()
     x0, w0 = _gauss_legendre(32)
     total = 0.0
     fbreaks = np.asarray(f.breaks, float)
-    for plo, phi, slope, intercept in density.pieces:
+    for plo, phi, slope, intercept in data.eta.pieces:
         cuts = np.unique(np.concatenate(
             [[plo, phi], fbreaks[(fbreaks > plo) & (fbreaks < phi)]]))
         for a, b in zip(cuts[:-1], cuts[1:]):
@@ -191,22 +197,20 @@ def second_order_check(f, H0, V, window):
             wm = 0.5 * (b - a) * w0
             vals = fpp.deriv(0, xm) * (slope * (xm - plo) + intercept)
             total += float(np.sum(wm * vals))
-    rem = remainder_trace(f, H0, V, 2)
-    return abs(rem - total)
+    return abs(remainder - total)
 
 
-def eta_l1_bound_check(H0, V, window):
-    """Certificate for the L1 bound on the density over the window."""
-    D0, D1, Vm = _spectra(H0, V)
-    density = _eta(_xi(D0, D1, window), mu_measure(D0, Vm, window), window)
-    lhs = density.l1_norm()
-    a, b = window.lo, window.hi
+def eta_l1_bound_check(D0, V, data):
+    """Certificate for the L1 bound on the density over the window, with D0
+    the decomposition of H0."""
+    lhs = data.eta.l1_norm()
+    a, b = data.window.lo, data.window.hi
     babs = max(abs(a), abs(b))
     u_sup = float(np.sqrt(1.0 + babs * babs))
     u2_sup = 1.0 + babs * babs
     du2_sup = 2.0 * babs
     c_ab = 9.0 * max(1.0, (b - a) ** 2) * max(2.0, u_sup, u2_sup, du2_sup)
-    vn = operator_norm(Vm)
+    vn = operator_norm(V)
     inv_res_trace = inv_resolvent_trace(D0)
     rhs = c_ab * inv_res_trace * (1.0 + vn + vn * vn) * vn * vn
     return BoundCertificate(
@@ -215,17 +219,13 @@ def eta_l1_bound_check(H0, V, window):
                      "inv_resolvent_trace": inv_res_trace})
 
 
-def shift_data_json(H0, V, window):
+def shift_data_json(data):
     """Serializable bundle: counting-difference breakpoints/values, density
     pieces, and the first-order atoms."""
-    D0, D1, Vm = _spectra(H0, V)
-    step = _xi(D0, D1, window)
-    mu = mu_measure(D0, Vm, window)
-    density = _eta(step, mu, window)
     return {
-        "breakpoints": [float(t) for t in step.breakpoints],
-        "xi_values": [float(v) for v in step.values],
+        "breakpoints": [float(t) for t in data.xi.breakpoints],
+        "xi_values": [float(v) for v in data.xi.values],
         "eta_pieces": [{"lo": lo, "hi": hi, "slope": s, "intercept": c}
-                       for lo, hi, s, c in density.pieces],
-        "atoms": [{"location": t, "weight": w} for t, w in mu.atoms],
+                       for lo, hi, s, c in data.eta.pieces],
+        "atoms": [{"location": t, "weight": w} for t, w in data.mu.atoms],
     }

@@ -1,17 +1,14 @@
 """Taylor expansion of the trace functional V -> Tr f(H0 + V): expansion
-terms, remainder traces, the operator remainder, its integral representation,
-and remainder-scaling slope fits."""
+terms, remainder traces, the operator remainder, and remainder-scaling slope
+fits."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .moi import (evaluate_moi, gateaux_derivative, trace_derivative_first,
-                  trace_derivative_higher)
-from .operator_core import (apply_function, as_matrix, decompose,
-                            schatten_norm)
-from .scalar_functions import _gauss_legendre
+from .moi import evaluate_moi, trace_derivative_first, trace_derivative_higher
+from .operator_core import apply_function, as_matrix, decompose, schatten_norm
 
 
 class InsufficientDataError(RuntimeError):
@@ -60,7 +57,16 @@ def expansion_terms(f, D0, V, n):
 def remainder_trace(f, H0, V, n):
     """Tr f(H0+V) - Tr f(H0) - sum_{p<n} tau_p, traces from exact functional
     calculus."""
-    return remainder_sweep(f, H0, V, n, (1.0,))[0]
+    Hm, Vm = as_matrix(H0), as_matrix(V)
+    return _remainder_trace(f, decompose(Hm), decompose(Hm + Vm), Vm, n)
+
+
+def _remainder_trace(f, D0, D1, Vm, n):
+    """``remainder_trace`` from the decompositions D0 of H0 and D1 of
+    H0+V."""
+    base = float(np.trace(apply_function(f, D0).mat).real)
+    pert = float(np.trace(apply_function(f, D1).mat).real)
+    return pert - base - sum(expansion_terms(f, D0, Vm, n))
 
 
 def operator_remainder(f, H0, V, p):
@@ -76,25 +82,6 @@ def _operator_remainder(f, D0, D1, Vm, p):
     for k in range(p):
         R -= evaluate_moi(f, D0, [Vm] * k)
     return R
-
-
-def integral_remainder_check(f, H0, V, p, quad_nodes=32):
-    """Residual of the Taylor integral representation: Gauss-Legendre
-    quadrature of (1-t)^(p-1)/(p-1)! times the p-th derivative at H0 + tV,
-    compared against the directly assembled operator remainder."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    Hm, Vm = as_matrix(H0), as_matrix(V)
-    x0, w0 = _gauss_legendre(quad_nodes)
-    t = 0.5 * (x0 + 1.0)
-    w = 0.5 * w0
-    acc = np.zeros_like(Hm)
-    for ti, wi in zip(t, w):
-        Dt = decompose(Hm + ti * Vm)
-        deriv = gateaux_derivative(f, Dt, Vm, p)
-        acc = acc + wi * (1.0 - ti) ** (p - 1) * deriv
-    acc /= math.factorial(p - 1)
-    return schatten_norm(acc - operator_remainder(f, H0, V, p), 2)
 
 
 def remainder_sweep(f, H0, V, n, eps_grid):

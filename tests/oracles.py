@@ -4,17 +4,29 @@ Each one takes an independent route to a quantity the library computes or
 bounds: exact polynomial derivatives, the scalar divided-difference loop,
 explicit loops over eigenvector index tuples, finite differences of the
 functional calculus, and a sampled supremum of eigenvalue counts.
+
+The checks after those test claims of the paper that no command runs:
+permutation symmetry and the mean-value bound of divided differences, the
+PSD resolvent and projection inequalities, trace-class and Schatten bounds,
+and the integral representation of the operator remainder.
 """
 
+import json
 import math
 from itertools import product
 
 import numpy as np
 
-from tracetaylor.divided_diff import DividedDifferenceCache
-from tracetaylor.operator_core import (apply_function, as_matrix,
+from tracetaylor.divided_diff import (DividedDifferenceCache, _merged_nodes,
+                                      divided_difference)
+from tracetaylor.moi import (_tabulate, evaluate_moi, evaluate_symbol_moi,
+                             gateaux_derivative)
+from tracetaylor.operator_core import (HermitianOperator, Interval,
+                                       apply_function, as_matrix,
                                        counting_trace, decompose,
-                                       operator_norm)
+                                       operator_norm, schatten_norm)
+from tracetaylor.scalar_functions import _gauss_legendre, gp_seminorm, sup_norm
+from tracetaylor.taylor import operator_remainder
 
 
 class PolynomialProbe:
@@ -114,3 +126,135 @@ def counting_trace_sup(H, V, interval, points=33):
     Hm, Vm = as_matrix(H), as_matrix(V)
     return max(counting_trace(decompose(Hm + t * Vm), interval)
                for t in np.linspace(0.0, 1.0, points))
+
+
+def permutation_symmetry_residual(f, nodes):
+    """Max deviation of f^[p] under 10 seeded random node permutations."""
+    nodes = tuple(float(t) for t in nodes)
+    ref = divided_difference(f, nodes)
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(10):
+        perm = tuple(np.asarray(nodes)[rng.permutation(len(nodes))])
+        worst = max(worst, abs(divided_difference(f, perm) - ref))
+    return worst
+
+
+def mean_value_bound_check(f, nodes):
+    """Classical |f^[p]| <= sup |f^(p)| / p! over the node hull (sanity oracle)."""
+    vals, _ = _merged_nodes(nodes)
+    p = vals.size - 1
+    lo, hi = float(vals[0]), float(vals[-1])
+    x = np.linspace(lo, hi, 2001) if hi > lo else np.array([lo])
+    bound = float(np.max(np.abs(f.deriv(p, x)))) / math.factorial(p)
+    return abs(divided_difference(f, nodes)) <= bound + 1e-9
+
+
+def load_json(path):
+    """A HermitianOperator from a JSON file of ``to_json_dict`` form."""
+    with open(path) as fh:
+        return HermitianOperator.from_json_dict(json.load(fh))
+
+
+def psd_leq(A, B, tol=1e-10):
+    """A <= B in the positive-semidefinite order, up to -tol on the minimum
+    eigenvalue of B - A."""
+    Am, Bm = as_matrix(A), as_matrix(B)
+    if Am.shape != Bm.shape:
+        raise ValueError("dimension mismatch")
+    w = np.linalg.eigvalsh(Bm - Am)
+    return bool(w[0] >= -tol)
+
+
+def resolvent_inequality_check(H0, W, tol=1e-10):
+    """(1 + (H0+W)^2)^-1 <= (1 + ||W|| + ||W||^2) (1 + H0^2)^-1."""
+    H0m, Wm = as_matrix(H0), as_matrix(W)
+    n = H0m.shape[0]
+    I = np.eye(n)
+    lhs = np.linalg.inv(I + (H0m + Wm) @ (H0m + Wm))
+    wn = operator_norm(Wm)
+    rhs = (1.0 + wn + wn * wn) * np.linalg.inv(I + H0m @ H0m)
+    return psd_leq(lhs, rhs, tol)
+
+
+def spectral_projection(D, interval):
+    mask = interval.contains(D.eigenvalues).astype(float)
+    U = D.eigenvectors
+    return (U * mask) @ U.conj().T
+
+
+def projection_inequality_check(H0, W, interval, tol=1e-10):
+    """E_{H0+W}(I) <= (1 + max_I |s|^2)(1 + ||W|| + ||W||^2)(1 + H0^2)^-1."""
+    H0m, Wm = as_matrix(H0), as_matrix(W)
+    n = H0m.shape[0]
+    D = decompose(H0m + Wm)
+    E = spectral_projection(D, interval)
+    wn = operator_norm(Wm)
+    smax = interval.abs_max()
+    rhs = ((1.0 + smax * smax) * (1.0 + wn + wn * wn)
+           * np.linalg.inv(np.eye(n) + H0m @ H0m))
+    return psd_leq(E, rhs, tol)
+
+
+def trace_class_bound_check(f, D, tol=1e-10):
+    """Both trace-norm bounds for f(H): against the eigenvalue count of the
+    support and, u-weighted, against the Hilbert-Schmidt resolvent norm."""
+    lam = D.index_values()
+    fv = f.value(lam)
+    lo, hi = f.support
+    supp = Interval(lo, hi)
+    lhs1 = float(np.sum(np.abs(fv)))
+    rhs1 = sup_norm(f, extra_points=lam) * counting_trace(D, supp)
+    ok1 = lhs1 <= rhs1 + tol * (1.0 + rhs1)
+    u = np.sqrt(1.0 + lam * lam)
+    lhs2 = float(np.sqrt(np.sum((fv * u) ** 2)))
+    # ||f u^2||_inf over the support, including the spectrum points
+    x = np.unique(np.concatenate([np.linspace(lo, hi, 8001),
+                                  lam[(lam >= lo) & (lam <= hi)]]))
+    fu2_sup = float(np.max(np.abs(f.value(x)) * (1.0 + x * x))) if x.size else 0.0
+    rhs2 = fu2_sup * float(np.sqrt(np.sum(1.0 / (1.0 + lam * lam))))
+    ok2 = lhs2 <= rhs2 + tol * (1.0 + rhs2)
+    return ok1 and ok2
+
+
+def schatten_bound_check(f, D, perturbations, alphas, alpha):
+    """Holder-type norm bound: ||T||_alpha <= ||f||_{G_p} prod ||V_j||_{alpha_j},
+    with the seminorm's quadrature error added to the right side."""
+    p = len(perturbations)
+    inv = sum(0.0 if a == np.inf else 1.0 / a for a in alphas)
+    target = 0.0 if alpha == np.inf else 1.0 / alpha
+    if abs(inv - target) > 1e-12:
+        raise ValueError("Schatten exponents must satisfy 1/alpha = sum 1/alpha_j")
+    lhs = schatten_norm(evaluate_moi(f, D, perturbations), alpha)
+    rep = gp_seminorm(f, p)
+    rhs = rep.value_gp + rep.quadrature_error
+    for V, a in zip(perturbations, alphas):
+        rhs *= schatten_norm(V, a)
+    return lhs <= rhs + 1e-9 * (1.0 + rhs)
+
+
+def hilbert_schmidt_bound_check(phi, D, V):
+    """||T_phi(V)||_2 <= ||phi||_inf ||V||_2 with the sup taken over spectrum
+    pairs (phi a two-variable bounded symbol)."""
+    F = _tabulate(phi, D.index_values(), 1)
+    rhs = float(np.max(np.abs(F))) * schatten_norm(V, 2)
+    return schatten_norm(evaluate_symbol_moi(F, D, [V]), 2) <= rhs + 1e-9 * (1.0 + rhs)
+
+
+def integral_remainder_check(f, H0, V, p, quad_nodes=32):
+    """Residual of the Taylor integral representation: Gauss-Legendre
+    quadrature of (1-t)^(p-1)/(p-1)! times the p-th derivative at H0 + tV,
+    compared against the directly assembled operator remainder."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    Hm, Vm = as_matrix(H0), as_matrix(V)
+    x0, w0 = _gauss_legendre(quad_nodes)
+    t = 0.5 * (x0 + 1.0)
+    w = 0.5 * w0
+    acc = np.zeros_like(Hm)
+    for ti, wi in zip(t, w):
+        Dt = decompose(Hm + ti * Vm)
+        deriv = gateaux_derivative(f, Dt, Vm, p)
+        acc = acc + wi * (1.0 - ti) ** (p - 1) * deriv
+    acc /= math.factorial(p - 1)
+    return schatten_norm(acc - operator_remainder(f, H0, V, p), 2)

@@ -11,21 +11,27 @@ import time
 import numpy as np
 import pytest
 
-from oracles import finite_difference_derivative
+from oracles import (finite_difference_derivative,
+                     hilbert_schmidt_bound_check, integral_remainder_check,
+                     projection_inequality_check, resolvent_inequality_check,
+                     schatten_bound_check, trace_class_bound_check)
 from tracetaylor import bounds, cli, divided_diff, moi, shift, taylor
 from tracetaylor.operator_core import (HermitianOperator, decompose,
-                                       operator_norm,
-                                       projection_inequality_check,
-                                       random_hermitian,
-                                       random_hermitian_in_window,
-                                       resolvent_inequality_check,
-                                       trace_class_bound_check, Interval)
+                                       operator_norm, random_hermitian,
+                                       random_hermitian_in_window, Interval)
 from tracetaylor.scalar_functions import (fourier_l1_norm, gp_seminorm,
                                           make_poly_bump)
 
 EPS_GRID = tuple(2.0 ** -k for k in range(3, 11))
 F20 = make_poly_bump(0.0, 1.0, 20)
 F12 = make_poly_bump(0.0, 1.0, 12)
+
+
+def shift_instance(H, V):
+    """D0 = decompose(H), D1 = decompose(H + V) and the shift data of the
+    pair over the default window."""
+    D0, D1 = decompose(H.mat), decompose(H.mat + V)
+    return D0, D1, shift.shift_data(D0, D1, V, shift.default_window(D0, D1, V))
 
 
 def verdict(num, name, ok):
@@ -140,8 +146,7 @@ def test_criterion_07_first_order_trace_formula():
     for trial in range(50):
         dim = 2 + trial % 7
         H, V = instance(7000 + trial, dim, vnorm=0.25)
-        w = shift.default_window(H, V)
-        if shift.first_order_check(F12, H, V, w) > 1e-10:
+        if shift.first_order_check(F12, *shift_instance(H, V)) > 1e-10:
             ok = False
     verdict(7, "first-order trace formula against the counting-difference "
                "step function, 50 trials", ok)
@@ -152,15 +157,15 @@ def test_criterion_08_second_order_density():
     for trial in range(50):
         dim = 2 + trial % 7
         H, V = instance(8000 + trial, dim, vnorm=0.2)
-        w = shift.default_window(H, V)
-        if shift.second_order_check(F12, H, V, w) > 1e-8:
+        D0, _, data = shift_instance(H, V)
+        rem = taylor.remainder_trace(F12, H, V, 2)
+        if shift.second_order_check(F12, data, rem) > 1e-8:
             ok = False
-        if not shift.eta_l1_bound_check(H, V, w).passed:
+        if not shift.eta_l1_bound_check(D0, V, data).passed:
             ok = False
     H1 = HermitianOperator(np.array([[0.0]], dtype=complex))
     V1 = np.array([[0.3]], dtype=complex)
-    w1 = shift.default_window(H1, V1)
-    density = shift.eta(H1, V1, w1)
+    density = shift_instance(H1, V1)[2].eta
     ts = np.linspace(0.01, 0.29, 29)
     closed_form = np.max(np.abs(density(ts) - (0.3 - ts))) <= 1e-12
     verdict(8, "second-order remainder equals the integral of f'' against "
@@ -207,18 +212,18 @@ def test_criterion_10_norm_bounds():
         D = decompose(H.mat)
         if trial % 2 == 0:
             a0 = (1, 2, np.inf)[trial % 3]
-            if not moi.schatten_bound_check(F12, D, [V], [a0], a0):
+            if not schatten_bound_check(F12, D, [V], [a0], a0):
                 ok = False
         else:
             rng = np.random.default_rng(10500 + trial)
             W = random_hermitian(rng, dim, norm=0.4).mat
-            if not moi.schatten_bound_check(F12, D, [V, W], [2, 2], 1):
+            if not schatten_bound_check(F12, D, [V, W], [2, 2], 1):
                 ok = False
     for trial in range(100):
         dim = 3 + trial % 6
         H, V = instance(11000 + trial, dim, vnorm=0.6)
         D = decompose(H.mat)
-        if not moi.hilbert_schmidt_bound_check(
+        if not hilbert_schmidt_bound_check(
                 divided_diff.DividedDifferenceCache(F12), D, V):
             ok = False
     verdict(10, "Schatten-Holder and Hilbert-Schmidt symbol bounds, "
@@ -284,8 +289,8 @@ def test_criterion_14_integral_remainder():
         dim = 3 + trial % 4
         H, V = instance(14000 + trial, dim, vnorm=0.2)
         for p in (1, 2, 3):
-            r32 = taylor.integral_remainder_check(F12, H, V, p, quad_nodes=32)
-            r64 = taylor.integral_remainder_check(F12, H, V, p, quad_nodes=64)
+            r32 = integral_remainder_check(F12, H, V, p, quad_nodes=32)
+            r64 = integral_remainder_check(F12, H, V, p, quad_nodes=64)
             if r32 > 1e-8 or r64 > 1e-8:
                 ok = False
     verdict(14, "integral representation of the operator remainder, stable "

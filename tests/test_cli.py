@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tracetaylor import bounds, cli, shift, taylor
+from tracetaylor import bounds, cli, operator_core, shift, taylor
 
 SMALL_CFG = """
 seed = 11
@@ -74,6 +74,38 @@ def test_exit_code_on_config_error(tmp_path):
     assert cli.main(["sweep", "--config", bad]) == 2
     assert cli.main(["sweep", "--config", str(tmp_path / "missing.txt")]) == 2
     assert cli.main(["sweep", "--config", write_cfg(tmp_path), "--jobs", "0"]) == 2
+
+
+@pytest.mark.parametrize("command", ["expand", "certify"])
+@pytest.mark.parametrize("bad", [
+    "orders = 0",
+    "bump_radius = 0",
+    "bump_radius = -1",
+    "bump_m = 4\norders = 1,2,3,4",
+    "jobs = 0",
+])
+def test_configs_the_commands_cannot_run_exit_2(tmp_path, capsys, command, bad):
+    cfg = write_cfg(tmp_path, SMALL_CFG + bad + "\n", "bad.txt")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("config error: ")
+
+
+def test_highest_order_the_bump_allows_is_valid(tmp_path):
+    cfg = cli.parse_config_file(write_cfg(tmp_path, "bump_m = 4\norders = 1,2,3\n"))
+    assert max(cfg.orders) == cfg.function().max_order == 3
+
+
+def test_shift_outside_its_window_exits_2(tmp_path, capsys):
+    # supp f = [-10, 10] is wider than the window around spectra in [-8, 8]
+    cfg = write_cfg(tmp_path, SMALL_CFG + "bump_radius = 10\n", "wide.txt")
+    assert cli.main(["shift", "--config", cfg, "--out", str(tmp_path / "w")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: supp f [-10, 10] must lie inside the window")
 
 
 def test_expand_and_determinism(tmp_path):
@@ -196,8 +228,8 @@ def test_shift_names_failing_trials(tmp_path, monkeypatch, capsys):
     assert cli.main(["shift", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
     assert capsys.readouterr().err == ""
     # an off remainder breaks the second-order formula of every trial
-    remainder_trace = taylor.remainder_trace
-    monkeypatch.setattr(shift, "remainder_trace",
+    remainder_trace = taylor._remainder_trace
+    monkeypatch.setattr(taylor, "_remainder_trace",
                         lambda *args: remainder_trace(*args) + 1e-6)
     out = tmp_path / "bad"
     assert cli.main(["shift", "--config", cfg, "--out", str(out)]) == 1
@@ -211,22 +243,59 @@ def test_shift_names_failing_trials(tmp_path, monkeypatch, capsys):
         for _, dim, trial, _, r2, *_ in rows]
 
 
+@pytest.mark.parametrize("command", ["shift", "expand"])
+def test_nan_residual_fails_its_gate(tmp_path, monkeypatch, capsys, command):
+    # a NaN compares false both ways: each gate must name it as a failure
+    nan = float("nan")
+    if command == "shift":
+        monkeypatch.setattr(taylor, "_remainder_trace", lambda *args: nan)
+        column = "second_order_residual"
+    else:
+        monkeypatch.setattr(taylor.ExpansionReport, "identity_residual",
+                            lambda self: nan)
+        column = "identity_residual"
+    cfg = write_cfg(tmp_path)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "nan")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith(f"{command}: FAIL dim ") for line in err)
+    assert all(f": {column} nan > " in line for line in err)
+
+
 def test_bounds_take_the_remainder_they_certify(monkeypatch):
     # the trials compute each remainder once and hand it to the bounds
     calls = []
-    remainder_trace = taylor.remainder_trace
+    remainder_trace = taylor._remainder_trace
 
     def counted(*args):
         calls.append(args)
         return remainder_trace(*args)
 
-    monkeypatch.setattr(taylor, "remainder_trace", counted)
-    monkeypatch.setattr(bounds, "remainder_trace", counted, raising=False)
+    monkeypatch.setattr(taylor, "_remainder_trace", counted)
     cfg = cli.ExperimentConfig()
     cli._sweep_trial((cfg, 4, 2, 0))
     assert len(calls) == 0
     cli._certify_trial((cfg, 4, 2, 0))
     assert len(calls) == 1
+
+
+def test_trials_solve_each_matrix_once(monkeypatch):
+    # H0 and H0 + V are decomposed once each, by the trial, at every order
+    calls = []
+    decompose = operator_core.decompose
+
+    def counted(H):
+        calls.append(H)
+        return decompose(H)
+
+    for mod in (operator_core, bounds, cli, shift, taylor):
+        monkeypatch.setattr(mod, "decompose", counted)
+    cfg = cli.ExperimentConfig()
+    cli._shift_trial((cfg, 8, 0))
+    assert len(calls) == 2
+    for order in (1, 2, 3):
+        calls.clear()
+        cli._certify_trial((cfg, 4, order, 0))
+        assert len(calls) == 2
 
 
 def test_shift_command(tmp_path):

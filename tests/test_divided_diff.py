@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import PolynomialProbe, divided_difference_loop
+from oracles import (PolynomialProbe, divided_difference_loop,
+                     mean_value_bound_check, permutation_symmetry_residual)
 from tracetaylor.divided_diff import (DividedDifferenceCache, divided_difference,
                                       divided_difference_tensor,
-                                      mean_value_bound_check,
-                                      permutation_symmetry_residual,
                                       sqrt_split_residual,
                                       u_conjugation_residual)
 from tracetaylor.operator_core import CLUSTER_TOL, decompose

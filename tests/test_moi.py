@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import PolynomialProbe, finite_difference_derivative
+from oracles import (PolynomialProbe, finite_difference_derivative,
+                     hilbert_schmidt_bound_check, schatten_bound_check)
 from tracetaylor.divided_diff import DividedDifferenceCache, divided_difference
 from tracetaylor.moi import (additivity_check, edge_multiplier_check,
                              evaluate_moi, evaluate_symbol_moi,
-                             gateaux_derivative, hilbert_schmidt_bound_check,
-                             moi_trace_identity_check, product_split_check,
-                             schatten_bound_check, trace_derivative_first,
+                             gateaux_derivative, moi_trace_identity_check,
+                             product_split_check, trace_derivative_first,
                              trace_derivative_higher)
 from tracetaylor.operator_core import (decompose, random_hermitian,
                                        random_hermitian_in_window)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from tracetaylor.moi import trace_derivative_first
-from tracetaylor.operator_core import (HermitianOperator, decompose,
-                                       random_hermitian,
+from tracetaylor.operator_core import (HermitianOperator, Interval, as_matrix,
+                                       decompose, random_hermitian,
                                        random_hermitian_in_window)
 from tracetaylor.scalar_functions import make_poly_bump
 from tracetaylor.shift import (WindowError, default_window, eta,
                                eta_l1_bound_check, first_order_check,
-                               mu_measure, second_order_check,
+                               mu_measure, second_order_check, shift_data,
                                shift_data_json, xi)
 from tracetaylor.taylor import remainder_trace
 
@@ -27,18 +27,47 @@ def scalar_pair(lam=0.0, v=0.3):
     return H, np.array([[v]], dtype=complex)
 
 
+def spectra(H, V):
+    """D0 = decompose(H), D1 = decompose(H + V) and V as a matrix."""
+    Hm, Vm = as_matrix(H), as_matrix(V)
+    return decompose(Hm), decompose(Hm + Vm), Vm
+
+
+def window_of(H, V):
+    return default_window(*spectra(H, V))
+
+
+def data_of(H, V, window=None):
+    """D0, D1, V and the shift data of (H, V), over the default window of
+    (H, V) unless another is given."""
+    D0, D1, Vm = spectra(H, V)
+    window = window or default_window(D0, D1, Vm)
+    return D0, D1, Vm, shift_data(D0, D1, Vm, window)
+
+
+def first_order(f, H, V, window):
+    D0, D1, _, data = data_of(H, V, window)
+    return first_order_check(f, D0, D1, data)
+
+
+def second_order(f, H, V, window):
+    return second_order_check(f, data_of(H, V, window)[3],
+                              remainder_trace(f, H, V, 2))
+
+
 def test_xi_zero_perturbation():
     H, _ = rand_instance(0, 4)
-    w = default_window(H, np.zeros((4, 4)))
-    step = xi(H, np.zeros((4, 4)), w)
+    D0, D1, Z = spectra(H, np.zeros((4, 4)))
+    w = default_window(D0, D1, Z)
+    step = xi(D0, D1, w)
     xs = np.linspace(w.lo + 1e-6, w.hi - 1e-6, 50)
     assert np.max(np.abs(step(xs))) == 0.0
 
 
 def test_xi_scalar_counting():
     H, V = scalar_pair(0.0, 1.0)
-    w = default_window(H, V)
-    step = xi(H, V, w)
+    D0, D1, Vm = spectra(H, V)
+    step = xi(D0, D1, default_window(D0, D1, Vm))
     assert step(0.5) == pytest.approx(1.0)
     assert step(-0.5) == pytest.approx(0.0)
     assert step(1.5) == pytest.approx(0.0)
@@ -46,36 +75,37 @@ def test_xi_scalar_counting():
 
 def test_xi_jumps_balance():
     H, V = rand_instance(1, 3)
-    w = default_window(H, V)
-    step = xi(H, V, w)
+    D0, D1, Vm = spectra(H, V)
+    w = default_window(D0, D1, Vm)
+    step = xi(D0, D1, w)
     # same total eigenvalue count: xi vanishes beyond the perturbed spectra
     assert step(w.hi - 1e-9) == pytest.approx(0.0)
 
 
 def test_xi_window_guard():
     H, V = rand_instance(2, 3)
-    from tracetaylor.operator_core import Interval
+    D0, D1, _ = spectra(H, V)
     with pytest.raises(WindowError):
-        xi(H, V, Interval(-0.1, 0.1, closed_lo=False, closed_hi=False))
+        xi(D0, D1, Interval(-0.1, 0.1, closed_lo=False, closed_hi=False))
 
 
 def test_first_order_formula():
     f = make_poly_bump(0.0, 1.0, 8)
     H, V = rand_instance(3, 8)
-    w = default_window(H, V)
-    assert first_order_check(f, H, np.zeros((8, 8)), w) == pytest.approx(0.0, abs=1e-14)
-    assert first_order_check(f, H, V, w) < 1e-10
+    w = window_of(H, V)
+    assert first_order(f, H, np.zeros((8, 8)), w) == pytest.approx(0.0, abs=1e-14)
+    assert first_order(f, H, V, w) < 1e-10
     g = make_poly_bump(0.5, 1.0, 8)
     H1, V1 = scalar_pair(0.0, 1.0)
-    w1 = default_window(H1, V1)
-    assert first_order_check(g, H1, V1, w1) < 1e-12
+    w1 = window_of(H1, V1)
+    assert first_order(g, H1, V1, w1) < 1e-12
 
 
 def test_mu_measure():
     f = make_poly_bump(0.0, 1.0, 8)
     H, V = rand_instance(4, 5)
     D0 = decompose(H.mat)
-    w = default_window(H, V)
+    w = window_of(H, V)
     mu = mu_measure(D0, V, w)
     zero_mu = mu_measure(D0, np.zeros((5, 5)), w)
     assert all(abs(m) < 1e-15 for _, m in zero_mu.atoms)
@@ -86,8 +116,9 @@ def test_mu_measure():
 def test_eta_scalar_closed_form():
     v = 0.3
     H, V = scalar_pair(0.0, v)
-    w = default_window(H, V)
-    density = eta(H, V, w)
+    D0, D1, Vm = spectra(H, V)
+    w = default_window(D0, D1, Vm)
+    density = eta(xi(D0, D1, w), mu_measure(D0, Vm, w), w)
     ts = np.linspace(0.01, v - 0.01, 9)
     assert np.max(np.abs(density(ts) - (v - ts))) < 1e-12
     assert density(-0.2) == pytest.approx(0.0, abs=1e-12)
@@ -97,16 +128,15 @@ def test_eta_scalar_closed_form():
 
 def test_eta_zero_perturbation():
     H, _ = rand_instance(5, 4)
-    w = default_window(H, np.zeros((4, 4)))
-    density = eta(H, np.zeros((4, 4)), w)
+    data = data_of(H, np.zeros((4, 4)))[3]
+    density, w = data.eta, data.window
     xs = np.linspace(w.lo + 1e-6, w.hi - 1e-6, 60)
     assert np.max(np.abs(density(xs))) < 1e-13
 
 
 def test_eta_continuity_at_breakpoints():
     H, V = rand_instance(6, 4)
-    w = default_window(H, V)
-    density = eta(H, V, w)
+    density = data_of(H, V)[3].eta
     for lo, hi, slope, intercept in density.pieces[1:]:
         left = density(lo - 1e-9)
         right = slope * 0.0 + intercept  # value at the left end of the piece
@@ -118,31 +148,27 @@ def test_eta_continuity_at_breakpoints():
 def test_second_order_density():
     f = make_poly_bump(0.0, 1.0, 12)
     H1, V1 = scalar_pair(0.0, 0.25)
-    w1 = default_window(H1, V1)
-    assert second_order_check(f, H1, V1, w1) < 1e-10
+    w1 = window_of(H1, V1)
+    assert second_order(f, H1, V1, w1) < 1e-10
     for seed in (7, 8):
         H, V = rand_instance(seed, 8)
-        w = default_window(H, V)
-        assert second_order_check(f, H, V, w) < 1e-8
-        assert second_order_check(f, H, np.zeros((8, 8)), w) < 1e-13
+        w = window_of(H, V)
+        assert second_order(f, H, V, w) < 1e-8
+        assert second_order(f, H, np.zeros((8, 8)), w) < 1e-13
 
 
 def test_eta_l1_bound():
-    H1, V1 = scalar_pair(0.0, 0.3)
-    w1 = default_window(H1, V1)
-    cert = eta_l1_bound_check(H1, V1, w1)
+    D0, _, V1, data = data_of(*scalar_pair(0.0, 0.3))
+    cert = eta_l1_bound_check(D0, V1, data)
     assert cert.passed
     assert cert.lhs == pytest.approx(0.045, abs=1e-12)
     for seed in (9, 10, 11):
-        H, V = rand_instance(seed, 5)
-        w = default_window(H, V)
-        assert eta_l1_bound_check(H, V, w).passed
+        D0, _, V, data = data_of(*rand_instance(seed, 5))
+        assert eta_l1_bound_check(D0, V, data).passed
 
 
 def test_shift_data_schema(tmp_path):
-    H, V = rand_instance(12, 4)
-    w = default_window(H, V)
-    data = shift_data_json(H, V, w)
+    data = shift_data_json(data_of(*rand_instance(12, 4))[3])
     assert set(data) == {"breakpoints", "xi_values", "eta_pieces", "atoms"}
     assert len(data["breakpoints"]) == len(data["xi_values"])
     for piece in data["eta_pieces"]:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import expansion_terms_eigensum
+from oracles import expansion_terms_eigensum, integral_remainder_check
 from tracetaylor import taylor
 from tracetaylor.divided_diff import divided_difference
 from tracetaylor.operator_core import (CLUSTER_TOL, HermitianOperator, decompose,
@@ -11,9 +11,9 @@ from tracetaylor.operator_core import (CLUSTER_TOL, HermitianOperator, decompose
                                        random_hermitian_in_window)
 from tracetaylor.scalar_functions import make_poly_bump
 from tracetaylor.taylor import (InsufficientDataError, expansion_report,
-                                expansion_terms, integral_remainder_check,
-                                operator_remainder, remainder_sweep,
-                                remainder_trace, scaling_exponent)
+                                expansion_terms, operator_remainder,
+                                remainder_sweep, remainder_trace,
+                                scaling_exponent)
 
 EPS_GRID = tuple(2.0 ** -k for k in range(3, 11))
 

@@ -13,9 +13,9 @@ from .operator_core import (Interval, as_matrix, counting_trace, operator_norm,
                             schatten_norm)
 # unused here, kept because bench/tests/test_tracer.py checks its rebinding
 from .operator_core import decompose  # noqa: F401
-from .scalar_functions import (decompose_signed, fractional_root, gp_seminorm,
-                               product_with_u, product_with_u2, sup_norm,
-                               weight_u)
+from .scalar_functions import (_memoized, decompose_signed, fractional_root,
+                               gp_seminorm, product_with_u, product_with_u2,
+                               sup_norm, weight_u)
 
 
 @dataclass
@@ -52,14 +52,11 @@ def j_of(n):
 
 
 def _per_function(constant):
-    """Memoize ``constant(f, n)`` in f's own table of (f, n) constants, so
-    each is computed once per function and dies with it."""
+    """Memoize ``constant(f, n)`` in f's own ``_constants`` table, so each is
+    computed once per function and dies with it."""
     @functools.wraps(constant)
     def memo(f, n):
-        key = (constant.__name__, n)
-        if key not in f._constants:
-            f._constants[key] = constant(f, n)
-        return f._constants[key]
+        return _memoized(f, (constant.__name__, n), lambda: constant(f, n))
     return memo
 
 
@@ -67,11 +64,11 @@ def _per_function(constant):
 def _root_constants(f, n):
     """max_k sup|f^(2^-k)| and max over roots/orders of max(1, G_d seminorm),
     for k = 1..j_n and d = 1..n."""
-    jn = j_of(n)
-    roots = [fractional_root(f, k, max_order=n + 1) for k in range(1, jn + 1)]
-    sup_max = max(sup_norm(r) for r in roots)
-    g_max = 1.0
-    for r in roots:
+    sup_max, g_max = 0.0, 1.0
+    # one root at a time, so a root's tables are freed before the next one's
+    for k in range(1, j_of(n) + 1):
+        r = fractional_root(f, k, max_order=n + 1)
+        sup_max = max(sup_max, sup_norm(r))
         for d in range(1, n + 1):
             g_max = max(g_max, gp_seminorm(r, d).value_gp)
     return sup_max, g_max
@@ -100,7 +97,8 @@ def _signed_root_constants(f, n):
     """Root constants of both halves of the signed split f = f1 - f2 (None
     for a zero half), and the support of f1."""
     f1, f2 = decompose_signed(f, n)
-    halves = [None if sup_norm(fi) == 0.0 else _root_constants(fi, n)
+    # the halves are zero exactly when f is (f2 = 2 sup|f| b, f1 = f2 + f)
+    halves = [None if sup_norm(f) == 0.0 else _root_constants(fi, n)
               for fi in (f1, f2)]
     return halves, f1.support
 

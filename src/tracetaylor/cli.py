@@ -24,7 +24,8 @@ import numpy as np
 from . import bounds, divided_diff, moi, shift, taylor
 from .operator_core import (decompose, random_hermitian,
                             random_hermitian_in_window)
-from .scalar_functions import fourier_l1_norm, gp_seminorm, make_poly_bump
+from .scalar_functions import (DerivativeOrderError, fourier_l1_norm,
+                               gp_seminorm, make_poly_bump)
 
 
 class ConfigError(ValueError):
@@ -204,12 +205,12 @@ def _sweep_trial(args):
     cfg, dim, order, trial = args
     f = cfg.function()
     H0, V = make_instance(cfg, dim, order, trial)
-    rems = taylor.remainder_sweep(f, H0, V, order, cfg.epsilons)
+    D0 = decompose(H0.mat)
+    rems = taylor._remainder_sweep(f, H0.mat, D0, V.mat, order, cfg.epsilons)
     try:
         slope = taylor.scaling_exponent(cfg.epsilons, rems, cfg.noise_floor)
     except taylor.InsufficientDataError:
         slope = float("nan")
-    D0 = decompose(H0.mat)
     bc, bh = [], []
     for eps, rem in zip(cfg.epsilons, rems):
         Veps = eps * V.mat
@@ -429,20 +430,22 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(cfg.out_dir)
-    if args.command == "expand":
-        return cmd_expand(cfg, out_dir)
-    if args.command == "sweep":
-        return cmd_sweep(cfg, out_dir)
-    if args.command == "certify":
-        return cmd_certify(cfg, out_dir)
-    if args.command == "shift":
-        try:
-            return cmd_shift(cfg, out_dir)
-        except shift.WindowError as exc:
-            # the bump's support is wider than the window around the spectra
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-    return cmd_selftest(cfg)
+    commands = {"expand": cmd_expand, "sweep": cmd_sweep,
+                "certify": cmd_certify, "shift": cmd_shift}
+    if args.command not in commands:
+        return cmd_selftest(cfg)
+    try:
+        return commands[args.command](cfg, out_dir)
+    except DerivativeOrderError as exc:
+        # the bump, or a dyadic root of it, is not smooth enough for the
+        # command's constants at these orders
+        print(f"config error: {args.command} needs more derivatives than "
+              f"bump_m = {cfg.bump_m} gives ({exc})", file=sys.stderr)
+        return 2
+    except shift.WindowError as exc:
+        # the bump's support is wider than the window around the spectra
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -24,25 +24,35 @@ def _merged_nodes(nodes):
     return np.repeat(means, sizes), max(sizes)
 
 
-def _divided_difference_rows(f, rows):
+def _divided_difference_rows(f, lam, idx):
     """The triangular recursion d[i][j] = f^[j-i](x_i..x_j) run over every
-    row of ``rows`` (shape (m, p+1), each row ascending) at once; returns
-    f^[p] of each row.
+    row x = lam[idx[r]] of the index array ``idx`` (shape (m, p+1), each
+    row's values ascending) at once; returns f^[p] of each row.
 
     Unequal nodes use the difference quotient; equal nodes, which are
     adjacent in an ascending row, use the exact-derivative branch f^(r)/r!.
+    Each order f^(r) is evaluated once, at the values ``lam``, and gathered
+    by index.
     """
-    p = rows.shape[1] - 1
+    p = idx.shape[1] - 1
+    table = {}
+
+    def at(w, i):
+        # f^(w) at lam[i], from one evaluation of f^(w) per call of the recursion
+        if w not in table:
+            table[w] = np.asarray(f.deriv(w, lam), dtype=float)
+        return table[w][i]
+
     # d[i] holds d[i][i+w-1] before width w is processed, d[i][i+w] after
-    d = [np.asarray(f.deriv(0, rows[:, i]), dtype=float) for i in range(p + 1)]
+    d = [at(0, idx[:, i]) for i in range(p + 1)]
     for w in range(1, p + 1):
         for i in range(p + 1 - w):
-            lo, hi = rows[:, i], rows[:, i + w]
+            lo, hi = lam[idx[:, i]], lam[idx[:, i + w]]
             same = hi == lo
             q = np.divide(d[i + 1] - d[i], hi - lo, where=~same,
                           out=np.empty_like(lo))
             if same.any():
-                q[same] = f.deriv(w, lo[same]) / math.factorial(w)
+                q[same] = at(w, idx[same, i]) / math.factorial(w)
             d[i] = q
     return d[0]
 
@@ -59,7 +69,8 @@ def divided_difference(f, nodes):
         raise DerivativeOrderError(
             f"confluent group of size {conf} needs derivatives "
             f"up to order {conf - 1}")
-    return float(_divided_difference_rows(f, vals[None, :])[0])
+    rows = np.arange(vals.size)[None, :]
+    return float(_divided_difference_rows(f, vals, rows)[0])
 
 
 def divided_difference_tensor(f, lam, p):
@@ -67,8 +78,9 @@ def divided_difference_tensor(f, lam, p):
     ascending values ``lam`` (a decomposition's ``index_values()``).
 
     Each sorted index tuple is evaluated once, all in one call of the
-    recursion and at the given values (no re-merging); every other ordering
-    of the indices is filled by the symmetry of f^[p].
+    recursion and at the given values (no re-merging), so each f^(r) is
+    evaluated once at the n values; every other ordering of the indices is
+    filled by the symmetry of f^[p].
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(np.diff(lam) < 0):
@@ -77,7 +89,7 @@ def divided_difference_tensor(f, lam, p):
     idx = np.fromiter(chain.from_iterable(
         combinations_with_replacement(range(n), p + 1)), dtype=np.intp)
     idx = idx.reshape(-1, p + 1)
-    vals = _divided_difference_rows(f, lam[idx])
+    vals = _divided_difference_rows(f, lam, idx)
     F = np.empty((n,) * (p + 1))
     for perm in permutations(range(p + 1)):
         F[tuple(idx[:, k] for k in perm)] = vals

@@ -30,9 +30,6 @@ class Interval:
         right = x <= self.hi if self.closed_hi else x < self.hi
         return left & right
 
-    def abs_max(self):
-        return max(abs(self.lo), abs(self.hi))
-
 
 @dataclass(frozen=True)
 class HermitianOperator:
@@ -144,13 +141,14 @@ def decompose(H):
 
 def apply_function(f, D):
     """Functional calculus sum f(lambda_c) P_c, assembled in the eigenbasis."""
-    fv = np.asarray(f.value(D.index_values()), dtype=float)
+    return _function_of(D, np.asarray(f.value(D.index_values()), dtype=float))
+
+
+def _function_of(D, fv):
+    """The operator with eigenvalue fv[i] on the i-th eigenvector of D: the
+    functional calculus of any f with f(D.index_values()) = fv."""
     U = D.eigenvectors
     return HermitianOperator((U * fv) @ U.conj().T)
-
-
-def trace(A):
-    return complex(np.trace(as_matrix(A)))
 
 
 def schatten_norm(A, alpha):

@@ -31,6 +31,14 @@ _X = Polynomial([0.0, 1.0])
 _UNLIMITED = 10**6
 
 
+def _memoized(f, key, compute):
+    """f's own value for ``key`` in its ``_constants`` table, from
+    ``compute()`` on first use."""
+    if key not in f._constants:
+        f._constants[key] = compute()
+    return f._constants[key]
+
+
 @dataclass(frozen=True)
 class _BumpAtom:
     center: float
@@ -83,9 +91,13 @@ class SmoothCompactFunction:
         self.max_order = max_order
         self.whole_line = whole_line
         self.power = power  # (atom, integer exponent, coeff) when an exact power
-        self._deriv_cache = {0: self}
-        # constants that depend only on this function and an order, keyed by
-        # (name, order); they live and die with the function
+        # derivatives of order >= 1; order 0 is self, kept out of the dict so
+        # that a function is freed by reference counting, with its tables
+        self._deriv_cache = {}
+        # values that depend only on this function (its roots, its u-weighted
+        # products, its sup and L2 norms, its derivative tables on sampling
+        # grids, the (f, n) constants of ``bounds``), keyed by name and
+        # arguments; they live and die with the function
         self._constants = {}
 
     # -- basic geometry -------------------------------------------------
@@ -162,6 +174,8 @@ class SmoothCompactFunction:
         return self._derivative_obj(1)
 
     def _derivative_obj(self, j):
+        if j == 0:
+            return self
         if j not in self._deriv_cache:
             prev = self._derivative_obj(j - 1)
             if prev.whole_line is not None:
@@ -174,6 +188,18 @@ class SmoothCompactFunction:
                     max(prev.max_order - 1, 0))
             self._deriv_cache[j] = g
         return self._deriv_cache[j]
+
+    def _grid_deriv(self, j, grid):
+        """f^(j) at the points of f's sampling grid ``grid`` (``_grid_points``)."""
+        return self.deriv(j, _grid_points(self, grid))
+
+    def _grid_table(self, grid, j):
+        """[f, f', .., f^(j)] on f's sampling grid ``grid``, tabulated once per
+        grid in ``_constants``: every fractional power of f reads it."""
+        table = self._constants.setdefault(("grid_table", grid), [])
+        for i in range(len(table), j + 1):
+            table.append(self._grid_deriv(i, grid))
+        return table
 
     # -- algebra ---------------------------------------------------------
 
@@ -285,6 +311,7 @@ class FractionalPower:
         self.max_order = max_order
         self.breaks = base.breaks
         self.whole_line = None
+        self._constants = {}
 
     @property
     def support(self):
@@ -306,25 +333,40 @@ class FractionalPower:
                 f"derivative order {j} exceeds guaranteed order {self.max_order}")
         scalar = np.isscalar(x)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        g = [self.base.deriv(i, x) for i in range(j + 1)]
+        h = []
+        self._extend([self.base.deriv(i, x) for i in range(j + 1)], h)
+        return float(h[j][0]) if scalar else h[j]
+
+    def _extend(self, g, h):
+        """Extend h = [h, h', ..] to order len(g) - 1 from the base
+        derivatives g = [g, g', ..] at the same points.  Order r reads only
+        g[:r+1] and h[:r], so its value does not depend on how the list was
+        extended."""
         tiny = 1e-250
         safe = g[0] > tiny
         gs = np.where(safe, g[0], 1.0)
         # l[r] = (log g)^(r); solved from g^(r) = sum C(r-1,i) g^(i) l[r-i]
-        l = [None] * (j + 1)
-        for r in range(1, j + 1):
+        l = [None] * len(g)
+        for r in range(1, len(g)):
             acc = g[r].copy()
             for i in range(1, r):
                 acc = acc - math.comb(r - 1, i) * g[i] * l[r - i]
             l[r] = acc / gs
-        h = [np.where(safe, gs**self.alpha, 0.0)]
-        for r in range(1, j + 1):
-            acc = np.zeros_like(x)
+        if not h:
+            h.append(np.where(safe, gs**self.alpha, 0.0))
+        for r in range(len(h), len(g)):
+            acc = np.zeros_like(g[0])
             for i in range(r):
                 acc += math.comb(r - 1, i) * h[i] * (self.alpha * l[r - i])
             h.append(np.where(safe, acc, 0.0))
-        out = h[j]
-        return float(out[0]) if scalar else out
+
+    def _grid_deriv(self, j, grid):
+        """h^(j) on the sampling grid ``grid`` (the base's: same support and
+        breaks), from the base's table for that grid.  The orders found so far
+        are kept per grid, so each is found once per grid."""
+        h = self._constants.setdefault(("grid_derivs", grid), [])
+        self._extend(self.base._grid_table(grid, j)[:j + 1], h)
+        return h[j]
 
 
 def zero_function():
@@ -400,7 +442,8 @@ def dyadic_root(f, k):
     if coeff < 0 or m % (1 << k) != 0:
         raise UnsupportedFamilyError(
             f"exponent {m} not divisible by 2^{k} (or negative scale)")
-    return _from_power(atom, m >> k, coeff ** (2.0 ** -k))
+    return _memoized(f, ("dyadic_root", k),
+                    lambda: _from_power(atom, m >> k, coeff ** (2.0 ** -k)))
 
 
 def fractional_root(f, k, max_order):
@@ -419,14 +462,14 @@ def weight_u():
 
 
 def product_with_u(f):
-    return f.mul(weight_u())
+    """f(x) * u(x), memoized on f."""
+    return _memoized(f, "product_with_u", lambda: f.mul(weight_u()))
 
 
 def product_with_u2(f):
-    """f(x) * (1 + x^2); stays polynomial-piecewise."""
-    u2 = SmoothCompactFunction([], [], _UNLIMITED,
-                               whole_line={0: Chebyshev([1.5, 0.0, 0.5])})
-    return f.mul(u2)
+    """f(x) * (1 + x^2), memoized on f; stays polynomial-piecewise."""
+    return _memoized(f, "product_with_u2", lambda: f.mul(SmoothCompactFunction(
+        [], [], _UNLIMITED, whole_line={0: Chebyshev([1.5, 0.0, 0.5])})))
 
 
 # -- norms and seminorms -------------------------------------------------
@@ -451,21 +494,53 @@ def _quad_edges(f, panels):
     return np.unique(np.concatenate([edges, br]))
 
 
-def integrate(fn, edges):
-    """Composite 16-point Gauss-Legendre integral of a vectorized callable."""
+def _quad_rule(f, panels):
+    """Nodes and weights, each of shape (m, 16), of the composite 16-point
+    Gauss-Legendre rule on f's ``panels`` panels (split at f's breaks)."""
+    edges = _quad_edges(f, panels)
     x0, w0 = _gauss_legendre(16)
     a = edges[:-1][:, None]
     b = edges[1:][:, None]
     X = 0.5 * (b - a) * x0[None, :] + 0.5 * (a + b)
     W = 0.5 * (b - a) * w0[None, :]
-    vals = fn(X.ravel()).reshape(X.shape)
-    return float(np.sum(vals * W))
+    return X, W
+
+
+_SUP_GRID = "sup"
+
+
+def _sup_points(f, extra_points=None):
+    """``sup_norm``'s sample of f's support: 4001 equispaced points, the
+    breaks and the extras inside (empty for an empty support)."""
+    if f.unbounded:
+        lo, hi = -1e3, 1e3
+    else:
+        lo, hi = f.support
+        if hi <= lo:
+            return np.empty(0)
+    pts = [np.linspace(lo, hi, 4001), np.asarray(getattr(f, "breaks", []), float)]
+    if extra_points is not None:
+        ex = np.asarray(extra_points, float)
+        pts.append(ex[(ex >= lo) & (ex <= hi)])
+    return np.unique(np.concatenate(pts))
+
+
+def _grid_points(f, grid):
+    """The points of f's sampling grid ``grid``: the flattened quadrature
+    nodes for ``grid`` panels, or for ``_SUP_GRID`` the sup sample."""
+    if grid == _SUP_GRID:
+        return _sup_points(f)
+    return _quad_rule(f, grid)[0].ravel()
 
 
 def _l2_norm_deriv(f, order, panels):
-    edges = _quad_edges(f, panels)
-    val = integrate(lambda x: f.deriv(order, x) ** 2, edges)
-    return math.sqrt(max(val, 0.0))
+    """||f^(order)||_2 by the quadrature rule on ``panels`` panels, memoized
+    on f."""
+    def compute():
+        X, W = _quad_rule(f, panels)
+        vals = (f._grid_deriv(order, panels) ** 2).reshape(X.shape)
+        return math.sqrt(max(float(np.sum(vals * W)), 0.0))
+    return _memoized(f, ("l2_norm", order, panels), compute)
 
 
 def gp_seminorm(f, p, panels=64):
@@ -521,19 +596,15 @@ def fourier_l1_norm(f, p, grid=2**14):
 
 
 def sup_norm(f, extra_points=None):
-    """Sup of |f| over its support (dense grid plus breakpoints and extras)."""
-    if f.unbounded:
-        lo, hi = -1e3, 1e3
-    else:
-        lo, hi = f.support
-        if hi <= lo:
-            return 0.0
-    pts = [np.linspace(lo, hi, 4001), np.asarray(getattr(f, "breaks", []), float)]
-    if extra_points is not None:
-        ex = np.asarray(extra_points, float)
-        pts.append(ex[(ex >= lo) & (ex <= hi)])
-    x = np.unique(np.concatenate(pts))
-    return float(np.max(np.abs(f.value(x)))) if x.size else 0.0
+    """Sup of |f| over its support (dense grid plus breakpoints and extras);
+    without extras it is memoized on f."""
+    if extra_points is None:
+        return _memoized(f, "sup_norm", lambda: _max_abs(f._grid_deriv(0, _SUP_GRID)))
+    return _max_abs(f.value(_sup_points(f, extra_points)))
+
+
+def _max_abs(values):
+    return float(np.max(np.abs(values))) if values.size else 0.0
 
 
 def decompose_signed(f, n):

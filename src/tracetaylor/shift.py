@@ -14,7 +14,7 @@ from .bounds import BoundCertificate, inv_resolvent_trace
 from .operator_core import Interval, apply_function, as_matrix, operator_norm
 # unused here, kept because bench/tests/test_tracer.py checks its rebinding
 from .operator_core import decompose  # noqa: F401
-from .scalar_functions import _gauss_legendre
+from .scalar_functions import DerivativeOrderError, _gauss_legendre
 
 
 class WindowError(ValueError):
@@ -183,7 +183,8 @@ def second_order_check(f, data, remainder):
     Gauss-Legendre (the density is affine on each piece, so the quadrature is
     exact for polynomial f'')."""
     if f.max_order < 3:
-        raise ValueError("needs a C^3 function")
+        raise DerivativeOrderError(
+            f"the second-order check needs a C^3 function; f is C^{f.max_order}")
     _check_support(f, data.window)
     fpp = f.derivative().derivative()
     x0, w0 = _gauss_legendre(32)

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moi import evaluate_moi, trace_derivative_first, trace_derivative_higher
-from .operator_core import apply_function, as_matrix, decompose, schatten_norm
+from .operator_core import (_function_of, apply_function, as_matrix, decompose,
+                            schatten_norm)
 
 
 class InsufficientDataError(RuntimeError):
@@ -64,9 +65,18 @@ def remainder_trace(f, H0, V, n):
 def _remainder_trace(f, D0, D1, Vm, n):
     """``remainder_trace`` from the decompositions D0 of H0 and D1 of
     H0+V."""
-    base = float(np.trace(apply_function(f, D0).mat).real)
-    pert = float(np.trace(apply_function(f, D1).mat).real)
+    base, pert = _traces(f, [D0, D1])
     return pert - base - sum(expansion_terms(f, D0, Vm, n))
+
+
+def _traces(f, Ds):
+    """Tr f(H) for the matrix H of each decomposition in Ds (all of one
+    dimension), from one evaluation of f over all their spectra; each trace
+    is still formed from f(H) in its own eigenbasis."""
+    fvals = np.asarray(f.value(np.concatenate([D.index_values() for D in Ds])),
+                       dtype=float).reshape(len(Ds), -1)
+    return [float(np.trace(_function_of(D, fv).mat).real)
+            for D, fv in zip(Ds, fvals)]
 
 
 def operator_remainder(f, H0, V, p):
@@ -88,12 +98,17 @@ def remainder_sweep(f, H0, V, n, eps_grid):
     """Remainder traces over an epsilon grid; terms are computed once and
     rescaled as eps^p, only the perturbed trace is re-evaluated."""
     Hm, Vm = as_matrix(H0), as_matrix(V)
-    D0 = decompose(Hm)
-    base = float(np.trace(apply_function(f, D0).mat).real)
+    return _remainder_sweep(f, Hm, decompose(Hm), Vm, n, eps_grid)
+
+
+def _remainder_sweep(f, Hm, D0, Vm, n, eps_grid):
+    """``remainder_sweep`` from H0 and its decomposition D0: f is evaluated
+    once, over the spectra of H0 and of every H0 + eps V together."""
+    Ds = [D0] + [decompose(Hm + eps * Vm) for eps in eps_grid]
+    base, *perts = _traces(f, Ds)
     taus = expansion_terms(f, D0, Vm, n)
     out = []
-    for eps in eps_grid:
-        pert = float(np.trace(apply_function(f, decompose(Hm + eps * Vm)).mat).real)
+    for eps, pert in zip(eps_grid, perts):
         poly = sum(tau * eps**p for p, tau in enumerate(taus, start=1))
         out.append(pert - base - poly)
     return out
@@ -117,8 +132,7 @@ def expansion_report(f, H0, V, n):
     Hm, Vm = as_matrix(H0), as_matrix(V)
     D0 = decompose(Hm)
     D1 = decompose(Hm + Vm)
-    base = float(np.trace(apply_function(f, D0).mat).real)
-    pert = float(np.trace(apply_function(f, D1).mat).real)
+    base, pert = _traces(f, [D0, D1])
     taus = expansion_terms(f, D0, Vm, n)
     rem = pert - base - sum(taus)
     R = _operator_remainder(f, D0, D1, Vm, n)

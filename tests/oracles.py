@@ -156,6 +156,14 @@ def load_json(path):
         return HermitianOperator.from_json_dict(json.load(fh))
 
 
+def trace(A):
+    return complex(np.trace(as_matrix(A)))
+
+
+def abs_max(interval):
+    return max(abs(interval.lo), abs(interval.hi))
+
+
 def psd_leq(A, B, tol=1e-10):
     """A <= B in the positive-semidefinite order, up to -tol on the minimum
     eigenvalue of B - A."""
@@ -190,7 +198,7 @@ def projection_inequality_check(H0, W, interval, tol=1e-10):
     D = decompose(H0m + Wm)
     E = spectral_projection(D, interval)
     wn = operator_norm(Wm)
-    smax = interval.abs_max()
+    smax = abs_max(interval)
     rhs = ((1.0 + smax * smax) * (1.0 + wn + wn * wn)
            * np.linalg.inv(np.eye(n) + H0m @ H0m))
     return psd_leq(E, rhs, tol)

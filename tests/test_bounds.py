@@ -1,6 +1,7 @@
 import gc
 import time
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from tracetaylor.bounds import (a_sequence, compact_trace_norm_bound,
 from tracetaylor.operator_core import (HermitianOperator, Interval, decompose,
                                        random_hermitian,
                                        random_hermitian_in_window)
-from tracetaylor.scalar_functions import decompose_signed, make_poly_bump
+from tracetaylor.scalar_functions import (SmoothCompactFunction,
+                                          decompose_signed, make_poly_bump)
 from tracetaylor.taylor import remainder_trace
 
 A_TABLE = [2, 4, 6, 10, 14, 20, 26, 36, 46, 60, 74, 94, 114, 140]
@@ -164,3 +166,37 @@ def test_constants_do_not_keep_the_function_alive():
     del f
     gc.collect()
     assert ref() is None
+
+
+def _all_constants(f, orders):
+    return [(n, bounds._root_constants(f, n), bounds._signed_root_constants(f, n),
+             hs_constant(f, n)) for n in orders]
+
+
+def test_constants_evaluate_each_function_order_and_grid_once(monkeypatch):
+    # the dyadic roots and u-weighted products are memoized on f, and every
+    # function keeps its L2 norms per (order, grid) and its sup, so building
+    # the constants of orders 1-3 evaluates no derivative twice at the same
+    # points
+    calls = Counter()
+    seen = []
+    deriv = SmoothCompactFunction.deriv
+
+    def counted(self, j, x):
+        seen.append(self)  # keeps ids unique while counting
+        calls[id(self), j, np.asarray(x, float).tobytes()] += 1
+        return deriv(self, j, x)
+
+    monkeypatch.setattr(SmoothCompactFunction, "deriv", counted)
+    _all_constants(make_poly_bump(0.0, 1.0, 20), (1, 2, 3))
+    assert calls and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("m", [20, 10])
+def test_memoized_constants_equal_those_of_a_fresh_function(m):
+    shared = make_poly_bump(0.0, 1.0, m)
+    orders = (3, 1, 2)
+    memoized = _all_constants(shared, orders)
+    assert _all_constants(shared, orders) == memoized
+    for got in memoized:
+        assert _all_constants(make_poly_bump(0.0, 1.0, m), got[:1]) == [got]

@@ -296,6 +296,45 @@ def test_trials_solve_each_matrix_once(monkeypatch):
         calls.clear()
         cli._certify_trial((cfg, 4, order, 0))
         assert len(calls) == 2
+        # sweep: H0 once for the remainders and the bounds, and H0 + eps V
+        # once per epsilon
+        calls.clear()
+        cli._sweep_trial((cfg, 4, order, 0))
+        assert len(calls) == 1 + len(cfg.epsilons)
+
+
+def test_sweep_trial_evaluates_f_once(monkeypatch):
+    # one f pass over the spectra of H0 and of every H0 + eps V
+    cfg = cli.ExperimentConfig()
+    f = cfg.function()
+    values = []
+    value = type(f).value
+    monkeypatch.setattr(type(f), "value", lambda self, x: (
+        self is f and values.append(x)) or value(self, x))
+    for order in (1, 2, 3):
+        values.clear()
+        cli._sweep_trial((cfg, 4, order, 0))
+        assert len(values) == 1
+        assert values[0].size == 4 * (1 + len(cfg.epsilons))
+
+
+@pytest.mark.parametrize("command, config", [
+    ("certify", "bump_m = 4\norders = 1,2,3\ndims = 4\ntrials = 2\n"),
+    ("sweep", "bump_m = 4\norders = 1,2,3\ndims = 4\ntrials = 2\n"),
+    ("shift", "bump_m = 3\norders = 1,2\ndims = 4\ntrials = 2\n"),
+], ids=["certify", "sweep", "shift"])
+def test_too_few_derivatives_for_the_command_exits_2(tmp_path, capsys, command,
+                                                     config):
+    # validate accepts these (every order is at most bump_m - 1), but the
+    # dyadic roots (certify, sweep) or the second-order check (shift) need
+    # more derivatives than the bump has
+    cfg = write_cfg(tmp_path, config, "smooth.txt")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"config error: {command} needs more derivatives")
 
 
 def test_shift_command(tmp_path):

@@ -162,3 +162,22 @@ def test_tensor_needs_ascending_values():
     f = make_poly_bump(0.0, 1.0, 8)
     with pytest.raises(ValueError):
         divided_difference_tensor(f, np.array([0.2, -0.1]), 1)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
+def test_tensor_evaluates_each_order_once(monkeypatch, p):
+    # f^(r) is evaluated once per order r <= p, at all the values at once,
+    # and gathered by index; a repeated value needs every order
+    f = make_poly_bump(0.0, 1.0, 12)
+    lam = np.array([-0.4, -0.1, -0.1, 0.3, 0.6, 0.6])
+    calls = []
+    deriv = type(f).deriv
+    monkeypatch.setattr(type(f), "deriv", lambda self, j, x: (
+        calls.append((j, x)) or deriv(self, j, x)))
+    F = divided_difference_tensor(f, lam, p)
+    assert len(calls) <= p + 1
+    assert sorted(j for j, _ in calls) == list(range(p + 1))
+    assert all(np.array_equal(x, lam) for _, x in calls)
+    monkeypatch.undo()
+    for idx in combinations_with_replacement(range(lam.size), p + 1):
+        assert F[idx] == divided_difference_loop(f, lam[list(idx)])

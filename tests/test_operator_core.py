@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import (load_json, projection_inequality_check, psd_leq,
-                     resolvent_inequality_check, spectral_projection,
+                     resolvent_inequality_check, spectral_projection, trace,
                      trace_class_bound_check)
 from tracetaylor.operator_core import (HermitianOperator,
                                        _cluster,
@@ -11,7 +11,7 @@ from tracetaylor.operator_core import (HermitianOperator,
                                        decompose, operator_norm,
                                        random_hermitian,
                                        random_hermitian_in_window,
-                                       schatten_norm, trace)
+                                       schatten_norm)
 from tracetaylor.scalar_functions import make_plateau_bump, make_poly_bump
 
 

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from tracetaylor.scalar_functions import (DerivativeOrderError,
+from tracetaylor.scalar_functions import (_SUP_GRID, DerivativeOrderError,
                                           FractionalPower,
                                           UnsupportedFamilyError,
+                                          _grid_points,
                                           decompose_signed, dyadic_root,
                                           fourier_l1_norm, fractional_root,
                                           gp_seminorm, make_plateau_bump,
-                                          make_poly_bump, product_with_u2,
+                                          make_poly_bump, product_with_u,
+                                          product_with_u2,
                                           sup_norm, weight_u, zero_function)
 
 
@@ -166,3 +168,60 @@ def test_decompose_signed():
     assert np.min(f2.value(xs)) >= -1e-12
     z1, z2 = decompose_signed(zero_function(), 1)
     assert np.max(np.abs(z1.value(xs) - z2.value(xs))) < 1e-15
+
+
+def test_fractional_power_grid_pass_equals_deriv():
+    # the positive half of a signed split has breaks at the plateau joints
+    # and at the support edges of f, and no exact dyadic root; its roots read
+    # one table of base derivatives per grid, in whatever order the orders
+    # are asked for, and must agree bitwise with deriv at the same points
+    f = make_poly_bump(0.1, 0.8, 10)
+    base = decompose_signed(f, 3)[0]
+    roots = [FractionalPower(base, 2.0 ** -k, 4) for k in (1, 2)]
+    for grid in (64, 128, _SUP_GRID):
+        x = _grid_points(base, grid)
+        assert np.array_equal(x, _grid_points(roots[0], grid))
+        assert np.any(x < base.breaks[1]) and np.any(x > base.breaks[-2])
+        for r in roots:
+            for j in (2, 0, 4, 1, 3):
+                assert np.array_equal(r._grid_deriv(j, grid), r.deriv(j, x))
+
+
+def test_roots_share_one_base_evaluation(monkeypatch):
+    f = make_poly_bump(0.1, 0.8, 10)
+    base = decompose_signed(f, 3)[0]
+    calls = []
+    deriv = type(base).deriv
+    monkeypatch.setattr(type(base), "deriv", lambda self, j, x: (
+        calls.append((self, j)) or deriv(self, j, x)))
+    for k in (1, 2):
+        r = fractional_root(base, k, max_order=4)
+        for d in (1, 2, 3):
+            gp_seminorm(r, d)
+        sup_norm(r)
+    # orders 0..4 on two quadrature grids, and the values on the sup grid
+    assert sorted(j for _, j in calls) == sorted(list(range(5)) * 2 + [0])
+    assert all(obj is base for obj, _ in calls)
+
+
+def test_values_memoized_on_the_function_match_a_fresh_one():
+    f = make_poly_bump(0.0, 1.0, 20)
+    xs = np.linspace(-1.1, 1.1, 57)
+    made = {k: dyadic_root(f, k) for k in (2, 1)}
+    made["u"], made["u2"] = product_with_u(f), product_with_u2(f)
+    again = {k: dyadic_root(f, k) for k in (1, 2)}
+    again["u"], again["u2"] = product_with_u(f), product_with_u2(f)
+    assert all(made[key] is again[key] for key in made)
+    fresh = make_poly_bump(0.0, 1.0, 20)
+    expect = {1: dyadic_root(fresh, 1), 2: make_poly_bump(0.0, 1.0, 5),
+              "u": product_with_u(make_poly_bump(0.0, 1.0, 20)),
+              "u2": product_with_u2(make_poly_bump(0.0, 1.0, 20))}
+    for key, g in made.items():
+        for j in range(3):
+            assert np.array_equal(g.deriv(j, xs), expect[key].deriv(j, xs))
+    assert sup_norm(f) == sup_norm(fresh) == sup_norm(f)
+    # the L2 norms are kept per order and grid (so few panels that the
+    # quadrature depends on the grid)
+    for panels in (2, 4, 1):
+        assert gp_seminorm(f, 2, panels) == gp_seminorm(
+            make_poly_bump(0.0, 1.0, 20), 2, panels)

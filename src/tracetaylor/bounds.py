@@ -4,6 +4,7 @@ trace-norm bounds, and the Hilbert-Schmidt-resolvent constant."""
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,29 @@ from .scalar_functions import (_memoized, decompose_signed, fractional_root,
                                sup_norm, weight_u)
 
 
+# each Check op: its comparison, and the sign that the FAIL text shows
+_OPS = {"<=": (operator.le, ">"), ">=": (operator.ge, "<")}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One gate, ``value op threshold`` with ``op`` '<=' or '>='.  It passes
+    only for a finite value on the right side, so NaN and inf fail; its
+    string is the FAIL text, the value on the wrong side of the threshold."""
+    name: str
+    value: float
+    op: str
+    threshold: float
+
+    @property
+    def passed(self):
+        return (math.isfinite(self.value)
+                and bool(_OPS[self.op][0](self.value, self.threshold)))
+
+    def __str__(self):
+        return f"{self.name} {self.value:.6g} {_OPS[self.op][1]} {self.threshold:.6g}"
+
+
 @dataclass
 class BoundCertificate:
     kind: str
@@ -25,9 +49,13 @@ class BoundCertificate:
     rhs: float
     ingredients: dict = field(default_factory=dict)
 
+    def check(self, name):
+        """``lhs <= rhs`` up to a relative 1e-9, as a Check named ``name``."""
+        return Check(name, self.lhs, "<=", self.rhs + 1e-9 * (1.0 + self.rhs))
+
     @property
     def passed(self):
-        return self.lhs <= self.rhs + 1e-9 * (1.0 + self.rhs)
+        return self.check(self.kind).passed
 
     def to_json_dict(self):
         return {"kind": self.kind, "lhs": self.lhs, "rhs": self.rhs,

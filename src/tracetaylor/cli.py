@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, divided_diff, moi, shift, taylor
+from .bounds import Check
 from .operator_core import (decompose, random_hermitian,
                             random_hermitian_in_window)
 from .scalar_functions import (DerivativeOrderError, fourier_l1_norm,
@@ -147,11 +148,25 @@ def _write_rows(path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
-def _map(cfg, fn, args_list):
+def _map(cfg, fn, work=None):
+    """``fn`` over ``work`` (default: every (cfg, dim, order, trial)), in order."""
+    if work is None:
+        work = [(cfg, d, n, t) for d in cfg.dims for n in cfg.orders
+                for t in range(cfg.trials)]
     if cfg.jobs > 1:
         with Pool(cfg.jobs) as pool:
-            return pool.map(fn, args_list)
-    return [fn(a) for a in args_list]
+            return pool.map(fn, work)
+    return [fn(a) for a in work]
+
+
+def _conclude(command, summary, checks):
+    """Print ``summary(verdict)``, then name each failing check of the
+    ``(where, Check)`` pairs on stderr; the exit code."""
+    failed = [(where, c) for where, c in checks if not c.passed]
+    print(summary("FAIL" if failed else "PASS"))
+    for where, c in failed:
+        print(f"{command}: FAIL {where}: {c}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 # -- expand ---------------------------------------------------------------
@@ -165,26 +180,21 @@ def _expand_trial(args):
 
 
 def cmd_expand(cfg, out_dir):
-    work = [(cfg, d, n, t) for d in cfg.dims for n in cfg.orders
-            for t in range(cfg.trials)]
-    results = _map(cfg, _expand_trial, work)
+    results = _map(cfg, _expand_trial)
     max_tau = max((len(r.terms) for *_, r in results), default=0)
     header = (["seed", "dim", "n", "trial", "base_trace", "perturbed_trace"]
               + [f"tau_{p}" for p in range(1, max_tau + 1)]
               + ["remainder_trace", "operator_remainder_trace_norm",
                  "identity_residual", "trace_norm_slack"])
-    rows = []
-    failures = []
+    rows, checks = [], []
     for dim, order, trial, rep in results:
         where = f"dim {dim}, n {order}, trial {trial}"
         ident = rep.identity_residual()
-        ident_tol = 1e-10 * (1.0 + abs(rep.perturbed_trace))
-        if not ident <= ident_tol:
-            failures.append(f"{where}: identity_residual {ident:.6g} > {ident_tol:.6g}")
         # the trace norm of the operator remainder dominates |remainder trace|
         slack = rep.operator_remainder_trace_norm - abs(rep.remainder_trace)
-        if not slack >= -1e-10:
-            failures.append(f"{where}: trace_norm_slack {slack:.6g} < -1e-10")
+        checks += [(where, Check("identity_residual", ident, "<=",
+                                 1e-10 * (1.0 + abs(rep.perturbed_trace)))),
+                   (where, Check("trace_norm_slack", slack, ">=", -1e-10))]
         taus = list(rep.terms) + [0.0] * (max_tau - len(rep.terms))
         rows.append([str(cfg.seed), str(dim), str(order), str(trial),
                      _fmt(rep.base_trace), _fmt(rep.perturbed_trace)]
@@ -193,10 +203,8 @@ def cmd_expand(cfg, out_dir):
                        _fmt(rep.operator_remainder_trace_norm),
                        _fmt(ident), _fmt(slack)])
     _write_rows(out_dir / "expand.csv", header, rows)
-    print(f"expand: {len(rows)} trials, identities {'FAIL' if failures else 'PASS'}")
-    for line in failures:
-        print(f"expand: FAIL {line}", file=sys.stderr)
-    return 1 if failures else 0
+    return _conclude("expand", lambda verdict: (
+        f"expand: {len(rows)} trials, identities {verdict}"), checks)
 
 
 # -- sweep ----------------------------------------------------------------
@@ -220,26 +228,19 @@ def _sweep_trial(args):
 
 
 def cmd_sweep(cfg, out_dir):
-    work = [(cfg, d, n, t) for d in cfg.dims for n in cfg.orders
-            for t in range(cfg.trials)]
-    results = _map(cfg, _sweep_trial, work)
+    results = _map(cfg, _sweep_trial)
     header = ["seed", "dim", "n", "trial", "epsilon", "remainder_abs",
               "bound_compact", "bound_hs", "slope"]
-    rows = []
-    failures = []
+    rows, checks = [], []
     for dim, order, trial, rems, bc, bh, slope in results:
-        threshold = order - cfg.slope_margin
-        if not (slope >= threshold):
-            failures.append(f"dim {dim}, n {order}, trial {trial}: "
-                            f"slope {slope:.6g} < threshold {threshold:.6g}")
+        checks.append((f"dim {dim}, n {order}, trial {trial}",
+                       Check("slope", slope, ">=", order - cfg.slope_margin)))
         for eps, r, c, h in zip(cfg.epsilons, rems, bc, bh):
             rows.append([str(cfg.seed), str(dim), str(order), str(trial),
                          _fmt(eps), _fmt(abs(r)), _fmt(c), _fmt(h), _fmt(slope)])
     _write_rows(out_dir / "sweep.csv", header, rows)
-    print(f"sweep: {len(results)} fits, slopes {'FAIL' if failures else 'PASS'}")
-    for line in failures:
-        print(f"sweep: FAIL {line}", file=sys.stderr)
-    return 1 if failures else 0
+    return _conclude("sweep", lambda verdict: (
+        f"sweep: {len(results)} fits, slopes {verdict}"), checks)
 
 
 # -- certify --------------------------------------------------------------
@@ -261,30 +262,23 @@ def _certify_trial(args):
 
 
 def cmd_certify(cfg, out_dir):
-    work = [(cfg, d, n, t) for d in cfg.dims for n in cfg.orders
-            for t in range(cfg.trials)]
-    results = _map(cfg, _certify_trial, work)
-    payload = []
-    failures = []
+    results = _map(cfg, _certify_trial)
+    payload, checks = [], []
     for dim, order, trial, certs in results:
         for name, cert in certs.items():
             d = cert.to_json_dict()
             d.update({"check": name, "seed": cfg.seed, "dim": dim,
                       "n": order, "trial": trial})
-            if not cert.passed:
-                failures.append(f"{name}, dim {dim}, n {order}, trial {trial}: "
-                                f"lhs {cert.lhs:.6g} > rhs {cert.rhs:.6g}")
+            checks.append((f"dim {dim}, n {order}, trial {trial}", cert.check(name)))
             payload.append(d)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "certificates.json", "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
     n_pass = sum(1 for d in payload if d["passed"])
-    print(f"certify: {n_pass}/{len(payload)} certificates PASS"
-          + (" (FAILURES)" if failures else ""))
-    for line in failures:
-        print(f"certify: FAIL {line}", file=sys.stderr)
-    return 1 if failures else 0
+    return _conclude("certify", lambda verdict: (
+        f"certify: {n_pass}/{len(payload)} certificates PASS"
+        + ("" if verdict == "PASS" else " (FAILURES)")), checks)
 
 
 # -- shift ----------------------------------------------------------------
@@ -303,17 +297,13 @@ def _shift_trial(args):
 def cmd_shift(cfg, out_dir):
     work = [(cfg, d, t) for d in cfg.dims for t in range(cfg.trials)]
     results = _map(cfg, _shift_trial, work)
-    rows = []
-    failures = []
+    rows, checks = [], []
     out_dir.mkdir(parents=True, exist_ok=True)
     for dim, trial, r1, r2, cert, data in results:
         where = f"dim {dim}, trial {trial}"
-        if not r1 <= 1e-10:
-            failures.append(f"{where}: first_order_residual {r1:.6g} > 1e-10")
-        if not r2 <= 1e-8:
-            failures.append(f"{where}: second_order_residual {r2:.6g} > 1e-08")
-        if not cert.passed:
-            failures.append(f"{where}: eta_l1 {cert.lhs:.6g} > {cert.rhs:.6g}")
+        checks += [(where, Check("first_order_residual", r1, "<=", 1e-10)),
+                   (where, Check("second_order_residual", r2, "<=", 1e-8)),
+                   (where, cert.check("eta_l1"))]
         rows.append([str(cfg.seed), str(dim), str(trial), _fmt(r1), _fmt(r2),
                      _fmt(cert.lhs), _fmt(cert.rhs)])
         with open(out_dir / f"shift_d{dim}_t{trial}.json", "w") as fh:
@@ -322,53 +312,48 @@ def cmd_shift(cfg, out_dir):
     _write_rows(out_dir / "shift.csv",
                 ["seed", "dim", "trial", "first_order_residual",
                  "second_order_residual", "eta_l1", "eta_l1_bound"], rows)
-    print(f"shift: {len(rows)} trials {'FAIL' if failures else 'PASS'}")
-    for line in failures:
-        print(f"shift: FAIL {line}", file=sys.stderr)
-    return 1 if failures else 0
+    return _conclude("shift", lambda verdict: (
+        f"shift: {len(rows)} trials {verdict}"), checks)
 
 
 # -- selftest -------------------------------------------------------------
 
 def cmd_selftest(cfg):
-    failures = []
-
-    def check(name, cond):
-        print(f"  {'PASS' if cond else 'FAIL'}  {name}")
-        if not cond:
-            failures.append(name)
-
-    check("constant table a_1..a_14",
-          [bounds.a_sequence(k) for k in range(1, 15)]
-          == [2, 4, 6, 10, 14, 20, 26, 36, 46, 60, 74, 94, 114, 140])
-    check("dyadic depth j_1..j_8",
-          [bounds.j_of(k) for k in range(1, 9)]
-          == [1 + int(math.floor(math.log2(k))) for k in range(1, 9)])
+    a_table = [2, 4, 6, 10, 14, 20, 26, 36, 46, 60, 74, 94, 114, 140]
+    checks = [  # (label, Check) per item
+        ("constant table a_1..a_14", Check(
+            "a_k mismatches", sum(bounds.a_sequence(k) != a
+                                  for k, a in enumerate(a_table, 1)), "<=", 0)),
+        ("dyadic depth j_1..j_8", Check(
+            "j_k mismatches", sum(bounds.j_of(k) != 1 + int(math.floor(math.log2(k)))
+                                  for k in range(1, 9)), "<=", 0))]
 
     f = make_poly_bump(0.0, 1.0, 10)
     rng = np.random.default_rng(cfg.seed)
-    worst_sqrt = 0.0
-    worst_u = 0.0
+    sqrt_res, u_res = [], []
     for _ in range(50):
         p = int(rng.integers(1, 4))
         nodes = rng.uniform(-0.9, 0.9, size=p + 1)
         if rng.random() < 0.3:
             nodes[0] = nodes[-1]  # force a confluent cluster
-        worst_sqrt = max(worst_sqrt, divided_diff.sqrt_split_residual(f, nodes))
-        worst_u = max(worst_u, divided_diff.u_conjugation_residual(f, nodes))
-    check("sqrt-split scalar identity residual <= 1e-9", worst_sqrt <= 1e-9)
-    check("u-conjugation scalar identity residual <= 1e-9", worst_u <= 1e-9)
+        sqrt_res.append(divided_diff.sqrt_split_residual(f, nodes))
+        u_res.append(divided_diff.u_conjugation_residual(f, nodes))
+    # np.max keeps a NaN residual, where max() may drop it
+    checks += [("sqrt-split scalar identity residual <= 1e-9",
+                Check("sqrt_split_residual", np.max(sqrt_res), "<=", 1e-9)),
+               ("u-conjugation scalar identity residual <= 1e-9",
+                Check("u_conjugation_residual", np.max(u_res), "<=", 1e-9))]
 
-    ok_dom = True
+    excess = []
     for p in (1, 2, 3):
         rep = gp_seminorm(f, p)
         four = fourier_l1_norm(f, p)
         margin = rep.quadrature_error + 1e-3 * four + 1e-12
-        if four / math.factorial(p) > rep.value_gp + margin:
-            ok_dom = False
-    check("Fourier / G_p domination (p <= 3)", ok_dom)
+        excess.append(four / math.factorial(p) - (rep.value_gp + margin))
+    checks.append(("Fourier / G_p domination (p <= 3)",
+                   Check("fourier_excess", np.max(excess), "<=", 0.0)))
 
-    ok_alg = True
+    alg_res = []
     for trial in range(5):
         rng2 = trial_rng(cfg.seed, 6, 2, trial)
         H = random_hermitian_in_window(rng2, 6, -0.8, 0.8)
@@ -377,27 +362,26 @@ def cmd_selftest(cfg):
         g = make_poly_bump(0.1, 0.9, 8)
         phi1 = divided_diff.DividedDifferenceCache(f)
         phi2 = divided_diff.DividedDifferenceCache(g)
-        r = moi.additivity_check(phi1, phi2, D, Vs)
-        r = max(r, moi.product_split_check(phi1, phi2, D, Vs, 1))
-        r = max(r, moi.edge_multiplier_check(
-            lambda x: g.value(x), phi1, lambda x: f.value(x), D, Vs))
-        if r > 1e-9:
-            ok_alg = False
-    check("operator-integral algebra residuals <= 1e-9", ok_alg)
+        alg_res += [moi.additivity_check(phi1, phi2, D, Vs),
+                    moi.product_split_check(phi1, phi2, D, Vs, 1),
+                    moi.edge_multiplier_check(lambda x: g.value(x), phi1,
+                                              lambda x: f.value(x), D, Vs)]
+    checks.append(("operator-integral algebra residuals <= 1e-9",
+                   Check("algebra_residual", np.max(alg_res), "<=", 1e-9)))
 
-    ok_tr = True
+    tr_res = []
     for trial in range(5):
         rng2 = trial_rng(cfg.seed, 5, 3, trial)
         H = random_hermitian_in_window(rng2, 5, -0.8, 0.8)
         D = decompose(H.mat)
         V = random_hermitian(rng2, 5, norm=0.5)
-        for k in (1, 2, 3):
-            if moi.moi_trace_identity_check(f, D, V.mat, k) > 1e-9:
-                ok_tr = False
-    check("trace identity residuals <= 1e-9", ok_tr)
+        tr_res += [moi.moi_trace_identity_check(f, D, V.mat, k) for k in (1, 2, 3)]
+    checks.append(("trace identity residuals <= 1e-9",
+                   Check("trace_identity_residual", np.max(tr_res), "<=", 1e-9)))
 
-    print(f"selftest: {'PASS' if not failures else 'FAIL'}")
-    return 0 if not failures else 1
+    for label, check in checks:
+        print(f"  {'PASS' if check.passed else 'FAIL'}  {label}")
+    return _conclude("selftest", lambda verdict: f"selftest: {verdict}", checks)
 
 
 # -- entry point ----------------------------------------------------------

@@ -94,10 +94,7 @@ def moi_trace_identity_check(f, D, V, k):
     """|Tr T_{f^[k]}(V,..,V) - (1/k) sum (f')^[k-1] Tr(E V .. E V)|, both
     sides computed independently."""
     lhs = np.trace(evaluate_moi(f, D, [V] * k)).real
-    if k == 1:
-        rhs = trace_derivative_first(f, D, V)
-    else:
-        rhs = trace_derivative_higher(f, D, V, k) / math.factorial(k)
+    rhs = _trace_derivative(f, D, V, k) / math.factorial(k)
     return abs(lhs - rhs)
 
 

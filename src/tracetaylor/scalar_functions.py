@@ -509,9 +509,13 @@ def _quad_rule(f, panels):
 _SUP_GRID = "sup"
 
 
-def _sup_points(f, extra_points=None):
-    """``sup_norm``'s sample of f's support: 4001 equispaced points, the
-    breaks and the extras inside (empty for an empty support)."""
+def _grid_points(f, grid):
+    """The points of f's sampling grid ``grid``: the flattened quadrature
+    nodes for ``grid`` panels, or for ``_SUP_GRID`` the sup sample of f's
+    support, 4001 equispaced points and the breaks (empty for an empty
+    support)."""
+    if grid != _SUP_GRID:
+        return _quad_rule(f, grid)[0].ravel()
     if f.unbounded:
         lo, hi = -1e3, 1e3
     else:
@@ -519,18 +523,7 @@ def _sup_points(f, extra_points=None):
         if hi <= lo:
             return np.empty(0)
     pts = [np.linspace(lo, hi, 4001), np.asarray(getattr(f, "breaks", []), float)]
-    if extra_points is not None:
-        ex = np.asarray(extra_points, float)
-        pts.append(ex[(ex >= lo) & (ex <= hi)])
     return np.unique(np.concatenate(pts))
-
-
-def _grid_points(f, grid):
-    """The points of f's sampling grid ``grid``: the flattened quadrature
-    nodes for ``grid`` panels, or for ``_SUP_GRID`` the sup sample."""
-    if grid == _SUP_GRID:
-        return _sup_points(f)
-    return _quad_rule(f, grid)[0].ravel()
 
 
 def _l2_norm_deriv(f, order, panels):
@@ -595,12 +588,10 @@ def fourier_l1_norm(f, p, grid=2**14):
     return float(np.trapezoid(mag[band], s[band]))
 
 
-def sup_norm(f, extra_points=None):
-    """Sup of |f| over its support (dense grid plus breakpoints and extras);
-    without extras it is memoized on f."""
-    if extra_points is None:
-        return _memoized(f, "sup_norm", lambda: _max_abs(f._grid_deriv(0, _SUP_GRID)))
-    return _max_abs(f.value(_sup_points(f, extra_points)))
+def sup_norm(f):
+    """Sup of |f| over its support (dense grid plus breakpoints), memoized
+    on f."""
+    return _memoized(f, "sup_norm", lambda: _max_abs(f._grid_deriv(0, _SUP_GRID)))
 
 
 def _max_abs(values):

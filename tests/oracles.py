@@ -212,7 +212,8 @@ def trace_class_bound_check(f, D, tol=1e-10):
     lo, hi = f.support
     supp = Interval(lo, hi)
     lhs1 = float(np.sum(np.abs(fv)))
-    rhs1 = sup_norm(f, extra_points=lam) * counting_trace(D, supp)
+    # sup|f| over the support and the spectrum (f vanishes off its support)
+    rhs1 = max(sup_norm(f), float(np.max(np.abs(fv)))) * counting_trace(D, supp)
     ok1 = lhs1 <= rhs1 + tol * (1.0 + rhs1)
     u = np.sqrt(1.0 + lam * lam)
     lhs2 = float(np.sqrt(np.sum((fv * u) ** 2)))

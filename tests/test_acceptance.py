@@ -121,7 +121,7 @@ def test_criterion_05_derivative_formula():
             err = np.linalg.norm(g - fd, 2)
             tol = 1e-5 * (1 + vnorm) ** p
             worst = max(worst, err / tol)
-            if err > tol:
+            if not err <= tol:
                 ok = False
     verdict(5, f"p-th derivative equals p! times the operator integral "
                f"(worst error ratio {worst:.2e})", ok)
@@ -135,7 +135,7 @@ def test_criterion_06_trace_identities():
         D = decompose(H.mat)
         for k in (1, 2, 3):
             rel = 1.0 + abs(np.trace(moi.evaluate_moi(F12, D, [V] * k)).real)
-            if moi.moi_trace_identity_check(F12, D, V, k) > 1e-9 * rel:
+            if not moi.moi_trace_identity_check(F12, D, V, k) <= 1e-9 * rel:
                 ok = False
     verdict(6, "trace identity for operator integrals via the spectral "
                "measure, k in {1,2,3}, 50 trials", ok)
@@ -146,7 +146,7 @@ def test_criterion_07_first_order_trace_formula():
     for trial in range(50):
         dim = 2 + trial % 7
         H, V = instance(7000 + trial, dim, vnorm=0.25)
-        if shift.first_order_check(F12, *shift_instance(H, V)) > 1e-10:
+        if not shift.first_order_check(F12, *shift_instance(H, V)) <= 1e-10:
             ok = False
     verdict(7, "first-order trace formula against the counting-difference "
                "step function, 50 trials", ok)
@@ -159,7 +159,7 @@ def test_criterion_08_second_order_density():
         H, V = instance(8000 + trial, dim, vnorm=0.2)
         D0, _, data = shift_instance(H, V)
         rem = taylor.remainder_trace(F12, H, V, 2)
-        if shift.second_order_check(F12, data, rem) > 1e-8:
+        if not shift.second_order_check(F12, data, rem) <= 1e-8:
             ok = False
         if not shift.eta_l1_bound_check(D0, V, data).passed:
             ok = False
@@ -185,20 +185,20 @@ def test_criterion_09_moi_algebra():
         p2 = divided_diff.DividedDifferenceCache(g)
         perts2 = [V, W]
         perts3 = [V, W, V]
-        if moi.additivity_check(p1, p2, D, perts2) > 1e-9:
+        if not moi.additivity_check(p1, p2, D, perts2) <= 1e-9:
             ok = False
-        if moi.additivity_check(p1, p2, D, perts3) > 1e-9:
+        if not moi.additivity_check(p1, p2, D, perts3) <= 1e-9:
             ok = False
         for k in (1, 2):
-            if moi.product_split_check(p1, p2, D, perts2, k) > 1e-9:
+            if not moi.product_split_check(p1, p2, D, perts2, k) <= 1e-9:
                 ok = False
-        if moi.product_split_check(p1, p2, D, perts3, 2) > 1e-9:
+        if not moi.product_split_check(p1, p2, D, perts3, 2) <= 1e-9:
             ok = False
-        if moi.edge_multiplier_check(lambda x: g.value(x), p1,
-                                     lambda x: F12.value(x), D, perts2) > 1e-9:
+        if not moi.edge_multiplier_check(lambda x: g.value(x), p1,
+                                         lambda x: F12.value(x), D, perts2) <= 1e-9:
             ok = False
-        if moi.edge_multiplier_check(lambda x: g.value(x), p1,
-                                     lambda x: F12.value(x), D, perts3) > 1e-9:
+        if not moi.edge_multiplier_check(lambda x: g.value(x), p1,
+                                         lambda x: F12.value(x), D, perts3) <= 1e-9:
             ok = False
     verdict(9, "operator-integral algebra: additivity, product splitting, "
                "edge-multiplier absorption (p <= 3)", ok)
@@ -242,11 +242,11 @@ def test_criterion_11_scalar_identities():
             nodes[:] = nodes[0]       # fully confluent
         elif r < 0.4:
             nodes[-1] = nodes[0]      # one confluent pair
-        res = max(divided_diff.sqrt_split_residual(F12, nodes),
-                  divided_diff.u_conjugation_residual(F12, nodes))
-        worst = max(worst, res)
-        if res > 1e-9:
-            ok = False
+        for res in (divided_diff.sqrt_split_residual(F12, nodes),
+                    divided_diff.u_conjugation_residual(F12, nodes)):
+            worst = max(worst, res)
+            if not res <= 1e-9:
+                ok = False
     verdict(11, f"sqrt-split and two-sided u-weighting identities, 100 node "
                 f"sets with confluent clusters (worst {worst:.2e})", ok)
 
@@ -277,7 +277,7 @@ def test_criterion_13_fourier_domination():
             rep = gp_seminorm(f, p)
             lhs = fourier_l1_norm(f, p) / math.factorial(p)
             margin = rep.quadrature_error + 1e-3 * lhs + 1e-12
-            if lhs > rep.value_gp + margin:
+            if not lhs <= rep.value_gp + margin:
                 ok = False
     verdict(13, "L1 Fourier norm of the p-th derivative over p! is dominated "
                 "by the G_p seminorm, bump family, p <= 3", ok)
@@ -291,7 +291,7 @@ def test_criterion_14_integral_remainder():
         for p in (1, 2, 3):
             r32 = integral_remainder_check(F12, H, V, p, quad_nodes=32)
             r64 = integral_remainder_check(F12, H, V, p, quad_nodes=64)
-            if r32 > 1e-8 or r64 > 1e-8:
+            if not (r32 <= 1e-8 and r64 <= 1e-8):
                 ok = False
     verdict(14, "integral representation of the operator remainder, stable "
                 "under quadrature node doubling", ok)

@@ -8,8 +8,8 @@ import pytest
 
 from oracles import counting_trace_sup
 from tracetaylor import bounds
-from tracetaylor.bounds import (a_sequence, compact_trace_norm_bound,
-                                hs_constant, j_of, remainder_bound_compact,
+from tracetaylor.bounds import (BoundCertificate, Check, a_sequence,
+                                compact_trace_norm_bound, hs_constant, j_of, remainder_bound_compact,
                                 remainder_bound_hs)
 from tracetaylor.operator_core import (HermitianOperator, Interval, decompose,
                                        random_hermitian,
@@ -26,6 +26,32 @@ def rand_instance(seed, dim, vnorm=0.2):
     H = random_hermitian_in_window(rng, dim, -0.7, 0.7)
     V = random_hermitian(rng, dim, norm=vnorm)
     return H, V.mat
+
+
+def test_check_passes_only_finite_values_on_the_right_side():
+    for op, inside, outside in (("<=", 0.5, 2.0), (">=", 2.0, 0.5)):
+        assert Check("r", inside, op, 1.0).passed
+        assert Check("r", 1.0, op, 1.0).passed
+        assert not Check("r", outside, op, 1.0).passed
+        for v in (float("nan"), float("inf"), -float("inf")):
+            assert not Check("r", v, op, 1.0).passed
+    with pytest.raises(KeyError):
+        Check("r", 0.5, "<", 1.0).passed
+    # the FAIL text puts the value on the wrong side of the threshold
+    assert str(Check("slope", 1.840372, ">=", 1.85)) == "slope 1.84037 < 1.85"
+    assert (str(Check("second_order_residual", float("nan"), "<=", 1e-8))
+            == "second_order_residual nan > 1e-08")
+    assert str(Check("a_k mismatches", 3, "<=", 0)) == "a_k mismatches 3 > 0"
+
+
+def test_certificate_passes_through_its_check():
+    # lhs <= rhs up to a relative 1e-9, and a NaN side fails
+    assert BoundCertificate("k", 1.0 + 1.5e-9, 1.0).passed
+    assert not BoundCertificate("k", 1.0 + 2.5e-9, 1.0).passed
+    assert not BoundCertificate("k", float("nan"), 1.0).passed
+    assert not BoundCertificate("k", 0.0, float("nan")).passed
+    assert str(BoundCertificate("k", 2.0, 1.0).check("remainder_hs")) == \
+        "remainder_hs 2 > 1"
 
 
 def test_constant_table():

@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from tracetaylor import bounds, cli, operator_core, shift, taylor
+from tracetaylor import bounds, cli, divided_diff, moi, operator_core, shift, taylor
 
 SMALL_CFG = """
 seed = 11
@@ -158,16 +159,18 @@ def test_certify_flags_corrupted_constant(tmp_path, monkeypatch, capsys):
     out = tmp_path / "mut"
     code = cli.main(["certify", "--config", cfg, "--out", str(out)])
     assert code == 1
-    # each failing certificate is named on stderr with its check, instance,
-    # lhs and rhs; stdout keeps the one summary line
+    # each failing certificate is named on stderr with its instance, check,
+    # lhs and the rhs it was compared against; stdout keeps the one summary line
     captured = capsys.readouterr()
     failed = [c for c in json.loads((out / "certificates.json").read_text())
               if not c["passed"]]
     lines = captured.err.splitlines()
     assert failed and len(lines) == len(failed)
     for c, line in zip(failed, lines):
-        assert line == (f"certify: FAIL {c['check']}, dim {c['dim']}, n {c['n']}, "
-                        f"trial {c['trial']}: lhs {c['lhs']:.6g} > rhs {c['rhs']:.6g}")
+        threshold = c["rhs"] + 1e-9 * (1.0 + c["rhs"])
+        assert line == (f"certify: FAIL dim {c['dim']}, n {c['n']}, "
+                        f"trial {c['trial']}: {c['check']} {c['lhs']:.6g} > "
+                        f"{threshold:.6g}")
     assert captured.out.splitlines()[-1].endswith("certificates PASS (FAILURES)")
 
 
@@ -186,8 +189,7 @@ def test_sweep_names_failing_fits(tmp_path, capsys):
         _, dim, n, trial, *_, slope = row.split(",")
         fits[(int(dim), int(n), int(trial))] = float(slope)
     assert captured.err.splitlines() == [
-        f"sweep: FAIL dim {d}, n {n}, trial {t}: "
-        f"slope {s:.6g} < threshold {n + 10:.6g}"
+        f"sweep: FAIL dim {d}, n {n}, trial {t}: slope {s:.6g} < {n + 10:.6g}"
         for (d, n, t), s in fits.items()]
     # the report does not depend on the margin
     assert (out_ok / "sweep.csv").read_bytes() == (out_bad / "sweep.csv").read_bytes()
@@ -243,22 +245,25 @@ def test_shift_names_failing_trials(tmp_path, monkeypatch, capsys):
         for _, dim, trial, _, r2, *_ in rows]
 
 
-@pytest.mark.parametrize("command", ["shift", "expand"])
+# command: (owner and name of the value made NaN, the FAIL text it causes)
+NAN_GATES = {
+    "shift": (taylor, "_remainder_trace", "second_order_residual nan > "),
+    "expand": (taylor.ExpansionReport, "identity_residual", "identity_residual nan > "),
+    "certify": (taylor, "_remainder_trace", "remainder_(compact|hs) nan > "),
+    "sweep": (taylor, "scaling_exponent", "slope nan < "),
+}
+
+
+@pytest.mark.parametrize("command", list(NAN_GATES))
 def test_nan_residual_fails_its_gate(tmp_path, monkeypatch, capsys, command):
     # a NaN compares false both ways: each gate must name it as a failure
-    nan = float("nan")
-    if command == "shift":
-        monkeypatch.setattr(taylor, "_remainder_trace", lambda *args: nan)
-        column = "second_order_residual"
-    else:
-        monkeypatch.setattr(taylor.ExpansionReport, "identity_residual",
-                            lambda self: nan)
-        column = "identity_residual"
+    owner, name, text = NAN_GATES[command]
+    monkeypatch.setattr(owner, name, lambda *args: float("nan"))
     cfg = write_cfg(tmp_path)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "nan")]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err and all(line.startswith(f"{command}: FAIL dim ") for line in err)
-    assert all(f": {column} nan > " in line for line in err)
+    assert err and all(re.fullmatch(rf"{command}: FAIL dim [^:]*: {text}\S+", line)
+                       for line in err)
 
 
 def test_bounds_take_the_remainder_they_certify(monkeypatch):
@@ -347,6 +352,23 @@ def test_shift_command(tmp_path):
 
 def test_selftest_passes():
     assert cli.main(["selftest"]) == 0
+
+
+@pytest.mark.parametrize("module, name, check", [
+    (divided_diff, "sqrt_split_residual", "sqrt_split_residual"),
+    (moi, "moi_trace_identity_check", "trace_identity_residual"),
+    (moi, "additivity_check", "algebra_residual"),
+], ids=["sqrt_split", "trace_identity", "moi_algebra"])
+def test_selftest_fails_on_nan_residual(monkeypatch, capsys, module, name, check):
+    # max() over residuals may drop a NaN: the item must still fail
+    monkeypatch.setattr(module, name, lambda *args: float("nan"))
+    assert cli.main(["selftest"]) == 1
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert out[-1] == "selftest: FAIL"
+    [item] = [line[len("  FAIL  "):] for line in out if line.startswith("  FAIL  ")]
+    assert captured.err.splitlines() == [
+        f"selftest: FAIL {item}: {check} nan > 1e-09"]
 
 
 def test_zero_scale_trials(tmp_path):

@@ -7,38 +7,25 @@ to this exact sum, which is what everything here evaluates.
 """
 
 import math
-from itertools import product
 
 import numpy as np
 
 from .divided_diff import divided_difference_tensor
 from .operator_core import apply_function, as_matrix, schatten_norm
 
-
-def _tabulate(phi, lam, p):
-    """Tensor phi(lam_{i0},..,lam_{ip}) of a callable (p+1)-variable symbol
-    over all index tuples."""
-    F = np.empty((lam.size,) * (p + 1))
-    for idx in product(range(lam.size), repeat=p + 1):
-        F[idx] = float(phi(*(lam[i] for i in idx)))
-    return F
-
-
 _EINSUM_LETTERS = "abcdefghij"
 
 
-def evaluate_symbol_moi(phi, D, perturbations):
-    """Spectral-sum operator integral T_phi(V_1..V_p) as a matrix.  ``phi``
-    is a callable (p+1)-variable symbol or its tensor over the index tuples
-    of ``D.index_values()``."""
+def evaluate_symbol_moi(F, D, perturbations):
+    """Spectral-sum operator integral T_phi(V_1..V_p) as a matrix, for the
+    tensor ``F`` of a (p+1)-variable symbol phi over the index tuples of
+    ``D.index_values()`` (a vector when p = 0)."""
     p = len(perturbations)
     U = D.eigenvectors
-    lam = D.index_values()
-    n = lam.size
+    n = D.dim
     for V in perturbations:
         if as_matrix(V).shape != (n, n):
             raise ValueError("perturbation dimension mismatch")
-    F = _tabulate(phi, lam, p) if callable(phi) else phi
     if p == 0:
         return (U * F) @ U.conj().T
     Vt = [U.conj().T @ as_matrix(V) @ U for V in perturbations]
@@ -98,42 +85,52 @@ def moi_trace_identity_check(f, D, V, k):
     return abs(lhs - rhs)
 
 
-def additivity_check(phi1, phi2, D, perturbations):
-    """Residual of T_{phi1+phi2} = T_{phi1} + T_{phi2}."""
-    both = evaluate_symbol_moi(lambda *a: phi1(*a) + phi2(*a), D, perturbations)
-    t1 = evaluate_symbol_moi(phi1, D, perturbations)
-    t2 = evaluate_symbol_moi(phi2, D, perturbations)
+def _glue(F1, F2):
+    """Tensor of the glued symbol F1(l_0..l_k) F2(l_k..l_p): F2's first
+    variable is F1's last."""
+    k, q = F1.ndim - 1, F2.ndim - 1
+    return F1.reshape(F1.shape + (1,) * q) * F2.reshape((1,) * k + F2.shape)
+
+
+def additivity_check(f, g, D, perturbations):
+    """Residual of T_{(f+g)^[p]} = T_{f^[p]} + T_{g^[p]}, with f + g built by
+    the function algebra (``f.add(g)``), not by adding the two tensors."""
+    both = evaluate_moi(f.add(g), D, perturbations)
+    t1 = evaluate_moi(f, D, perturbations)
+    t2 = evaluate_moi(g, D, perturbations)
     return schatten_norm(both - t1 - t2, 2)
 
 
-def product_split_check(phi1, phi2, D, perturbations, k):
+def product_split_check(f, g, D, perturbations, k):
     """Residual of the glued-symbol factorization
-    T_{phi1 . phi2}(V_1..V_p) = T_{phi1}(V_1..V_k) T_{phi2}(V_{k+1}..V_p)."""
+    T_{phi1 . phi2}(V_1..V_p) = T_{phi1}(V_1..V_k) T_{phi2}(V_{k+1}..V_p)
+    for phi1 = f^[k] and phi2 = g^[p-k]."""
     p = len(perturbations)
     if not 0 <= k <= p:
         raise ValueError("split index out of range")
-
-    def glued(*lams):
-        return phi1(*lams[: k + 1]) * phi2(*lams[k:])
-
-    whole = evaluate_symbol_moi(glued, D, perturbations)
-    left = evaluate_symbol_moi(phi1, D, perturbations[:k])
-    right = evaluate_symbol_moi(phi2, D, perturbations[k:])
+    lam = D.index_values()
+    F1 = divided_difference_tensor(f, lam, k)
+    F2 = divided_difference_tensor(g, lam, p - k)
+    whole = evaluate_symbol_moi(_glue(F1, F2), D, perturbations)
+    left = evaluate_symbol_moi(F1, D, perturbations[:k])
+    right = evaluate_symbol_moi(F2, D, perturbations[k:])
     return schatten_norm(whole - left @ right, 2)
 
 
-def edge_multiplier_check(psi1, phi, psi2, D, perturbations):
+def edge_multiplier_check(psi1, f, psi2, D, perturbations):
     """Residual of absorbing the edge multipliers into the outer
-    perturbations: T_{psi1 phi psi2}(V_1,..,V_p) = T_phi(psi1(H)V_1,..,V_p psi2(H))."""
-    if not perturbations:
+    perturbations: T_{psi1 f^[p] psi2}(V_1,..,V_p) equals
+    T_{f^[p]}(psi1(H)V_1,..,V_p psi2(H)), with psi1(lambda_0) and
+    psi2(lambda_p) broadcast onto the symbol tensor."""
+    p = len(perturbations)
+    if not p:
         raise ValueError("needs at least one perturbation")
-
-    def weighted(*lams):
-        return psi1(lams[0]) * phi(*lams) * psi2(lams[-1])
-
+    lam = D.index_values()
+    F = divided_difference_tensor(f, lam, p)
+    weighted = _glue(_glue(psi1.value(lam), F), psi2.value(lam))
     lhs = evaluate_symbol_moi(weighted, D, perturbations)
     mod = [as_matrix(V) for V in perturbations]
-    mod[0] = evaluate_symbol_moi(psi1, D, []) @ mod[0]
-    mod[-1] = mod[-1] @ evaluate_symbol_moi(psi2, D, [])
-    rhs = evaluate_symbol_moi(phi, D, mod)
+    mod[0] = apply_function(psi1, D).mat @ mod[0]
+    mod[-1] = mod[-1] @ apply_function(psi2, D).mat
+    rhs = evaluate_symbol_moi(F, D, mod)
     return schatten_norm(lhs - rhs, 2)

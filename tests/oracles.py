@@ -19,8 +19,7 @@ import numpy as np
 
 from tracetaylor.divided_diff import (DividedDifferenceCache, _merged_nodes,
                                       divided_difference)
-from tracetaylor.moi import (_tabulate, evaluate_moi, evaluate_symbol_moi,
-                             gateaux_derivative)
+from tracetaylor.moi import evaluate_moi, evaluate_symbol_moi, gateaux_derivative
 from tracetaylor.operator_core import (HermitianOperator, Interval,
                                        apply_function, as_matrix,
                                        counting_trace, decompose,
@@ -133,11 +132,12 @@ def permutation_symmetry_residual(f, nodes):
     nodes = tuple(float(t) for t in nodes)
     ref = divided_difference(f, nodes)
     rng = np.random.default_rng(0)
-    worst = 0.0
+    devs = []
     for _ in range(10):
         perm = tuple(np.asarray(nodes)[rng.permutation(len(nodes))])
-        worst = max(worst, abs(divided_difference(f, perm) - ref))
-    return worst
+        devs.append(abs(divided_difference(f, perm) - ref))
+    # np.max keeps a NaN deviation, where max() from 0.0 drops it
+    return float(np.max(devs))
 
 
 def mean_value_bound_check(f, nodes):
@@ -242,10 +242,10 @@ def schatten_bound_check(f, D, perturbations, alphas, alpha):
     return lhs <= rhs + 1e-9 * (1.0 + rhs)
 
 
-def hilbert_schmidt_bound_check(phi, D, V):
+def hilbert_schmidt_bound_check(F, D, V):
     """||T_phi(V)||_2 <= ||phi||_inf ||V||_2 with the sup taken over spectrum
-    pairs (phi a two-variable bounded symbol)."""
-    F = _tabulate(phi, D.index_values(), 1)
+    pairs, for the (n, n) tensor ``F`` of a two-variable bounded symbol phi
+    over the index pairs of ``D.index_values()``."""
     rhs = float(np.max(np.abs(F))) * schatten_norm(V, 2)
     return schatten_norm(evaluate_symbol_moi(F, D, [V]), 2) <= rhs + 1e-9 * (1.0 + rhs)
 

@@ -181,24 +181,20 @@ def test_criterion_09_moi_algebra():
         rng = np.random.default_rng(9500 + trial)
         W = random_hermitian(rng, dim, norm=0.5).mat
         D = decompose(H.mat)
-        p1 = divided_diff.DividedDifferenceCache(F12)
-        p2 = divided_diff.DividedDifferenceCache(g)
         perts2 = [V, W]
         perts3 = [V, W, V]
-        if not moi.additivity_check(p1, p2, D, perts2) <= 1e-9:
+        if not moi.additivity_check(F12, g, D, perts2) <= 1e-9:
             ok = False
-        if not moi.additivity_check(p1, p2, D, perts3) <= 1e-9:
+        if not moi.additivity_check(F12, g, D, perts3) <= 1e-9:
             ok = False
         for k in (1, 2):
-            if not moi.product_split_check(p1, p2, D, perts2, k) <= 1e-9:
+            if not moi.product_split_check(F12, g, D, perts2, k) <= 1e-9:
                 ok = False
-        if not moi.product_split_check(p1, p2, D, perts3, 2) <= 1e-9:
+        if not moi.product_split_check(F12, g, D, perts3, 2) <= 1e-9:
             ok = False
-        if not moi.edge_multiplier_check(lambda x: g.value(x), p1,
-                                         lambda x: F12.value(x), D, perts2) <= 1e-9:
+        if not moi.edge_multiplier_check(g, F12, F12, D, perts2) <= 1e-9:
             ok = False
-        if not moi.edge_multiplier_check(lambda x: g.value(x), p1,
-                                         lambda x: F12.value(x), D, perts3) <= 1e-9:
+        if not moi.edge_multiplier_check(g, F12, F12, D, perts3) <= 1e-9:
             ok = False
     verdict(9, "operator-integral algebra: additivity, product splitting, "
                "edge-multiplier absorption (p <= 3)", ok)
@@ -224,7 +220,7 @@ def test_criterion_10_norm_bounds():
         H, V = instance(11000 + trial, dim, vnorm=0.6)
         D = decompose(H.mat)
         if not hilbert_schmidt_bound_check(
-                divided_diff.DividedDifferenceCache(F12), D, V):
+                divided_diff.divided_difference_tensor(F12, D.index_values(), 1), D, V):
             ok = False
     verdict(10, "Schatten-Holder and Hilbert-Schmidt symbol bounds, "
                 "100 trials each", ok)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tracetaylor import bounds, cli, divided_diff, moi, operator_core, shift, taylor
+from tracetaylor.scalar_functions import SmoothCompactFunction
 
 SMALL_CFG = """
 seed = 11
@@ -369,6 +370,16 @@ def test_selftest_fails_on_nan_residual(monkeypatch, capsys, module, name, check
     [item] = [line[len("  FAIL  "):] for line in out if line.startswith("  FAIL  ")]
     assert captured.err.splitlines() == [
         f"selftest: FAIL {item}: {check} nan > 1e-09"]
+
+
+def test_selftest_fails_when_the_function_sum_drops_a_summand(monkeypatch, capsys):
+    # the additivity item compares T over (f + g)^[p], built by
+    # SmoothCompactFunction.add, against T over f^[p] plus T over g^[p]
+    monkeypatch.setattr(SmoothCompactFunction, "add", lambda self, other: self)
+    assert cli.main(["selftest"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("  FAIL  ")] == [
+        "  FAIL  operator-integral algebra residuals <= 1e-9"]
 
 
 def test_zero_scale_trials(tmp_path):

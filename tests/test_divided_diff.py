@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (PolynomialProbe, divided_difference_loop,
                      mean_value_bound_check, permutation_symmetry_residual)
 from tracetaylor.divided_diff import (DividedDifferenceCache, divided_difference,
@@ -78,6 +79,15 @@ def test_permutation_symmetry():
     a = divided_difference(f, (0.3, 0.3, 0.6))
     b = divided_difference(f, (0.3, 0.6, 0.3))
     assert abs(a - b) < 1e-9
+
+
+def test_permutation_symmetry_fails_on_nan(monkeypatch):
+    # a NaN divided difference must not read as a zero deviation
+    monkeypatch.setattr(oracles, "divided_difference", lambda f, nodes: float("nan"))
+    f = make_poly_bump(0.0, 1.0, 8)
+    assert not permutation_symmetry_residual(f, (0.1, 0.7)) < 1e-12
+    nodes = np.random.default_rng(0).uniform(-0.9, 0.9, 4)
+    assert not permutation_symmetry_residual(f, nodes) < 1e-9
 
 
 def test_sqrt_split_low_order():

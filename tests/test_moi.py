@@ -5,7 +5,8 @@ import pytest
 
 from oracles import (PolynomialProbe, finite_difference_derivative,
                      hilbert_schmidt_bound_check, schatten_bound_check)
-from tracetaylor.divided_diff import DividedDifferenceCache, divided_difference
+from tracetaylor import moi
+from tracetaylor.divided_diff import divided_difference, divided_difference_tensor
 from tracetaylor.moi import (additivity_check, edge_multiplier_check,
                              evaluate_moi, evaluate_symbol_moi,
                              gateaux_derivative, moi_trace_identity_check,
@@ -13,7 +14,8 @@ from tracetaylor.moi import (additivity_check, edge_multiplier_check,
                              trace_derivative_higher)
 from tracetaylor.operator_core import (decompose, random_hermitian,
                                        random_hermitian_in_window)
-from tracetaylor.scalar_functions import make_plateau_bump, make_poly_bump
+from tracetaylor.scalar_functions import (SmoothCompactFunction,
+                                          make_plateau_bump, make_poly_bump)
 
 
 def rand_instance(seed, dim, vnorm=0.5, lo=-0.8, hi=0.8):
@@ -110,12 +112,11 @@ def test_moi_trace_identity():
 def test_algebra_trivial_cases():
     f = make_poly_bump(0.0, 1.0, 8)
     H, D, V = rand_instance(8, 5)
-    phi = DividedDifferenceCache(f)
-    one = lambda *a: 1.0
+    one = make_plateau_bump(-0.9, 0.9, 0.05, 3)  # equals 1 on the spectrum
     # phi2 == 1 glued at the last variable: T_phi(V) times identity
-    assert product_split_check(phi, one, D, [V], 1) < 1e-9
+    assert product_split_check(f, one, D, [V], 1) < 1e-9
     # trivial edge multipliers
-    assert edge_multiplier_check(lambda x: 1.0, phi, lambda x: 1.0, D, [V, V]) < 1e-9
+    assert edge_multiplier_check(one, f, one, D, [V, V]) < 1e-9
 
 
 def test_algebra_random_splits():
@@ -125,11 +126,46 @@ def test_algebra_random_splits():
         H, D, V = rand_instance(seed, 5)
         rng = np.random.default_rng(seed + 100)
         W = random_hermitian(rng, 5, norm=0.7).mat
-        p1, p2 = DividedDifferenceCache(f), DividedDifferenceCache(g)
-        assert additivity_check(p1, p2, D, [V, W]) < 1e-9
-        assert product_split_check(p1, p2, D, [V, W], 1) < 1e-9
-        assert edge_multiplier_check(lambda x: g.value(x), p1,
-                                     lambda x: f.value(x), D, [V, W]) < 1e-9
+        assert additivity_check(f, g, D, [V, W]) < 1e-9
+        assert product_split_check(f, g, D, [V, W], 1) < 1e-9
+        assert edge_multiplier_check(g, f, f, D, [V, W]) < 1e-9
+
+
+def algebra_instance(seed=10):
+    f = make_poly_bump(0.0, 1.0, 12)
+    g = make_poly_bump(0.2, 0.9, 8)
+    H, D, V = rand_instance(seed, 5)
+    W = random_hermitian(np.random.default_rng(seed + 100), 5, norm=0.7).mat
+    return f, g, D, V, W
+
+
+def test_additivity_check_fails_when_the_sum_drops_a_summand(monkeypatch):
+    f, g, D, V, W = algebra_instance()
+    monkeypatch.setattr(SmoothCompactFunction, "add", lambda self, other: self)
+    assert additivity_check(f, g, D, [V, W]) > 1e-6
+
+
+def test_product_split_check_fails_when_glued_at_the_wrong_variable(monkeypatch):
+    f, g, D, V, W = algebra_instance()
+    glue = moi._glue
+
+    def glue_at_previous_variable(F1, F2):
+        # F2's first variable becomes l_{k-1} instead of l_k
+        k = F1.ndim - 1
+        return np.swapaxes(glue(F1, F2), k - 1, k)
+
+    monkeypatch.setattr(moi, "_glue", glue_at_previous_variable)
+    assert product_split_check(f, g, D, [V, W], 1) > 1e-6
+    assert product_split_check(f, g, D, [V, W, V], 2) > 1e-6
+
+
+def test_edge_multiplier_check_fails_with_the_multipliers_swapped(monkeypatch):
+    f, g, D, V, W = algebra_instance()
+    apply = moi.apply_function
+    # the right side absorbs psi2(H) into V_1 and psi1(H) into V_p
+    monkeypatch.setattr(moi, "apply_function",
+                        lambda psi, D: apply(f if psi is g else g, D))
+    assert edge_multiplier_check(g, f, f, D, [V, W]) > 1e-6
 
 
 def test_schatten_bound():
@@ -148,15 +184,16 @@ def test_schatten_bound():
 def test_hilbert_schmidt_bound():
     f = make_poly_bump(0.0, 1.0, 8)
     H, D, V = rand_instance(15, 8)
-    assert hilbert_schmidt_bound_check(lambda a, b: 1.0, D, V)
-    assert hilbert_schmidt_bound_check(DividedDifferenceCache(f), D, V)
-    assert hilbert_schmidt_bound_check(DividedDifferenceCache(f), D, np.zeros((8, 8)))
+    F = divided_difference_tensor(f, D.index_values(), 1)
+    assert hilbert_schmidt_bound_check(np.ones((8, 8)), D, V)
+    assert hilbert_schmidt_bound_check(F, D, V)
+    assert hilbert_schmidt_bound_check(F, D, np.zeros((8, 8)))
 
 
 def test_symbol_moi_multilinearity():
     f = make_poly_bump(0.0, 1.0, 8)
     H, D, V = rand_instance(16, 4)
-    phi = DividedDifferenceCache(f)
-    T1 = evaluate_symbol_moi(phi, D, [V, 2.0 * V])
-    T2 = evaluate_symbol_moi(phi, D, [V, V])
+    F = divided_difference_tensor(f, D.index_values(), 2)
+    T1 = evaluate_symbol_moi(F, D, [V, 2.0 * V])
+    T2 = evaluate_symbol_moi(F, D, [V, V])
     assert np.max(np.abs(T1 - 2.0 * T2)) < 1e-10

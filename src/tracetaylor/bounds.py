@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .moi import evaluate_moi
-from .operator_core import (Interval, as_matrix, counting_trace, operator_norm,
-                            schatten_norm)
+from .operator_core import Interval, counting_trace, operator_norm, schatten_norm
 # unused here, kept because bench/tests/test_tracer.py checks its rebinding
 from .operator_core import decompose  # noqa: F401
 from .scalar_functions import (_memoized, decompose_signed, fractional_root,
@@ -106,12 +105,11 @@ def compact_trace_norm_bound(f, D, V, n):
     """Trace-norm bound on the order-n operator integral with equal Hermitian
     perturbations, against the eigenvalue count of supp f and dyadic-root
     seminorms of f."""
-    Vm = as_matrix(V)
-    lhs = schatten_norm(evaluate_moi(f, D, [Vm] * n), 1)
+    lhs = schatten_norm(evaluate_moi(f, D, [V] * n), 1)
     an = a_sequence(n)
     lo, hi = f.support
     tr_e = counting_trace(D, Interval(lo, hi))
-    vn = operator_norm(Vm)
+    vn = operator_norm(V)
     sup_max, g_max = _root_constants(f, n)
     rhs = an * vn**n * tr_e * sup_max * g_max**n
     return BoundCertificate(
@@ -148,7 +146,7 @@ def remainder_bound_compact(f, D0, V, n, remainder):
     halves, (lo, hi) = _signed_root_constants(f, n)
     an = a_sequence(n)
     c1, c2 = (0.0 if h is None else an * h[0] * h[1]**n for h in halves)
-    vn = operator_norm(as_matrix(V))
+    vn = operator_norm(V)
     smax = max(abs(lo), abs(hi))
     inv_res_trace = inv_resolvent_trace(D0)
     cert_count = (1.0 + smax * smax) * (1.0 + vn + vn * vn) * inv_res_trace
@@ -183,7 +181,7 @@ def remainder_bound_hs(f, D0, V, n, remainder):
     remainder trace of f at (H0, V) with D0 the decomposition of H0: the
     eigenvalue-count factor is traded for Tr (1 + H0^2)^-1."""
     c = hs_constant(f, n)
-    vn = operator_norm(as_matrix(V))
+    vn = operator_norm(V)
     inv_res_trace = inv_resolvent_trace(D0)
     rhs = c * inv_res_trace * (1.0 + vn + vn * vn) * vn**n
     return BoundCertificate(

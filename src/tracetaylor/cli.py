@@ -119,8 +119,8 @@ def trial_rng(seed, dim, order, trial):
 
 
 def make_instance(cfg, dim, order, trial):
-    """Seeded (H0, V): spectrum placed inside the bump support, V normalized
-    to unit operator norm then scaled."""
+    """Seeded Hermitian matrices (H0, V): spectrum placed inside the bump
+    support, V normalized to unit operator norm then scaled."""
     rng = trial_rng(cfg.seed, dim, order, trial)
     lo = cfg.bump_center - 0.8 * cfg.bump_radius
     hi = cfg.bump_center + 0.8 * cfg.bump_radius
@@ -131,9 +131,9 @@ def make_instance(cfg, dim, order, trial):
 
 def _trial_spectra(cfg, dim, order, trial):
     """The seeded instance as the decompositions D0 of H0 and D1 of H0 + V,
-    and V as a matrix: a trial solves each of its two matrices once."""
+    and V: a trial solves each of its two matrices once."""
     H0, V = make_instance(cfg, dim, order, trial)
-    return decompose(H0.mat), decompose(H0.mat + V.mat), V.mat
+    return decompose(H0), decompose(H0 + V), V
 
 
 def _fmt(x):
@@ -174,8 +174,8 @@ def _conclude(command, summary, checks):
 def _expand_trial(args):
     cfg, dim, order, trial = args
     f = cfg.function()
-    H0, V = make_instance(cfg, dim, order, trial)
-    rep = taylor.expansion_report(f, H0, V, order)
+    D0, D1, V = _trial_spectra(cfg, dim, order, trial)
+    rep = taylor.expansion_report(f, D0, D1, V, order)
     return (dim, order, trial, rep)
 
 
@@ -213,15 +213,16 @@ def _sweep_trial(args):
     cfg, dim, order, trial = args
     f = cfg.function()
     H0, V = make_instance(cfg, dim, order, trial)
-    D0 = decompose(H0.mat)
-    rems = taylor._remainder_sweep(f, H0.mat, D0, V.mat, order, cfg.epsilons)
+    D0 = decompose(H0)
+    Ds = [decompose(H0 + eps * V) for eps in cfg.epsilons]
+    rems = taylor.remainder_sweep(f, D0, Ds, V, order, cfg.epsilons)
     try:
         slope = taylor.scaling_exponent(cfg.epsilons, rems, cfg.noise_floor)
     except taylor.InsufficientDataError:
         slope = float("nan")
     bc, bh = [], []
     for eps, rem in zip(cfg.epsilons, rems):
-        Veps = eps * V.mat
+        Veps = eps * V
         bc.append(bounds.remainder_bound_compact(f, D0, Veps, order, rem).rhs)
         bh.append(bounds.remainder_bound_hs(f, D0, Veps, order, rem).rhs)
     return (dim, order, trial, rems, bc, bh, slope)
@@ -358,8 +359,8 @@ def cmd_selftest(cfg):
     for trial in range(5):
         rng2 = trial_rng(cfg.seed, 6, 2, trial)
         H = random_hermitian_in_window(rng2, 6, -0.8, 0.8)
-        D = decompose(H.mat)
-        Vs = [random_hermitian(rng2, 6, norm=1.0).mat for _ in range(2)]
+        D = decompose(H)
+        Vs = [random_hermitian(rng2, 6, norm=1.0) for _ in range(2)]
         alg_res += [moi.additivity_check(f, g, D, Vs),
                     moi.product_split_check(f, g, D, Vs, 1),
                     moi.edge_multiplier_check(g, f, f, D, Vs)]
@@ -370,9 +371,9 @@ def cmd_selftest(cfg):
     for trial in range(5):
         rng2 = trial_rng(cfg.seed, 5, 3, trial)
         H = random_hermitian_in_window(rng2, 5, -0.8, 0.8)
-        D = decompose(H.mat)
+        D = decompose(H)
         V = random_hermitian(rng2, 5, norm=0.5)
-        tr_res += [moi.moi_trace_identity_check(f, D, V.mat, k) for k in (1, 2, 3)]
+        tr_res += [moi.moi_trace_identity_check(f, D, V, k) for k in (1, 2, 3)]
     checks.append(("trace identity residuals <= 1e-9",
                    Check("trace_identity_residual", np.max(tr_res), "<=", 1e-9)))
 

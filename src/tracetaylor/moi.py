@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .divided_diff import divided_difference_tensor
-from .operator_core import apply_function, as_matrix, schatten_norm
+from .operator_core import apply_function, schatten_norm
 
 _EINSUM_LETTERS = "abcdefghij"
 
@@ -24,11 +24,11 @@ def evaluate_symbol_moi(F, D, perturbations):
     U = D.eigenvectors
     n = D.dim
     for V in perturbations:
-        if as_matrix(V).shape != (n, n):
+        if V.shape != (n, n):
             raise ValueError("perturbation dimension mismatch")
     if p == 0:
         return (U * F) @ U.conj().T
-    Vt = [U.conj().T @ as_matrix(V) @ U for V in perturbations]
+    Vt = [U.conj().T @ V @ U for V in perturbations]
     idx = _EINSUM_LETTERS[: p + 1]
     spec = idx + "," + ",".join(idx[i: i + 2] for i in range(p)) + "->" + idx[0] + idx[-1]
     M = np.einsum(spec, F, *Vt)
@@ -55,7 +55,7 @@ def _trace_derivative(f, D, V, p):
     the eigenbasis entries of V: the trace of the p-th Gateaux derivative,
     for any p >= 1 (at p = 1, sum f'(lambda_i) (U*VU)_ii)."""
     U = D.eigenvectors
-    Vt = U.conj().T @ as_matrix(V) @ U
+    Vt = U.conj().T @ V @ U
     F = divided_difference_tensor(f.derivative(), D.index_values(), p - 1)
     idx = _EINSUM_LETTERS[:p]
     pairs = [idx[i] + idx[(i + 1) % p] for i in range(p)]
@@ -129,7 +129,7 @@ def edge_multiplier_check(psi1, f, psi2, D, perturbations):
     F = divided_difference_tensor(f, lam, p)
     weighted = _glue(_glue(psi1.value(lam), F), psi2.value(lam))
     lhs = evaluate_symbol_moi(weighted, D, perturbations)
-    mod = [as_matrix(V) for V in perturbations]
+    mod = list(perturbations)
     mod[0] = apply_function(psi1, D).mat @ mod[0]
     mod[-1] = mod[-1] @ apply_function(psi2, D).mat
     rhs = evaluate_symbol_moi(F, D, mod)

@@ -16,19 +16,17 @@ class EigensolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Interval:
+    """The closed interval [lo, hi]."""
+
     lo: float
     hi: float
-    closed_lo: bool = True
-    closed_hi: bool = True
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError("interval needs lo <= hi")
 
     def contains(self, x):
-        left = x >= self.lo if self.closed_lo else x > self.lo
-        right = x <= self.hi if self.closed_hi else x < self.hi
-        return left & right
+        return (x >= self.lo) & (x <= self.hi)
 
 
 @dataclass(frozen=True)
@@ -73,6 +71,8 @@ class HermitianOperator:
 
 
 def as_matrix(A):
+    """The matrix of a ``HermitianOperator``, or A as a complex ndarray: for
+    the entry points that accept either."""
     return A.mat if isinstance(A, HermitianOperator) else np.asarray(A, dtype=complex)
 
 
@@ -126,13 +126,12 @@ def _cluster(vals):
 
 
 def decompose(H):
-    """Eigendecomposition with gap-chained multiplicity clustering (see
-    ``_cluster``)."""
-    M = as_matrix(H)
+    """Eigendecomposition of the Hermitian matrix H with gap-chained
+    multiplicity clustering (see ``_cluster``)."""
     try:
-        w, U = np.linalg.eigh(M)
+        w, U = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigh failed for dim {M.shape[0]}: {exc}") from exc
+        raise EigensolverError(f"eigh failed for dim {H.shape[0]}: {exc}") from exc
     runs, cvals = _cluster(w)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=U,
                                  clusters=tuple(tuple(r) for r in runs),
@@ -156,7 +155,7 @@ def schatten_norm(A, alpha):
     operator norm."""
     if alpha != np.inf and alpha < 1:
         raise ValueError("Schatten order must be >= 1 or inf")
-    s = np.linalg.svd(as_matrix(A), compute_uv=False)
+    s = np.linalg.svd(A, compute_uv=False)
     if alpha == np.inf:
         return float(s[0]) if s.size else 0.0
     return float(np.sum(s ** alpha) ** (1.0 / alpha))
@@ -173,22 +172,23 @@ def counting_trace(D, interval):
 
 
 def random_hermitian(rng, n, norm=None):
-    """GUE-style Hermitian matrix; optionally rescaled to a given operator norm."""
+    """GUE-style Hermitian matrix, exactly symmetrized; optionally rescaled to
+    a given operator norm."""
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     A = 0.5 * (G + G.conj().T)
     if norm is not None:
         cur = operator_norm(A)
         if cur > 0:
             A = (norm / cur) * A
-    return HermitianOperator(A)
+    return HermitianOperator(A).mat
 
 
 def random_hermitian_in_window(rng, n, lo, hi):
-    """GUE-style matrix with spectrum affinely rescaled into [lo, hi]."""
-    A = random_hermitian(rng, n).mat
-    w, U = np.linalg.eigh(A)
+    """GUE-style matrix with spectrum affinely rescaled into [lo, hi], exactly
+    symmetrized."""
+    w, U = np.linalg.eigh(random_hermitian(rng, n))
     if w[-1] - w[0] < 1e-12:
         w2 = np.full_like(w, 0.5 * (lo + hi))
     else:
         w2 = lo + (w - w[0]) * (hi - lo) / (w[-1] - w[0])
-    return HermitianOperator((U * w2) @ U.conj().T)
+    return HermitianOperator((U * w2) @ U.conj().T).mat

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundCertificate, inv_resolvent_trace
-from .operator_core import Interval, apply_function, as_matrix, operator_norm
+from .operator_core import Interval, apply_function, operator_norm
 # unused here, kept because bench/tests/test_tracer.py checks its rebinding
 from .operator_core import decompose  # noqa: F401
 from .scalar_functions import DerivativeOrderError, _gauss_legendre
@@ -97,7 +97,7 @@ def default_window(D0, D1, V):
     vn = operator_norm(V)
     lo = float(min(w0[0], w1[0])) - 1.0 - vn
     hi = float(max(w0[-1], w1[-1])) + 1.0 + vn
-    return Interval(lo, hi, closed_lo=False, closed_hi=False)
+    return Interval(lo, hi)
 
 
 def xi(D0, D1, window):
@@ -117,7 +117,7 @@ def mu_measure(D0, V, window):
     """First-order measure: one atom per cluster inside the window, weighted
     by Tr(E_c V), the sum of the diagonal of U*VU over the cluster."""
     U = D0.eigenvectors
-    diag = np.einsum("ij,ij->j", U.conj(), as_matrix(V) @ U).real
+    diag = np.einsum("ij,ij->j", U.conj(), V @ U).real
     atoms = []
     for lam_c, idx in zip(D0.cluster_values, D0.clusters):
         if window.lo < lam_c < window.hi:

@@ -18,7 +18,6 @@ class InsufficientDataError(RuntimeError):
 
 @dataclass
 class ExpansionReport:
-    n: int
     base_trace: float
     perturbed_trace: float
     terms: list
@@ -31,14 +30,6 @@ class ExpansionReport:
         operator remainder against the remainder from the expansion terms
         (equal by the trace identity, up to floating-point error)."""
         return abs(self.operator_remainder_trace - self.remainder_trace)
-
-    def to_json_dict(self):
-        return {"n": self.n, "base_trace": self.base_trace,
-                "perturbed_trace": self.perturbed_trace,
-                "terms": list(self.terms),
-                "remainder_trace": self.remainder_trace,
-                "operator_remainder_trace": self.operator_remainder_trace,
-                "operator_remainder_trace_norm": self.operator_remainder_trace_norm}
 
 
 def expansion_terms(f, D0, V, n):
@@ -62,11 +53,10 @@ def remainder_trace(f, H0, V, n):
     return _remainder_trace(f, decompose(Hm), decompose(Hm + Vm), Vm, n)
 
 
-def _remainder_trace(f, D0, D1, Vm, n):
+def _remainder_trace(f, D0, D1, V, n):
     """``remainder_trace`` from the decompositions D0 of H0 and D1 of
-    H0+V."""
-    base, pert = _traces(f, [D0, D1])
-    return pert - base - sum(expansion_terms(f, D0, Vm, n))
+    H0+V: the one-point sweep at eps = 1."""
+    return remainder_sweep(f, D0, [D1], V, n, [1.0])[0]
 
 
 def _traces(f, Ds):
@@ -85,28 +75,22 @@ def operator_remainder(f, H0, V, p):
     return _operator_remainder(f, decompose(Hm), decompose(Hm + Vm), Vm, p)
 
 
-def _operator_remainder(f, D0, D1, Vm, p):
+def _operator_remainder(f, D0, D1, V, p):
     """``operator_remainder`` from the decompositions D0 of H0 and D1 of
     H0+V."""
     R = apply_function(f, D1).mat.copy()
     for k in range(p):
-        R -= evaluate_moi(f, D0, [Vm] * k)
+        R -= evaluate_moi(f, D0, [V] * k)
     return R
 
 
-def remainder_sweep(f, H0, V, n, eps_grid):
-    """Remainder traces over an epsilon grid; terms are computed once and
-    rescaled as eps^p, only the perturbed trace is re-evaluated."""
-    Hm, Vm = as_matrix(H0), as_matrix(V)
-    return _remainder_sweep(f, Hm, decompose(Hm), Vm, n, eps_grid)
-
-
-def _remainder_sweep(f, Hm, D0, Vm, n, eps_grid):
-    """``remainder_sweep`` from H0 and its decomposition D0: f is evaluated
-    once, over the spectra of H0 and of every H0 + eps V together."""
-    Ds = [D0] + [decompose(Hm + eps * Vm) for eps in eps_grid]
-    base, *perts = _traces(f, Ds)
-    taus = expansion_terms(f, D0, Vm, n)
+def remainder_sweep(f, D0, Ds, V, n, eps_grid):
+    """Remainder traces over an epsilon grid, from the decomposition D0 of H0
+    and the decompositions Ds of H0 + eps V, one per eps.  The terms are
+    computed once and rescaled as eps^p, and f is evaluated once, over all
+    the spectra together."""
+    base, *perts = _traces(f, [D0, *Ds])
+    taus = expansion_terms(f, D0, V, n)
     out = []
     for eps, pert in zip(eps_grid, perts):
         poly = sum(tau * eps**p for p, tau in enumerate(taus, start=1))
@@ -128,15 +112,14 @@ def scaling_exponent(eps_grid, remainders, noise_floor=1e-13):
     return float(slope)
 
 
-def expansion_report(f, H0, V, n):
-    Hm, Vm = as_matrix(H0), as_matrix(V)
-    D0 = decompose(Hm)
-    D1 = decompose(Hm + Vm)
+def expansion_report(f, D0, D1, V, n):
+    """Terms, both traces, the remainder trace and the operator remainder of
+    order n, from the decompositions D0 of H0 and D1 of H0+V."""
     base, pert = _traces(f, [D0, D1])
-    taus = expansion_terms(f, D0, Vm, n)
+    taus = expansion_terms(f, D0, V, n)
     rem = pert - base - sum(taus)
-    R = _operator_remainder(f, D0, D1, Vm, n)
-    return ExpansionReport(n=n, base_trace=base, perturbed_trace=pert,
+    R = _operator_remainder(f, D0, D1, V, n)
+    return ExpansionReport(base_trace=base, perturbed_trace=pert,
                            terms=taus, remainder_trace=rem,
                            operator_remainder_trace=float(np.trace(R).real),
                            operator_remainder_trace_norm=schatten_norm(R, 1))

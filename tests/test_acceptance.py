@@ -30,7 +30,7 @@ F12 = make_poly_bump(0.0, 1.0, 12)
 def shift_instance(H, V):
     """D0 = decompose(H), D1 = decompose(H + V) and the shift data of the
     pair over the default window."""
-    D0, D1 = decompose(H.mat), decompose(H.mat + V)
+    D0, D1 = decompose(H), decompose(H + V)
     return D0, D1, shift.shift_data(D0, D1, V, shift.default_window(D0, D1, V))
 
 
@@ -43,7 +43,7 @@ def instance(seed, dim, vnorm=0.2, window=(-0.8, 0.8)):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     H = random_hermitian_in_window(rng, dim, *window)
     V = random_hermitian(rng, dim, norm=vnorm)
-    return H, V.mat
+    return H, V
 
 
 def test_criterion_01_constant_tables():
@@ -68,7 +68,9 @@ def test_criterion_02_remainder_scaling():
                 # the asymptotic regime while the remainders stay above the
                 # fit's noise floor
                 H, V = instance(1000 * n + 10 * dim + trial, dim, vnorm=0.05)
-                rems = taylor.remainder_sweep(F20, H, V, n, EPS_GRID)
+                rems = taylor.remainder_sweep(
+                    F20, decompose(H), [decompose(H + e * V) for e in EPS_GRID],
+                    V, n, EPS_GRID)
                 slope = taylor.scaling_exponent(EPS_GRID, rems)
                 worst[n] = min(worst.get(n, np.inf), slope)
                 if not slope >= n - 0.15:
@@ -85,7 +87,7 @@ def test_criterion_03_compact_resolvent_bounds():
     for n in (1, 2, 3):
         for trial in range(50):
             H, V = instance(3000 + 100 * n + trial, 4 + trial % 3, vnorm=0.15)
-            D = decompose(H.mat)
+            D = decompose(H)
             if not bounds.compact_trace_norm_bound(F20, D, V, n).passed:
                 ok = False
             rem = taylor.remainder_trace(F20, H, V, n)
@@ -101,7 +103,7 @@ def test_criterion_04_hilbert_schmidt_bounds():
         for trial in range(50):
             H, V = instance(4000 + 100 * n + trial, 4 + trial % 3, vnorm=0.15)
             rem = taylor.remainder_trace(F20, H, V, n)
-            if not bounds.remainder_bound_hs(F20, decompose(H.mat), V, n, rem).passed:
+            if not bounds.remainder_bound_hs(F20, decompose(H), V, n, rem).passed:
                 ok = False
     verdict(4, "Hilbert-Schmidt-resolvent remainder bound, "
                "50 trials per n in {1,2,3}", ok)
@@ -114,10 +116,10 @@ def test_criterion_05_derivative_formula():
         dim = 3 + trial % 6
         vnorm = 0.1 + 0.02 * (trial % 5)
         H, V = instance(5000 + trial, dim, vnorm=vnorm)
-        D = decompose(H.mat)
+        D = decompose(H)
         for p in (1, 2, 3):
             g = moi.gateaux_derivative(F12, D, V, p)
-            fd = finite_difference_derivative(F12, H.mat, V, p)
+            fd = finite_difference_derivative(F12, H, V, p)
             err = np.linalg.norm(g - fd, 2)
             tol = 1e-5 * (1 + vnorm) ** p
             worst = max(worst, err / tol)
@@ -132,7 +134,7 @@ def test_criterion_06_trace_identities():
     for trial in range(50):
         dim = 3 + trial % 6
         H, V = instance(6000 + trial, dim, vnorm=0.3)
-        D = decompose(H.mat)
+        D = decompose(H)
         for k in (1, 2, 3):
             rel = 1.0 + abs(np.trace(moi.evaluate_moi(F12, D, [V] * k)).real)
             if not moi.moi_trace_identity_check(F12, D, V, k) <= 1e-9 * rel:
@@ -165,7 +167,7 @@ def test_criterion_08_second_order_density():
             ok = False
     H1 = HermitianOperator(np.array([[0.0]], dtype=complex))
     V1 = np.array([[0.3]], dtype=complex)
-    density = shift_instance(H1, V1)[2].eta
+    density = shift_instance(H1.mat, V1)[2].eta
     ts = np.linspace(0.01, 0.29, 29)
     closed_form = np.max(np.abs(density(ts) - (0.3 - ts))) <= 1e-12
     verdict(8, "second-order remainder equals the integral of f'' against "
@@ -179,8 +181,8 @@ def test_criterion_09_moi_algebra():
         dim = 3 + trial % 5
         H, V = instance(9000 + trial, dim, vnorm=0.5)
         rng = np.random.default_rng(9500 + trial)
-        W = random_hermitian(rng, dim, norm=0.5).mat
-        D = decompose(H.mat)
+        W = random_hermitian(rng, dim, norm=0.5)
+        D = decompose(H)
         perts2 = [V, W]
         perts3 = [V, W, V]
         if not moi.additivity_check(F12, g, D, perts2) <= 1e-9:
@@ -205,20 +207,20 @@ def test_criterion_10_norm_bounds():
     for trial in range(100):
         dim = 3 + trial % 6
         H, V = instance(10000 + trial, dim, vnorm=0.6)
-        D = decompose(H.mat)
+        D = decompose(H)
         if trial % 2 == 0:
             a0 = (1, 2, np.inf)[trial % 3]
             if not schatten_bound_check(F12, D, [V], [a0], a0):
                 ok = False
         else:
             rng = np.random.default_rng(10500 + trial)
-            W = random_hermitian(rng, dim, norm=0.4).mat
+            W = random_hermitian(rng, dim, norm=0.4)
             if not schatten_bound_check(F12, D, [V, W], [2, 2], 1):
                 ok = False
     for trial in range(100):
         dim = 3 + trial % 6
         H, V = instance(11000 + trial, dim, vnorm=0.6)
-        D = decompose(H.mat)
+        D = decompose(H)
         if not hilbert_schmidt_bound_check(
                 divided_diff.divided_difference_tensor(F12, D.index_values(), 1), D, V):
             ok = False
@@ -252,13 +254,13 @@ def test_criterion_12_psd_and_trace_class():
     rng = np.random.default_rng(12000)
     for trial in range(100):
         dim = 3 + trial % 6
-        H0 = random_hermitian(rng, dim).mat
-        W = random_hermitian(rng, dim, norm=float(rng.uniform(0.1, 2.0))).mat
+        H0 = random_hermitian(rng, dim)
+        W = random_hermitian(rng, dim, norm=float(rng.uniform(0.1, 2.0)))
         if not resolvent_inequality_check(H0, W, tol=1e-10):
             ok = False
         if not projection_inequality_check(H0, W, Interval(-1.0, 1.0), tol=1e-10):
             ok = False
-        D = decompose(random_hermitian_in_window(rng, dim, -1.4, 1.4).mat)
+        D = decompose(random_hermitian_in_window(rng, dim, -1.4, 1.4))
         if not trace_class_bound_check(F12, D, tol=1e-10):
             ok = False
     verdict(12, "resolvent/projection PSD inequalities and trace-class "

@@ -25,7 +25,7 @@ def rand_instance(seed, dim, vnorm=0.2):
     rng = np.random.default_rng(seed)
     H = random_hermitian_in_window(rng, dim, -0.7, 0.7)
     V = random_hermitian(rng, dim, norm=vnorm)
-    return H, V.mat
+    return H, V
 
 
 def test_check_passes_only_finite_values_on_the_right_side():
@@ -76,12 +76,12 @@ def test_dyadic_depth():
 def test_compact_trace_norm_bound():
     f = make_poly_bump(0.0, 1.0, 20)
     H, V = rand_instance(0, 5)
-    D = decompose(H.mat)
+    D = decompose(H)
     cert = compact_trace_norm_bound(f, D, np.zeros((5, 5)), 1)
     assert cert.passed and cert.lhs == 0.0
     for seed in range(5):
         H, V = rand_instance(seed, 5)
-        D = decompose(H.mat)
+        D = decompose(H)
         for n in (1, 2, 3):
             assert compact_trace_norm_bound(f, D, V, n).passed
 
@@ -91,8 +91,8 @@ def test_compact_bound_disjoint_spectrum():
     f = make_poly_bump(0.0, 1.0, 20)
     rng = np.random.default_rng(42)
     H = random_hermitian_in_window(rng, 4, 2.0, 3.0)
-    V = random_hermitian(rng, 4, norm=0.1).mat
-    D = decompose(H.mat)
+    V = random_hermitian(rng, 4, norm=0.1)
+    D = decompose(H)
     cert = compact_trace_norm_bound(f, D, V, 1)
     assert cert.ingredients["counting_trace"] == 0
     assert cert.lhs < 1e-12 and cert.passed
@@ -107,7 +107,7 @@ def test_remainder_bound_compact():
     lam, v = 0.2, 0.1
     H1 = HermitianOperator(np.array([[lam]], dtype=complex))
     V1 = np.array([[v]])
-    assert remainder_bound_compact(f, decompose(H1), V1, 2,
+    assert remainder_bound_compact(f, decompose(H1.mat), V1, 2,
                                    remainder_trace(f, H1, V1, 2)).passed
     for seed in range(5):
         H, V = rand_instance(seed + 10, 5)
@@ -142,7 +142,7 @@ def test_remainder_bound_hs():
     assert remainder_bound_hs(f, decompose(H), Z, 1, remainder_trace(f, H, Z, 1)).passed
     H1 = HermitianOperator(np.array([[0.3]], dtype=complex))
     V1 = np.array([[0.05]])
-    assert remainder_bound_hs(f, decompose(H1), V1, 1,
+    assert remainder_bound_hs(f, decompose(H1.mat), V1, 1,
                               remainder_trace(f, H1, V1, 1)).passed
     for seed in range(5):
         H, V = rand_instance(seed + 20, 5)
@@ -163,7 +163,7 @@ def test_certificate_serialization():
 def test_constants_are_computed_once_per_function(monkeypatch):
     f = make_poly_bump(0.0, 1.0, 20)
     H, V = rand_instance(4, 4)
-    D = decompose(H.mat)
+    D = decompose(H)
     calls = []
     seminorm = bounds.gp_seminorm
     monkeypatch.setattr(bounds, "gp_seminorm",

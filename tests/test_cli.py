@@ -307,6 +307,18 @@ def test_trials_solve_each_matrix_once(monkeypatch):
         calls.clear()
         cli._sweep_trial((cfg, 4, order, 0))
         assert len(calls) == 1 + len(cfg.epsilons)
+    for order in (3, 4):
+        calls.clear()
+        cli._expand_trial((cfg, 4, order, 0))
+        assert len(calls) == 2
+
+
+def test_instances_are_exactly_hermitian_ndarrays():
+    cfg = cli.ExperimentConfig()
+    for dim, order, trial in ((4, 1, 0), (8, 3, 9)):
+        for A in cli.make_instance(cfg, dim, order, trial):
+            assert type(A) is np.ndarray and A.shape == (dim, dim)
+            assert np.array_equal(A, A.conj().T)
 
 
 def test_sweep_trial_evaluates_f_once(monkeypatch):

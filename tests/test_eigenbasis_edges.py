@@ -16,7 +16,7 @@ from tracetaylor.taylor import (expansion_report, expansion_terms,
                                 remainder_trace)
 
 F = make_poly_bump(0.0, 1.0, 12)
-WINDOW = Interval(-2.0, 2.0, closed_lo=False, closed_hi=False)
+WINDOW = Interval(-2.0, 2.0)
 
 
 def test_dim_one_is_the_scalar_taylor_expansion():
@@ -35,7 +35,7 @@ def test_zero_perturbation_gives_exact_zeros():
     rng = np.random.default_rng(3)
     H0 = random_hermitian_in_window(rng, 5, -0.8, 0.8)
     Z = np.zeros((5, 5))
-    D0 = decompose(H0.mat)
+    D0 = decompose(H0)
     assert expansion_terms(F, D0, Z, 5) == [0.0] * 4
     for n in (1, 2, 3, 5):
         assert remainder_trace(F, H0, Z, n) == 0.0
@@ -46,7 +46,7 @@ def test_zero_perturbation_gives_exact_zeros():
 def test_multiple_of_identity_is_one_cluster():
     # H0 = c I: tau_p = f^(p)(c) Tr V^p / p!, and mu is one atom of mass Tr V
     c, n = 0.3, 6
-    V = random_hermitian(np.random.default_rng(4), n, norm=0.2).mat
+    V = random_hermitian(np.random.default_rng(4), n, norm=0.2)
     D0 = decompose(c * np.eye(n))
     assert D0.clusters == (tuple(range(n)),) and D0.cluster_values[0] == c
     tr_v = np.trace(V).real
@@ -70,6 +70,6 @@ def test_spectrum_on_support_edges_passes_the_expand_gate(f, spectrum):
     rng = np.random.default_rng(5)
     for n in (2, 3, 4):
         V = random_hermitian(rng, 4, norm=0.1)
-        rep = expansion_report(f, H0, V, n)
+        rep = expansion_report(f, decompose(H0), decompose(H0 + V), V, n)
         assert rep.identity_residual() <= 1e-10 * (1.0 + abs(rep.perturbed_trace))
         assert rep.operator_remainder_trace_norm - abs(rep.remainder_trace) >= -1e-10

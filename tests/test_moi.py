@@ -22,7 +22,7 @@ def rand_instance(seed, dim, vnorm=0.5, lo=-0.8, hi=0.8):
     rng = np.random.default_rng(seed)
     H = random_hermitian_in_window(rng, dim, lo, hi)
     V = random_hermitian(rng, dim, norm=vnorm)
-    return H, decompose(H.mat), V.mat
+    return H, decompose(H), V
 
 
 def test_first_order_square_probe():
@@ -50,7 +50,7 @@ def test_gateaux_vs_finite_difference():
     H, D, V = rand_instance(7, 4, vnorm=0.3)
     for p in (1, 2, 3):
         g = gateaux_derivative(f, D, V, p)
-        fd = finite_difference_derivative(f, H.mat, V, p)
+        fd = finite_difference_derivative(f, H, V, p)
         assert np.linalg.norm(g - fd, 2) < 1e-6 * (1 + 0.3) ** p
         # the derivative of a Hermitian family along Hermitian V is Hermitian
         assert np.max(np.abs(g - g.conj().T)) < 1e-9
@@ -68,8 +68,8 @@ def test_degenerate_spectrum_reduces_to_confluent_scalar():
     D = decompose(np.eye(3) * 0.4)
     f = make_poly_bump(0.0, 1.0, 8)
     rng = np.random.default_rng(3)
-    V1 = random_hermitian(rng, 3).mat
-    V2 = random_hermitian(rng, 3).mat
+    V1 = random_hermitian(rng, 3)
+    V2 = random_hermitian(rng, 3)
     T = evaluate_moi(f, D, [V1, V2])
     c = divided_difference(f, (0.4, 0.4, 0.4))
     assert np.max(np.abs(T - c * V1 @ V2)) < 1e-12
@@ -125,7 +125,7 @@ def test_algebra_random_splits():
     for seed in (10, 11, 12):
         H, D, V = rand_instance(seed, 5)
         rng = np.random.default_rng(seed + 100)
-        W = random_hermitian(rng, 5, norm=0.7).mat
+        W = random_hermitian(rng, 5, norm=0.7)
         assert additivity_check(f, g, D, [V, W]) < 1e-9
         assert product_split_check(f, g, D, [V, W], 1) < 1e-9
         assert edge_multiplier_check(g, f, f, D, [V, W]) < 1e-9
@@ -135,7 +135,7 @@ def algebra_instance(seed=10):
     f = make_poly_bump(0.0, 1.0, 12)
     g = make_poly_bump(0.2, 0.9, 8)
     H, D, V = rand_instance(seed, 5)
-    W = random_hermitian(np.random.default_rng(seed + 100), 5, norm=0.7).mat
+    W = random_hermitian(np.random.default_rng(seed + 100), 5, norm=0.7)
     return f, g, D, V, W
 
 
@@ -175,7 +175,7 @@ def test_schatten_bound():
     for a in (1, 2, np.inf):
         assert schatten_bound_check(f, D, [V], [a], a)
     rng = np.random.default_rng(14)
-    W = random_hermitian(rng, 6, norm=0.9).mat
+    W = random_hermitian(rng, 6, norm=0.9)
     assert schatten_bound_check(f, D, [V, W], [2, 2], 1)
     with pytest.raises(ValueError):
         schatten_bound_check(f, D, [V, W], [2, 2], 2)

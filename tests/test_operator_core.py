@@ -26,7 +26,7 @@ def test_hermitian_validation():
 
 def test_json_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
-    H = random_hermitian(rng, 4)
+    H = HermitianOperator(random_hermitian(rng, 4))
     d = H.to_json_dict()
     assert d["dim"] == 4
     H2 = HermitianOperator.from_json_dict(d)
@@ -65,18 +65,18 @@ def test_cluster_keeps_a_run_of_equal_values():
 def test_decompose_completeness_and_reconstruction():
     rng = np.random.default_rng(1)
     H = random_hermitian(rng, 8)
-    D = decompose(H.mat)
+    D = decompose(H)
     U = D.eigenvectors
     assert np.max(np.abs(U @ U.conj().T - np.eye(8))) < 1e-10
     rec = (U * D.index_values()) @ U.conj().T
-    scale = max(1.0, float(np.max(np.abs(H.mat))))
-    assert np.max(np.abs(rec - H.mat)) < 1e-9 * scale
+    scale = max(1.0, float(np.max(np.abs(H))))
+    assert np.max(np.abs(rec - H)) < 1e-9 * scale
 
 
 def test_apply_function_zero_and_one():
     rng = np.random.default_rng(2)
     H = random_hermitian_in_window(rng, 4, -0.5, 0.5)
-    D = decompose(H.mat)
+    D = decompose(H)
     f = make_poly_bump(10.0, 1.0, 4)  # vanishes on the spectrum
     assert np.max(np.abs(apply_function(f, D).mat)) < 1e-14
     g = make_plateau_bump(-0.6, 0.6, 0.4, 3)  # identically 1 on the spectrum
@@ -96,7 +96,7 @@ def test_apply_function_hand_eigenvectors():
 def test_apply_function_multiplicative():
     rng = np.random.default_rng(3)
     H = random_hermitian_in_window(rng, 5, -0.8, 0.8)
-    D = decompose(H.mat)
+    D = decompose(H)
     f = make_poly_bump(0.0, 1.0, 4)
     g = make_poly_bump(0.2, 1.5, 6)
     lhs = apply_function(f.mul(g), D).mat
@@ -133,7 +133,7 @@ def test_counting_trace_examples():
     D2 = decompose(np.eye(3))
     assert counting_trace(D2, Interval(1.0, 1.0)) == 3
     rng = np.random.default_rng(6)
-    D3 = decompose(random_hermitian(rng, 8).mat)
+    D3 = decompose(random_hermitian(rng, 8))
     full = Interval(float(D3.eigenvalues[0]), float(D3.eigenvalues[-1]))
     assert counting_trace(D3, full) == 8
 
@@ -148,29 +148,29 @@ def test_psd_leq():
 
 def test_resolvent_inequality():
     rng = np.random.default_rng(7)
-    H0 = random_hermitian(rng, 4).mat
+    H0 = random_hermitian(rng, 4)
     assert resolvent_inequality_check(H0, np.zeros((4, 4)))
-    W = random_hermitian(rng, 4, norm=2.0).mat
+    W = random_hermitian(rng, 4, norm=2.0)
     assert resolvent_inequality_check(np.zeros((4, 4)), W)
     for _ in range(20):
-        H0 = random_hermitian(rng, 6).mat
-        W = random_hermitian(rng, 6, norm=float(rng.uniform(0.1, 3.0))).mat
+        H0 = random_hermitian(rng, 6)
+        W = random_hermitian(rng, 6, norm=float(rng.uniform(0.1, 3.0)))
         assert resolvent_inequality_check(H0, W)
 
 
 def test_projection_inequality():
     rng = np.random.default_rng(8)
-    H0 = random_hermitian(rng, 6).mat
+    H0 = random_hermitian(rng, 6)
     assert projection_inequality_check(H0, np.zeros((6, 6)), Interval(100.0, 101.0))
     for _ in range(20):
-        H0 = random_hermitian(rng, 6).mat
-        W = random_hermitian(rng, 6, norm=float(rng.uniform(0.1, 2.0))).mat
+        H0 = random_hermitian(rng, 6)
+        W = random_hermitian(rng, 6, norm=float(rng.uniform(0.1, 2.0)))
         assert projection_inequality_check(H0, W, Interval(-1.0, 1.0))
 
 
 def test_spectral_projection_idempotent():
     rng = np.random.default_rng(9)
-    D = decompose(random_hermitian(rng, 6).mat)
+    D = decompose(random_hermitian(rng, 6))
     E = spectral_projection(D, Interval(-1.0, 1.0))
     assert np.max(np.abs(E @ E - E)) < 1e-12
 
@@ -179,15 +179,24 @@ def test_trace_class_bounds():
     rng = np.random.default_rng(10)
     f = make_poly_bump(0.0, 1.0, 6)
     for _ in range(20):
-        D = decompose(random_hermitian_in_window(rng, 8, -1.5, 1.5).mat)
+        D = decompose(random_hermitian_in_window(rng, 8, -1.5, 1.5))
         assert trace_class_bound_check(f, D)
+
+
+def test_random_matrices_are_exactly_hermitian_ndarrays():
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        for A in (random_hermitian(rng, 5), random_hermitian(rng, 5, norm=0.3),
+                  random_hermitian_in_window(rng, 5, -0.8, 0.8)):
+            assert type(A) is np.ndarray and A.dtype == complex
+            assert np.array_equal(A, A.conj().T)
 
 
 def test_random_hermitian_window():
     rng = np.random.default_rng(11)
     H = random_hermitian_in_window(rng, 5, -0.3, 0.7)
-    w = np.linalg.eigvalsh(H.mat)
+    w = np.linalg.eigvalsh(H)
     assert w[0] == pytest.approx(-0.3, abs=1e-12)
     assert w[-1] == pytest.approx(0.7, abs=1e-12)
     V = random_hermitian(rng, 5, norm=0.25)
-    assert operator_norm(V.mat) == pytest.approx(0.25)
+    assert operator_norm(V) == pytest.approx(0.25)

@@ -19,7 +19,7 @@ def rand_instance(seed, dim, vnorm=0.2):
     rng = np.random.default_rng(seed)
     H = random_hermitian_in_window(rng, dim, -0.7, 0.7)
     V = random_hermitian(rng, dim, norm=vnorm)
-    return H, V.mat
+    return H, V
 
 
 def scalar_pair(lam=0.0, v=0.3):
@@ -86,7 +86,7 @@ def test_xi_window_guard():
     H, V = rand_instance(2, 3)
     D0, D1, _ = spectra(H, V)
     with pytest.raises(WindowError):
-        xi(D0, D1, Interval(-0.1, 0.1, closed_lo=False, closed_hi=False))
+        xi(D0, D1, Interval(-0.1, 0.1))
 
 
 def test_first_order_formula():
@@ -104,7 +104,7 @@ def test_first_order_formula():
 def test_mu_measure():
     f = make_poly_bump(0.0, 1.0, 8)
     H, V = rand_instance(4, 5)
-    D0 = decompose(H.mat)
+    D0 = decompose(H)
     w = window_of(H, V)
     mu = mu_measure(D0, V, w)
     zero_mu = mu_measure(D0, np.zeros((5, 5)), w)

@@ -137,24 +137,24 @@ def inv_resolvent_trace(D0):
     return float(np.sum(1.0 / (1.0 + lam * lam)))
 
 
-def remainder_bound_compact(f, D0, V, n, remainder):
+def remainder_bound_compact(f, D0, v_norm, n, remainder):
     """Certificate for |remainder|, the order-n remainder trace of f at (H0, V)
-    with D0 the decomposition of H0, via the signed decomposition
-    f = f1 - f2: the constant is C(f1) + C(f2), and the sup over t of the
-    eigenvalue count of the padded support is replaced by its certified
-    resolvent bound."""
+    with D0 the decomposition of H0 and v_norm = ||V||, via the signed
+    decomposition f = f1 - f2: the constant is C(f1) + C(f2), and the sup
+    over t of the eigenvalue count of the padded support is replaced by its
+    certified resolvent bound."""
     halves, (lo, hi) = _signed_root_constants(f, n)
     an = a_sequence(n)
     c1, c2 = (0.0 if h is None else an * h[0] * h[1]**n for h in halves)
-    vn = operator_norm(V)
     smax = max(abs(lo), abs(hi))
     inv_res_trace = inv_resolvent_trace(D0)
-    cert_count = (1.0 + smax * smax) * (1.0 + vn + vn * vn) * inv_res_trace
-    rhs = (c1 + c2) * cert_count * vn**n
+    cert_count = ((1.0 + smax * smax) * (1.0 + v_norm + v_norm * v_norm)
+                  * inv_res_trace)
+    rhs = (c1 + c2) * cert_count * v_norm**n
     return BoundCertificate(
         kind="compact", lhs=abs(remainder), rhs=rhs,
         ingredients={"a_n": an, "j_n": j_of(n),
-                     "C_f1": c1, "C_f2": c2, "V_norm": vn,
+                     "C_f1": c1, "C_f2": c2, "V_norm": v_norm,
                      "counting_trace_certified": cert_count,
                      "inv_resolvent_trace": inv_res_trace})
 
@@ -176,15 +176,15 @@ def hs_constant(f, n):
             + 0.5 * n * (n + 3) * m1 * m2 * m2)
 
 
-def remainder_bound_hs(f, D0, V, n, remainder):
+def remainder_bound_hs(f, D0, v_norm, n, remainder):
     """Hilbert-Schmidt-resolvent certificate for |remainder|, the order-n
-    remainder trace of f at (H0, V) with D0 the decomposition of H0: the
-    eigenvalue-count factor is traded for Tr (1 + H0^2)^-1."""
+    remainder trace of f at (H0, V) with D0 the decomposition of H0 and
+    v_norm = ||V||: the eigenvalue-count factor is traded for
+    Tr (1 + H0^2)^-1."""
     c = hs_constant(f, n)
-    vn = operator_norm(V)
     inv_res_trace = inv_resolvent_trace(D0)
-    rhs = c * inv_res_trace * (1.0 + vn + vn * vn) * vn**n
+    rhs = c * inv_res_trace * (1.0 + v_norm + v_norm * v_norm) * v_norm**n
     return BoundCertificate(
         kind="hilbert_schmidt", lhs=abs(remainder), rhs=rhs,
         ingredients={"c_fn": c, "inv_resolvent_trace": inv_res_trace,
-                     "V_norm": vn})
+                     "V_norm": v_norm})

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bounds, divided_diff, moi, shift, taylor
 from .bounds import Check
-from .operator_core import (decompose, random_hermitian,
+from .operator_core import (decompose, operator_norm, random_hermitian,
                             random_hermitian_in_window)
 from .scalar_functions import (DerivativeOrderError, fourier_l1_norm,
                                gp_seminorm, make_poly_bump)
@@ -220,11 +220,14 @@ def _sweep_trial(args):
         slope = taylor.scaling_exponent(cfg.epsilons, rems, cfg.noise_floor)
     except taylor.InsufficientDataError:
         slope = float("nan")
+    v_norm = operator_norm(V)
     bc, bh = [], []
     for eps, rem in zip(cfg.epsilons, rems):
-        Veps = eps * V
-        bc.append(bounds.remainder_bound_compact(f, D0, Veps, order, rem).rhs)
-        bh.append(bounds.remainder_bound_hs(f, D0, Veps, order, rem).rhs)
+        # ||eps V|| = eps ||V||, and bit for bit the SVD's value when eps is
+        # a power of two
+        vn = eps * v_norm
+        bc.append(bounds.remainder_bound_compact(f, D0, vn, order, rem).rhs)
+        bh.append(bounds.remainder_bound_hs(f, D0, vn, order, rem).rhs)
     return (dim, order, trial, rems, bc, bh, slope)
 
 
@@ -251,14 +254,15 @@ def _certify_trial(args):
     f = cfg.function()
     D0, D1, V = _trial_spectra(cfg, dim, order, trial)
     rem = taylor._remainder_trace(f, D0, D1, V, order)
+    v_norm = operator_norm(V)
     certs = {
         "moi_trace_norm": bounds.compact_trace_norm_bound(f, D0, V, order),
-        "remainder_compact": bounds.remainder_bound_compact(f, D0, V, order, rem),
-        "remainder_hs": bounds.remainder_bound_hs(f, D0, V, order, rem),
+        "remainder_compact": bounds.remainder_bound_compact(f, D0, v_norm, order, rem),
+        "remainder_hs": bounds.remainder_bound_hs(f, D0, v_norm, order, rem),
     }
     if order == 2:
-        data = shift.shift_data(D0, D1, V, shift.default_window(D0, D1, V))
-        certs["eta_l1"] = shift.eta_l1_bound_check(D0, V, data)
+        data = shift.shift_data(D0, D1, V, shift.default_window(D0, D1, v_norm))
+        certs["eta_l1"] = shift.eta_l1_bound_check(D0, v_norm, data)
     return (dim, order, trial, certs)
 
 
@@ -288,10 +292,11 @@ def _shift_trial(args):
     cfg, dim, trial = args
     f = cfg.function()
     D0, D1, V = _trial_spectra(cfg, dim, 2, trial)
-    data = shift.shift_data(D0, D1, V, shift.default_window(D0, D1, V))
-    r1 = shift.first_order_check(f, D0, D1, data)
+    v_norm = operator_norm(V)
+    data = shift.shift_data(D0, D1, V, shift.default_window(D0, D1, v_norm))
+    r1 = shift.first_order_check(f, data, taylor._remainder_trace(f, D0, D1, V, 1))
     r2 = shift.second_order_check(f, data, taylor._remainder_trace(f, D0, D1, V, 2))
-    cert = shift.eta_l1_bound_check(D0, V, data)
+    cert = shift.eta_l1_bound_check(D0, v_norm, data)
     return (dim, trial, r1, r2, cert, shift.shift_data_json(data))
 
 

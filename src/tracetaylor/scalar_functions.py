@@ -610,11 +610,9 @@ def decompose_signed(f, n):
     jn = 1 + int(math.floor(math.log2(n))) if n >= 1 else 1
     pad = max(0.25 * (hi - lo), 1e-3)
     M = sup_norm(f)
+    b = make_plateau_bump(lo, hi, pad, n + 1, exponent=1 << jn)
     if M == 0.0:
-        b = make_plateau_bump(lo, hi, pad, n + 1, exponent=1 << jn)
         zf = b.scale(0.0)
         return zf, zf
-    b = make_plateau_bump(lo, hi, pad, n + 1, exponent=1 << jn)
     f2 = b.scale(2.0 * M)
-    f1 = f2.add(f)
-    return f1, f2
+    return f2.add(f), f2

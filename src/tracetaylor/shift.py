@@ -3,18 +3,19 @@ difference, the first-order atomic measure, and the piecewise-linear density
 representing the second-order remainder.
 
 Everything here reads one pair of spectra, the decompositions D0 of H0 and D1
-of H0 + V, with V as a matrix; ``shift_data`` builds the three objects once
-and the checks read them."""
+of H0 + V, and numbers: ||V|| and the remainder trace that each check tests.
+Only the first-order measure reads V as a matrix.  ``shift_data`` builds the
+three objects once and the checks read them."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import BoundCertificate, inv_resolvent_trace
-from .operator_core import Interval, apply_function, operator_norm
+from .operator_core import Interval
 # unused here, kept because bench/tests/test_tracer.py checks its rebinding
 from .operator_core import decompose  # noqa: F401
-from .scalar_functions import DerivativeOrderError, _gauss_legendre
+from .scalar_functions import DerivativeOrderError
 
 
 class WindowError(ValueError):
@@ -90,13 +91,12 @@ def _check_support(f, window):
                           f"window ({window.lo:.6g}, {window.hi:.6g})")
 
 
-def default_window(D0, D1, V):
-    """Window (a, b) capturing both spectra: a = min eigenvalue - 1 - ||V||,
-    b symmetric on the other side."""
+def default_window(D0, D1, v_norm):
+    """Window (a, b) capturing both spectra: a = min eigenvalue - 1 - v_norm,
+    b symmetric on the other side, with v_norm = ||V||."""
     w0, w1 = D0.eigenvalues, D1.eigenvalues
-    vn = operator_norm(V)
-    lo = float(min(w0[0], w1[0])) - 1.0 - vn
-    hi = float(max(w0[-1], w1[-1])) + 1.0 + vn
+    lo = float(min(w0[0], w1[0])) - 1.0 - v_norm
+    hi = float(max(w0[-1], w1[-1])) + 1.0 + v_norm
     return Interval(lo, hi)
 
 
@@ -162,48 +162,41 @@ def shift_data(D0, D1, V, window):
     return ShiftData(window=window, xi=step, mu=mu, eta=eta(step, mu, window))
 
 
-def first_order_check(f, D0, D1, data):
-    """Residual of Tr f(H0+V) = Tr f(H0) + integral of f' against the
-    counting difference; the step integral telescopes exactly, so no
-    quadrature error enters."""
+def first_order_check(f, data, remainder):
+    """Residual of ``remainder``, the order-1 remainder trace
+    Tr f(H0+V) - Tr f(H0) of f, against the integral of f' times the counting
+    difference; the step integral telescopes exactly, so no quadrature error
+    enters."""
     _check_support(f, data.window)
     step = data.xi
     # int f' xi = sum_k xi_k (f(t_{k+1}) - f(t_k)), last interval reaches b
     knots = np.append(step.breakpoints, data.window.hi)
     fvals = f.value(knots)
     integral = float(np.sum(step.values * (fvals[1:] - fvals[:-1])))
-    tr0 = float(np.trace(apply_function(f, D0).mat).real)
-    tr1 = float(np.trace(apply_function(f, D1).mat).real)
-    return abs(tr1 - tr0 - integral)
+    return abs(remainder - integral)
 
 
 def second_order_check(f, data, remainder):
     """Residual of ``remainder``, the order-2 remainder trace of f at (H0, V),
-    against the integral of f'' times the density, by per-piece
-    Gauss-Legendre (the density is affine on each piece, so the quadrature is
-    exact for polynomial f'')."""
+    against the integral of f'' times the density, in closed form: on a piece
+    (lo, hi) where the density is c + s (x - lo), integration by parts gives
+    f'(hi) (c + s (hi - lo)) - f'(lo) c - s (f(hi) - f(lo))."""
     if f.max_order < 3:
         raise DerivativeOrderError(
             f"the second-order check needs a C^3 function; f is C^{f.max_order}")
     _check_support(f, data.window)
-    fpp = f.derivative().derivative()
-    x0, w0 = _gauss_legendre(32)
-    total = 0.0
-    fbreaks = np.asarray(f.breaks, float)
-    for plo, phi, slope, intercept in data.eta.pieces:
-        cuts = np.unique(np.concatenate(
-            [[plo, phi], fbreaks[(fbreaks > plo) & (fbreaks < phi)]]))
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            xm = 0.5 * (b - a) * x0 + 0.5 * (a + b)
-            wm = 0.5 * (b - a) * w0
-            vals = fpp.deriv(0, xm) * (slope * (xm - plo) + intercept)
-            total += float(np.sum(wm * vals))
+    lo, hi, s, c = np.array(data.eta.pieces, dtype=float).reshape(-1, 4).T
+    ends = np.concatenate([lo, hi])
+    f_lo, f_hi = np.split(f.value(ends), 2)
+    d_lo, d_hi = np.split(f.deriv(1, ends), 2)
+    total = float(np.sum(d_hi * (c + s * (hi - lo)) - d_lo * c
+                         - s * (f_hi - f_lo)))
     return abs(remainder - total)
 
 
-def eta_l1_bound_check(D0, V, data):
+def eta_l1_bound_check(D0, v_norm, data):
     """Certificate for the L1 bound on the density over the window, with D0
-    the decomposition of H0."""
+    the decomposition of H0 and v_norm = ||V||."""
     lhs = data.eta.l1_norm()
     a, b = data.window.lo, data.window.hi
     babs = max(abs(a), abs(b))
@@ -211,12 +204,12 @@ def eta_l1_bound_check(D0, V, data):
     u2_sup = 1.0 + babs * babs
     du2_sup = 2.0 * babs
     c_ab = 9.0 * max(1.0, (b - a) ** 2) * max(2.0, u_sup, u2_sup, du2_sup)
-    vn = operator_norm(V)
     inv_res_trace = inv_resolvent_trace(D0)
-    rhs = c_ab * inv_res_trace * (1.0 + vn + vn * vn) * vn * vn
+    rhs = (c_ab * inv_res_trace * (1.0 + v_norm + v_norm * v_norm)
+           * v_norm * v_norm)
     return BoundCertificate(
         kind="hilbert_schmidt", lhs=lhs, rhs=rhs,
-        ingredients={"C_ab": c_ab, "window": [a, b], "V_norm": vn,
+        ingredients={"C_ab": c_ab, "window": [a, b], "V_norm": v_norm,
                      "inv_resolvent_trace": inv_res_trace})
 
 

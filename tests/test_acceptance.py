@@ -31,7 +31,8 @@ def shift_instance(H, V):
     """D0 = decompose(H), D1 = decompose(H + V) and the shift data of the
     pair over the default window."""
     D0, D1 = decompose(H), decompose(H + V)
-    return D0, D1, shift.shift_data(D0, D1, V, shift.default_window(D0, D1, V))
+    window = shift.default_window(D0, D1, operator_norm(V))
+    return D0, D1, shift.shift_data(D0, D1, V, window)
 
 
 def verdict(num, name, ok):
@@ -91,7 +92,8 @@ def test_criterion_03_compact_resolvent_bounds():
             if not bounds.compact_trace_norm_bound(F20, D, V, n).passed:
                 ok = False
             rem = taylor.remainder_trace(F20, H, V, n)
-            if not bounds.remainder_bound_compact(F20, D, V, n, rem).passed:
+            if not bounds.remainder_bound_compact(F20, D, operator_norm(V), n,
+                                                  rem).passed:
                 ok = False
     verdict(3, "compact-resolvent trace-norm and remainder bounds, "
                "50 trials per n in {1,2,3}", ok)
@@ -103,7 +105,8 @@ def test_criterion_04_hilbert_schmidt_bounds():
         for trial in range(50):
             H, V = instance(4000 + 100 * n + trial, 4 + trial % 3, vnorm=0.15)
             rem = taylor.remainder_trace(F20, H, V, n)
-            if not bounds.remainder_bound_hs(F20, decompose(H), V, n, rem).passed:
+            if not bounds.remainder_bound_hs(F20, decompose(H), operator_norm(V),
+                                             n, rem).passed:
                 ok = False
     verdict(4, "Hilbert-Schmidt-resolvent remainder bound, "
                "50 trials per n in {1,2,3}", ok)
@@ -148,7 +151,9 @@ def test_criterion_07_first_order_trace_formula():
     for trial in range(50):
         dim = 2 + trial % 7
         H, V = instance(7000 + trial, dim, vnorm=0.25)
-        if not shift.first_order_check(F12, *shift_instance(H, V)) <= 1e-10:
+        data = shift_instance(H, V)[2]
+        rem = taylor.remainder_trace(F12, H, V, 1)
+        if not shift.first_order_check(F12, data, rem) <= 1e-10:
             ok = False
     verdict(7, "first-order trace formula against the counting-difference "
                "step function, 50 trials", ok)
@@ -163,7 +168,7 @@ def test_criterion_08_second_order_density():
         rem = taylor.remainder_trace(F12, H, V, 2)
         if not shift.second_order_check(F12, data, rem) <= 1e-8:
             ok = False
-        if not shift.eta_l1_bound_check(D0, V, data).passed:
+        if not shift.eta_l1_bound_check(D0, operator_norm(V), data).passed:
             ok = False
     H1 = HermitianOperator(np.array([[0.0]], dtype=complex))
     V1 = np.array([[0.3]], dtype=complex)

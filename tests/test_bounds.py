@@ -12,7 +12,7 @@ from tracetaylor.bounds import (BoundCertificate, Check, a_sequence,
                                 compact_trace_norm_bound, hs_constant, j_of, remainder_bound_compact,
                                 remainder_bound_hs)
 from tracetaylor.operator_core import (HermitianOperator, Interval, decompose,
-                                       random_hermitian,
+                                       operator_norm, random_hermitian,
                                        random_hermitian_in_window)
 from tracetaylor.scalar_functions import (SmoothCompactFunction,
                                           decompose_signed, make_poly_bump)
@@ -102,17 +102,17 @@ def test_remainder_bound_compact():
     f = make_poly_bump(0.0, 1.0, 20)
     H, V = rand_instance(1, 4)
     Z = np.zeros((4, 4))
-    assert remainder_bound_compact(f, decompose(H), Z, 1,
+    assert remainder_bound_compact(f, decompose(H), 0.0, 1,
                                    remainder_trace(f, H, Z, 1)).passed
     lam, v = 0.2, 0.1
     H1 = HermitianOperator(np.array([[lam]], dtype=complex))
     V1 = np.array([[v]])
-    assert remainder_bound_compact(f, decompose(H1.mat), V1, 2,
+    assert remainder_bound_compact(f, decompose(H1.mat), v, 2,
                                    remainder_trace(f, H1, V1, 2)).passed
     for seed in range(5):
         H, V = rand_instance(seed + 10, 5)
         for n in (1, 2, 3):
-            cert = remainder_bound_compact(f, decompose(H), V, n,
+            cert = remainder_bound_compact(f, decompose(H), operator_norm(V), n,
                                            remainder_trace(f, H, V, n))
             assert cert.passed
             # the certified counting factor dominates the grid supremum over
@@ -139,22 +139,23 @@ def test_remainder_bound_hs():
     f = make_poly_bump(0.0, 1.0, 20)
     H, V = rand_instance(2, 4)
     Z = np.zeros((4, 4))
-    assert remainder_bound_hs(f, decompose(H), Z, 1, remainder_trace(f, H, Z, 1)).passed
+    assert remainder_bound_hs(f, decompose(H), 0.0, 1, remainder_trace(f, H, Z, 1)).passed
     H1 = HermitianOperator(np.array([[0.3]], dtype=complex))
     V1 = np.array([[0.05]])
-    assert remainder_bound_hs(f, decompose(H1.mat), V1, 1,
+    assert remainder_bound_hs(f, decompose(H1.mat), 0.05, 1,
                               remainder_trace(f, H1, V1, 1)).passed
     for seed in range(5):
         H, V = rand_instance(seed + 20, 5)
         for n in (1, 2, 3):
-            assert remainder_bound_hs(f, decompose(H), V, n,
+            assert remainder_bound_hs(f, decompose(H), operator_norm(V), n,
                                       remainder_trace(f, H, V, n)).passed
 
 
 def test_certificate_serialization():
     f = make_poly_bump(0.0, 1.0, 20)
     H, V = rand_instance(3, 4)
-    cert = remainder_bound_hs(f, decompose(H), V, 1, remainder_trace(f, H, V, 1))
+    cert = remainder_bound_hs(f, decompose(H), operator_norm(V), 1,
+                              remainder_trace(f, H, V, 1))
     d = cert.to_json_dict()
     assert set(d) == {"kind", "lhs", "rhs", "passed", "ingredients"}
     assert d["passed"] is True
@@ -172,8 +173,8 @@ def test_constants_are_computed_once_per_function(monkeypatch):
     rem = remainder_trace(f, H, V, 2)
 
     def certify():
-        return [remainder_bound_hs(f, D, V, 2, rem).rhs,
-                remainder_bound_compact(f, D, V, 2, rem).rhs,
+        return [remainder_bound_hs(f, D, operator_norm(V), 2, rem).rhs,
+                remainder_bound_compact(f, D, operator_norm(V), 2, rem).rhs,
                 compact_trace_norm_bound(f, D, V, 2).rhs]
 
     first = certify()
@@ -186,7 +187,7 @@ def test_constants_are_computed_once_per_function(monkeypatch):
 def test_constants_do_not_keep_the_function_alive():
     f = make_poly_bump(0.0, 1.0, 20)
     H, V = rand_instance(5, 4)
-    assert remainder_bound_compact(f, decompose(H), V, 2,
+    assert remainder_bound_compact(f, decompose(H), operator_norm(V), 2,
                                    remainder_trace(f, H, V, 2)).passed
     ref = weakref.ref(f)
     del f

@@ -230,7 +230,7 @@ def test_shift_names_failing_trials(tmp_path, monkeypatch, capsys):
     cfg = write_cfg(tmp_path)
     assert cli.main(["shift", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
     assert capsys.readouterr().err == ""
-    # an off remainder breaks the second-order formula of every trial
+    # an off remainder breaks both trace formulas of every trial
     remainder_trace = taylor._remainder_trace
     monkeypatch.setattr(taylor, "_remainder_trace",
                         lambda *args: remainder_trace(*args) + 1e-6)
@@ -241,14 +241,16 @@ def test_shift_names_failing_trials(tmp_path, monkeypatch, capsys):
     rows = [row.split(",") for row in
             (out / "shift.csv").read_text().splitlines()[1:]]
     assert captured.err.splitlines() == [
-        f"shift: FAIL dim {dim}, trial {trial}: "
-        f"second_order_residual {float(r2):.6g} > 1e-08"
-        for _, dim, trial, _, r2, *_ in rows]
+        line for _, dim, trial, r1, r2, *_ in rows for line in (
+            f"shift: FAIL dim {dim}, trial {trial}: "
+            f"first_order_residual {float(r1):.6g} > 1e-10",
+            f"shift: FAIL dim {dim}, trial {trial}: "
+            f"second_order_residual {float(r2):.6g} > 1e-08")]
 
 
 # command: (owner and name of the value made NaN, the FAIL text it causes)
 NAN_GATES = {
-    "shift": (taylor, "_remainder_trace", "second_order_residual nan > "),
+    "shift": (taylor, "_remainder_trace", "(first|second)_order_residual nan > "),
     "expand": (taylor.ExpansionReport, "identity_residual", "identity_residual nan > "),
     "certify": (taylor, "_remainder_trace", "remainder_(compact|hs) nan > "),
     "sweep": (taylor, "scaling_exponent", "slope nan < "),
@@ -310,6 +312,31 @@ def test_trials_solve_each_matrix_once(monkeypatch):
     for order in (3, 4):
         calls.clear()
         cli._expand_trial((cfg, 4, order, 0))
+        assert len(calls) == 2
+
+
+def test_trials_take_the_norm_of_v_once(monkeypatch):
+    # one SVD normalizes V in make_instance and one gives ||V|| to the
+    # bounds and the window; certify's MOI trace-norm bound takes one more
+    calls = []
+    operator_norm = operator_core.operator_norm
+
+    def counted(A):
+        calls.append(A)
+        return operator_norm(A)
+
+    for mod in (operator_core, bounds, cli, moi, shift, taylor):
+        if hasattr(mod, "operator_norm"):
+            monkeypatch.setattr(mod, "operator_norm", counted)
+    cfg = cli.ExperimentConfig()
+    cli._shift_trial((cfg, 8, 0))
+    assert len(calls) == 2
+    for order in (1, 2, 3):
+        calls.clear()
+        cli._certify_trial((cfg, 4, order, 0))
+        assert len(calls) == 3
+        calls.clear()
+        cli._sweep_trial((cfg, 4, order, 0))
         assert len(calls) == 2
 
 

@@ -5,10 +5,12 @@ import pytest
 
 from tracetaylor.moi import trace_derivative_first
 from tracetaylor.operator_core import (HermitianOperator, Interval, as_matrix,
-                                       decompose, random_hermitian,
+                                       decompose, operator_norm,
+                                       random_hermitian,
                                        random_hermitian_in_window)
 from tracetaylor.scalar_functions import make_poly_bump
-from tracetaylor.shift import (WindowError, default_window, eta,
+from tracetaylor.shift import (PiecewiseLinearFunction, WindowError,
+                               default_window, eta,
                                eta_l1_bound_check, first_order_check,
                                mu_measure, second_order_check, shift_data,
                                shift_data_json, xi)
@@ -34,20 +36,21 @@ def spectra(H, V):
 
 
 def window_of(H, V):
-    return default_window(*spectra(H, V))
+    D0, D1, Vm = spectra(H, V)
+    return default_window(D0, D1, operator_norm(Vm))
 
 
 def data_of(H, V, window=None):
     """D0, D1, V and the shift data of (H, V), over the default window of
     (H, V) unless another is given."""
     D0, D1, Vm = spectra(H, V)
-    window = window or default_window(D0, D1, Vm)
+    window = window or default_window(D0, D1, operator_norm(Vm))
     return D0, D1, Vm, shift_data(D0, D1, Vm, window)
 
 
 def first_order(f, H, V, window):
-    D0, D1, _, data = data_of(H, V, window)
-    return first_order_check(f, D0, D1, data)
+    return first_order_check(f, data_of(H, V, window)[3],
+                             remainder_trace(f, H, V, 1))
 
 
 def second_order(f, H, V, window):
@@ -57,8 +60,8 @@ def second_order(f, H, V, window):
 
 def test_xi_zero_perturbation():
     H, _ = rand_instance(0, 4)
-    D0, D1, Z = spectra(H, np.zeros((4, 4)))
-    w = default_window(D0, D1, Z)
+    D0, D1, _ = spectra(H, np.zeros((4, 4)))
+    w = default_window(D0, D1, 0.0)
     step = xi(D0, D1, w)
     xs = np.linspace(w.lo + 1e-6, w.hi - 1e-6, 50)
     assert np.max(np.abs(step(xs))) == 0.0
@@ -66,8 +69,8 @@ def test_xi_zero_perturbation():
 
 def test_xi_scalar_counting():
     H, V = scalar_pair(0.0, 1.0)
-    D0, D1, Vm = spectra(H, V)
-    step = xi(D0, D1, default_window(D0, D1, Vm))
+    D0, D1, _ = spectra(H, V)
+    step = xi(D0, D1, default_window(D0, D1, 1.0))
     assert step(0.5) == pytest.approx(1.0)
     assert step(-0.5) == pytest.approx(0.0)
     assert step(1.5) == pytest.approx(0.0)
@@ -76,7 +79,7 @@ def test_xi_scalar_counting():
 def test_xi_jumps_balance():
     H, V = rand_instance(1, 3)
     D0, D1, Vm = spectra(H, V)
-    w = default_window(D0, D1, Vm)
+    w = default_window(D0, D1, operator_norm(Vm))
     step = xi(D0, D1, w)
     # same total eigenvalue count: xi vanishes beyond the perturbed spectra
     assert step(w.hi - 1e-9) == pytest.approx(0.0)
@@ -117,7 +120,7 @@ def test_eta_scalar_closed_form():
     v = 0.3
     H, V = scalar_pair(0.0, v)
     D0, D1, Vm = spectra(H, V)
-    w = default_window(D0, D1, Vm)
+    w = default_window(D0, D1, v)
     density = eta(xi(D0, D1, w), mu_measure(D0, Vm, w), w)
     ts = np.linspace(0.01, v - 0.01, 9)
     assert np.max(np.abs(density(ts) - (v - ts))) < 1e-12
@@ -157,14 +160,27 @@ def test_second_order_density():
         assert second_order(f, H, np.zeros((8, 8)), w) < 1e-13
 
 
+def test_second_order_check_fails_on_negated_slopes():
+    # the closed form reads the slope of every piece: flipping them must show
+    f = make_poly_bump(0.0, 1.0, 12)
+    for seed in (7, 8):
+        H, V = rand_instance(seed, 8)
+        data = data_of(H, V)[3]
+        rem = remainder_trace(f, H, V, 2)
+        assert second_order_check(f, data, rem) < 1e-8
+        data.eta = PiecewiseLinearFunction(pieces=[
+            (lo, hi, -s, c) for lo, hi, s, c in data.eta.pieces])
+        assert second_order_check(f, data, rem) > 1e-6
+
+
 def test_eta_l1_bound():
-    D0, _, V1, data = data_of(*scalar_pair(0.0, 0.3))
-    cert = eta_l1_bound_check(D0, V1, data)
+    D0, _, _, data = data_of(*scalar_pair(0.0, 0.3))
+    cert = eta_l1_bound_check(D0, 0.3, data)
     assert cert.passed
     assert cert.lhs == pytest.approx(0.045, abs=1e-12)
     for seed in (9, 10, 11):
         D0, _, V, data = data_of(*rand_instance(seed, 5))
-        assert eta_l1_bound_check(D0, V, data).passed
+        assert eta_l1_bound_check(D0, operator_norm(V), data).passed
 
 
 def test_shift_data_schema(tmp_path):

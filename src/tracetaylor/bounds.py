@@ -96,7 +96,9 @@ def _root_constants(f, n):
     for k in range(1, j_of(n) + 1):
         r = fractional_root(f, k, max_order=n + 1)
         sup_max = max(sup_max, sup_norm(r))
-        for d in range(1, n + 1):
+        # highest order first: a FractionalPower then finds every order on a
+        # grid from one pass of its base's table
+        for d in range(n, 0, -1):
             g_max = max(g_max, gp_seminorm(r, d).value_gp)
     return sup_max, g_max
 

@@ -24,27 +24,20 @@ def _merged_nodes(nodes):
     return np.repeat(means, sizes), max(sizes)
 
 
-def _divided_difference_rows(f, lam, idx):
+def _divided_difference_rows(table, lam, idx):
     """The triangular recursion d[i][j] = f^[j-i](x_i..x_j) run over every
     row x = lam[idx[r]] of the index array ``idx`` (shape (m, p+1), each
     row's values ascending) at once; returns f^[p] of each row.
 
-    Unequal nodes use the difference quotient; equal nodes, which are
-    adjacent in an ascending row, use the exact-derivative branch f^(r)/r!.
-    Each order f^(r) is evaluated once, at the values ``lam``, and gathered
-    by index.
+    ``table`` holds f^(0), f^(1), .. at the values ``lam``, from one
+    evaluation pass, and each order is gathered from it by index.  Unequal
+    nodes use the difference quotient; equal nodes, which are adjacent in an
+    ascending row, use the exact-derivative branch f^(r)/r!, so ``table``
+    needs every order r for which some row has r+1 equal nodes.
     """
     p = idx.shape[1] - 1
-    table = {}
-
-    def at(w, i):
-        # f^(w) at lam[i], from one evaluation of f^(w) per call of the recursion
-        if w not in table:
-            table[w] = np.asarray(f.deriv(w, lam), dtype=float)
-        return table[w][i]
-
     # d[i] holds d[i][i+w-1] before width w is processed, d[i][i+w] after
-    d = [at(0, idx[:, i]) for i in range(p + 1)]
+    d = [table[0][idx[:, i]] for i in range(p + 1)]
     for w in range(1, p + 1):
         for i in range(p + 1 - w):
             lo, hi = lam[idx[:, i]], lam[idx[:, i + w]]
@@ -52,7 +45,7 @@ def _divided_difference_rows(f, lam, idx):
             q = np.divide(d[i + 1] - d[i], hi - lo, where=~same,
                           out=np.empty_like(lo))
             if same.any():
-                q[same] = at(w, idx[same, i]) / math.factorial(w)
+                q[same] = table[w][idx[same, i]] / math.factorial(w)
             d[i] = q
     return d[0]
 
@@ -62,7 +55,8 @@ def divided_difference(f, nodes):
 
     Nodes are sorted and gap-chained clusters merged first, so the result is
     deterministic; symmetry of f^[p] covers reorderings.  One row of
-    ``_divided_difference_rows``.
+    ``_divided_difference_rows``, over one pass of the orders that the
+    largest cluster needs.
     """
     vals, conf = _merged_nodes(nodes)
     if f.max_order < conf - 1:
@@ -70,26 +64,28 @@ def divided_difference(f, nodes):
             f"confluent group of size {conf} needs derivatives "
             f"up to order {conf - 1}")
     rows = np.arange(vals.size)[None, :]
-    return float(_divided_difference_rows(f, vals, rows)[0])
+    return float(_divided_difference_rows(f.derivs(range(conf), vals), vals, rows)[0])
 
 
-def divided_difference_tensor(f, lam, p):
+def divided_difference_tensor(table, lam):
     """Tensor f^[p](lam_{i0},..,lam_{ip}) over all index tuples of the
-    ascending values ``lam`` (a decomposition's ``index_values()``).
+    ascending values ``lam`` (a decomposition's ``index_values()``), from
+    ``table`` = [f, f', .., f^(p)] at those values (a decomposition's
+    ``derivative_table``).
 
     Each sorted index tuple is evaluated once, all in one call of the
-    recursion and at the given values (no re-merging), so each f^(r) is
-    evaluated once at the n values; every other ordering of the indices is
-    filled by the symmetry of f^[p].
+    recursion and at the given values (no re-merging); every other ordering
+    of the indices is filled by the symmetry of f^[p].
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(np.diff(lam) < 0):
         raise ValueError("lam must be ascending")
     n = lam.size
+    p = len(table) - 1
     idx = np.fromiter(chain.from_iterable(
         combinations_with_replacement(range(n), p + 1)), dtype=np.intp)
     idx = idx.reshape(-1, p + 1)
-    vals = _divided_difference_rows(f, lam, idx)
+    vals = _divided_difference_rows(table, lam, idx)
     F = np.empty((n,) * (p + 1))
     for perm in permutations(range(p + 1)):
         F[tuple(idx[:, k] for k in perm)] = vals

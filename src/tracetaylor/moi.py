@@ -11,7 +11,8 @@ import math
 import numpy as np
 
 from .divided_diff import divided_difference_tensor
-from .operator_core import apply_function, schatten_norm
+from .operator_core import _function_of, apply_function, schatten_norm
+from .scalar_functions import _memoized
 
 _EINSUM_LETTERS = "abcdefghij"
 
@@ -36,11 +37,13 @@ def evaluate_symbol_moi(F, D, perturbations):
 
 
 def evaluate_moi(f, D, perturbations):
-    """T over the divided difference f^[p] of a scalar function f."""
+    """T over the divided difference f^[p] of a scalar function f, read from
+    D's table of f (f(H) itself when p = 0)."""
     p = len(perturbations)
+    table = D.derivative_table(f, p)
     if p == 0:
-        return apply_function(f, D).mat
-    F = divided_difference_tensor(f, D.index_values(), p)
+        return _function_of(D, table[0]).mat
+    F = divided_difference_tensor(table, D.index_values())
     return evaluate_symbol_moi(F, D, perturbations)
 
 
@@ -53,10 +56,11 @@ def gateaux_derivative(f, D, V, p):
 def _trace_derivative(f, D, V, p):
     """(p-1)! sum over index tuples of (f')^[p-1] times the cyclic product of
     the eigenbasis entries of V: the trace of the p-th Gateaux derivative,
-    for any p >= 1 (at p = 1, sum f'(lambda_i) (U*VU)_ii)."""
+    for any p >= 1 (at p = 1, sum f'(lambda_i) (U*VU)_ii).  (f')^(r) is
+    f^(r+1), so the tensor reads D's table of f."""
     U = D.eigenvectors
     Vt = U.conj().T @ V @ U
-    F = divided_difference_tensor(f.derivative(), D.index_values(), p - 1)
+    F = divided_difference_tensor(D.derivative_table(f, p)[1:], D.index_values())
     idx = _EINSUM_LETTERS[:p]
     pairs = [idx[i] + idx[(i + 1) % p] for i in range(p)]
     spec = idx + "," + ",".join(pairs) + "->"
@@ -94,8 +98,10 @@ def _glue(F1, F2):
 
 def additivity_check(f, g, D, perturbations):
     """Residual of T_{(f+g)^[p]} = T_{f^[p]} + T_{g^[p]}, with f + g built by
-    the function algebra (``f.add(g)``), not by adding the two tensors."""
-    both = evaluate_moi(f.add(g), D, perturbations)
+    the function algebra (``f.add(g)``, memoized on f per g), not by adding
+    the two tensors."""
+    both = evaluate_moi(_memoized(f, ("add", g), lambda: f.add(g)), D,
+                        perturbations)
     t1 = evaluate_moi(f, D, perturbations)
     t2 = evaluate_moi(g, D, perturbations)
     return schatten_norm(both - t1 - t2, 2)
@@ -109,8 +115,8 @@ def product_split_check(f, g, D, perturbations, k):
     if not 0 <= k <= p:
         raise ValueError("split index out of range")
     lam = D.index_values()
-    F1 = divided_difference_tensor(f, lam, k)
-    F2 = divided_difference_tensor(g, lam, p - k)
+    F1 = divided_difference_tensor(D.derivative_table(f, k), lam)
+    F2 = divided_difference_tensor(D.derivative_table(g, p - k), lam)
     whole = evaluate_symbol_moi(_glue(F1, F2), D, perturbations)
     left = evaluate_symbol_moi(F1, D, perturbations[:k])
     right = evaluate_symbol_moi(F2, D, perturbations[k:])
@@ -126,7 +132,7 @@ def edge_multiplier_check(psi1, f, psi2, D, perturbations):
     if not p:
         raise ValueError("needs at least one perturbation")
     lam = D.index_values()
-    F = divided_difference_tensor(f, lam, p)
+    F = divided_difference_tensor(D.derivative_table(f, p), lam)
     weighted = _glue(_glue(psi1.value(lam), F), psi2.value(lam))
     lhs = evaluate_symbol_moi(weighted, D, perturbations)
     mod = list(perturbations)

@@ -1,7 +1,8 @@
 """Hermitian matrix algebra: spectral decompositions, functional calculus,
 traces, Schatten norms and eigenvalue counts."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,23 +81,44 @@ def as_matrix(A):
 class SpectralDecomposition:
     """Ascending eigenvalues, orthonormal eigenvectors (the columns) and
     multiplicity clusters: every spectral sum reads these in the eigenbasis,
-    with no projector matrices."""
+    with no projector matrices.
+
+    A decomposition also keeps, per scalar function f, the table
+    [f, f', ..] at its index values, so that every spectral sum over f at
+    this spectrum reads one evaluation; the tables die with the
+    decomposition."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     clusters: tuple            # tuple of index tuples
     cluster_values: np.ndarray  # representative (mean) eigenvalue per cluster
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @property
     def dim(self):
         return self.eigenvalues.size
 
-    def index_values(self):
-        """Cluster representative value for every eigenvector index."""
+    @cached_property
+    def _index_values(self):
         vals = np.empty(self.dim)
         for c, idx in enumerate(self.clusters):
             vals[list(idx)] = self.cluster_values[c]
+        vals.setflags(write=False)
         return vals
+
+    def index_values(self):
+        """Cluster representative value for every eigenvector index (one
+        read-only array, computed once)."""
+        return self._index_values
+
+    def derivative_table(self, f, p):
+        """[f, f', .., f^(p)] at ``index_values()``.  The missing orders are
+        added in one ``f.derivs`` pass and kept, keyed by f itself."""
+        table = self._tables.setdefault(f, [])
+        if len(table) <= p:
+            table.extend(f.derivs(range(len(table), p + 1), self.index_values()))
+        return table[:p + 1]
 
 
 CLUSTER_TOL = 1e-8

@@ -15,6 +15,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial
+from numpy.polynomial import polyutils as pu
 
 
 class UnsupportedFamilyError(ValueError):
@@ -75,6 +76,64 @@ def _rebase(P, a, b):
     return P.convert(domain=[a, b], window=[-1.0, 1.0], kind=Chebyshev)
 
 
+def _stack_terms(term_dicts):
+    """Evaluation plan for the term dicts ``{k: P_k}`` of one piece, one dict
+    per row: the series of every row that share a kind, a domain map and a
+    power u^k become the columns of one coefficient matrix, zero-padded at
+    the high end.  Returns the stacks ``(P, k, C)``, with P a series that
+    carries the stack's map, and for each row its (stack, column) pairs in
+    the row's own term order."""
+    stack_of = {}   # (kind, domain, window, k) -> stack index
+    members = []    # per stack: k and its series, one per column
+    rows = []
+    for terms in term_dicts:
+        row = []
+        for k, P in terms.items():
+            key = (type(P), P.domain.tobytes(), P.window.tobytes(), k)
+            s = stack_of.setdefault(key, len(members))
+            if s == len(members):
+                members.append((k, []))
+            row.append((s, len(members[s][1])))
+            members[s][1].append(P)
+        rows.append(row)
+    stacks = []
+    for k, series in members:
+        C = np.zeros((max(P.coef.size for P in series), len(series)))
+        for col, P in enumerate(series):
+            C[:P.coef.size, col] = P.coef
+        stacks.append((series[0], k, C))
+    return stacks, rows
+
+
+def _eval_stacked(plan, x):
+    """Rows sum_k P_k(x) u(x)^k of a ``_stack_terms`` plan at the points x,
+    one series evaluation per stack; each term is formed and summed as
+    ``P(x) * u(x)**k`` would be, in the row's term order."""
+    stacks, rows = plan
+    vals = []
+    for P, k, C in stacks:
+        v = P._val(pu.mapdomain(x, P.domain, P.window), C)
+        vals.append(v * (1.0 + x * x) ** (0.5 * k) if k else v)
+    out = np.zeros((len(rows), x.size))
+    for r, row in enumerate(rows):
+        for s, col in row:
+            out[r] += vals[s][col]
+    return out
+
+
+def _sorted_unique(parts):
+    """The distinct values of the concatenated arrays, ascending: what
+    ``np.unique`` gives for NaN-free floats (a sort, then a mask of the
+    entries that differ from their predecessor), without the ``numpy.ma``
+    import that ``np.unique`` makes."""
+    vals = np.concatenate(parts)
+    vals.sort()
+    keep = np.empty(vals.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = vals[1:] != vals[:-1]
+    return vals[keep]
+
+
 class SmoothCompactFunction:
     """Piecewise ``sum_k P_k(x) u(x)^k`` with compact (or whole-line) support.
 
@@ -115,15 +174,6 @@ class SmoothCompactFunction:
 
     # -- evaluation -----------------------------------------------------
 
-    def _eval_terms(self, terms, x):
-        out = np.zeros_like(x)
-        for k, P in terms.items():
-            if k == 0:
-                out += P(x)
-            else:
-                out += P(x) * (1.0 + x * x) ** (0.5 * k)
-        return out
-
     def value(self, x):
         return self.deriv(0, x)
 
@@ -131,29 +181,49 @@ class SmoothCompactFunction:
         return self.deriv(0, x)
 
     def deriv(self, j, x):
-        """Exact j-th derivative at x (scalar or array)."""
-        if j > self.max_order:
-            raise DerivativeOrderError(
-                f"derivative order {j} exceeds guaranteed order {self.max_order}")
-        g = self._derivative_obj(j)
+        """Exact j-th derivative at x (scalar or array): one row of ``derivs``."""
         scalar = np.isscalar(x)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = g._raw_eval(x)
+        out = self.derivs((j,), x)[0]
         return float(out[0]) if scalar else out
 
-    def _raw_eval(self, x):
+    def derivs(self, orders, x):
+        """Exact f^(j) at the points x for every j in ``orders``, as the rows
+        of one array, from one pass over the pieces.
+
+        On each piece, the Chebyshev coefficients of every order that share a
+        power u^k stand as the columns of one matrix, zero-padded at the high
+        end, and one Clenshaw recursion evaluates them all.  Zero padding
+        leaves the recursion's state bitwise unchanged, so each row equals
+        the evaluation of its order's series alone.
+        """
+        orders = tuple(orders)
+        for j in orders:
+            if j > self.max_order:
+                raise DerivativeOrderError(
+                    f"derivative order {j} exceeds guaranteed order {self.max_order}")
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        plans = _memoized(self, ("derivs", orders), lambda: self._stack_plans(orders))
         if self.whole_line is not None:
-            return self._eval_terms(self.whole_line, x)
-        out = np.zeros_like(x)
+            return _eval_stacked(plans[0], x)
+        out = np.zeros((len(orders), x.size))
         idx = np.searchsorted(self.breaks, x, side="right") - 1
         # close the right endpoint of the support
         idx[x == self.breaks[-1]] = len(self.piece_terms) - 1
         inside = (idx >= 0) & (idx <= len(self.piece_terms) - 1) & (x <= self.breaks[-1])
-        for i, terms in enumerate(self.piece_terms):
+        for i, plan in enumerate(plans):
             mask = inside & (idx == i)
             if np.any(mask):
-                out[mask] = self._eval_terms(terms, x[mask])
+                out[:, mask] = _eval_stacked(plan, x[mask])
         return out
+
+    def _stack_plans(self, orders):
+        """The ``_stack_terms`` plan of every piece (of the whole-line terms
+        for a whole-line function) over the derivatives of the given orders."""
+        gs = [self._derivative_obj(j) for j in orders]
+        if self.whole_line is not None:
+            return [_stack_terms([g.whole_line for g in gs])]
+        return [_stack_terms([g.piece_terms[i] for g in gs])
+                for i in range(len(self.piece_terms))]
 
     # -- differentiation ------------------------------------------------
 
@@ -189,16 +259,19 @@ class SmoothCompactFunction:
             self._deriv_cache[j] = g
         return self._deriv_cache[j]
 
-    def _grid_deriv(self, j, grid):
-        """f^(j) at the points of f's sampling grid ``grid`` (``_grid_points``)."""
-        return self.deriv(j, _grid_points(self, grid))
+    def _grid_derivs(self, orders, grid):
+        """f^(j) for every j in ``orders`` at the points of f's sampling grid
+        ``grid`` (``_grid_points``), from one pass."""
+        return self.derivs(orders, _grid_points(self, grid))
 
     def _grid_table(self, grid, j):
-        """[f, f', .., f^(j)] on f's sampling grid ``grid``, tabulated once per
-        grid in ``_constants``: every fractional power of f reads it."""
+        """[f, f', .., f^(j)] on f's sampling grid ``grid``, kept per grid in
+        ``_constants`` and extended by the missing orders in one pass: every
+        fractional power of f reads it."""
         table = self._constants.setdefault(("grid_table", grid), [])
-        for i in range(len(table), j + 1):
-            table.append(self._grid_deriv(i, grid))
+        if len(table) <= j:
+            table.extend(self.derivs(range(len(table), j + 1),
+                                     _grid_points(self, grid)))
         return table
 
     # -- algebra ---------------------------------------------------------
@@ -218,8 +291,7 @@ class SmoothCompactFunction:
     def _merge_breaks(a, b, lo, hi):
         pts = np.concatenate([np.asarray(a, float), np.asarray(b, float)])
         pts = pts[(pts >= lo) & (pts <= hi)]
-        pts = np.unique(np.concatenate([pts, [lo, hi]]))
-        return pts
+        return _sorted_unique([pts, [lo, hi]])
 
     def add(self, other):
         """Pointwise sum; both operands must be compactly supported."""
@@ -328,14 +400,21 @@ class FractionalPower:
         return self.deriv(0, x)
 
     def deriv(self, j, x):
-        if j > self.max_order:
-            raise DerivativeOrderError(
-                f"derivative order {j} exceeds guaranteed order {self.max_order}")
         scalar = np.isscalar(x)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        out = self.derivs((j,), x)[0]
+        return float(out[0]) if scalar else out
+
+    def derivs(self, orders, x):
+        """h^(j) at the points x for every j in ``orders``, as the rows of one
+        array, from one pass of the base's orders 0..max(orders)."""
+        orders = tuple(orders)
+        top = max(orders)
+        if top > self.max_order:
+            raise DerivativeOrderError(
+                f"derivative order {top} exceeds guaranteed order {self.max_order}")
         h = []
-        self._extend([self.base.deriv(i, x) for i in range(j + 1)], h)
-        return float(h[j][0]) if scalar else h[j]
+        self._extend(list(self.base.derivs(range(top + 1), x)), h)
+        return np.array([h[j] for j in orders])
 
     def _extend(self, g, h):
         """Extend h = [h, h', ..] to order len(g) - 1 from the base
@@ -360,13 +439,15 @@ class FractionalPower:
                 acc += math.comb(r - 1, i) * h[i] * (self.alpha * l[r - i])
             h.append(np.where(safe, acc, 0.0))
 
-    def _grid_deriv(self, j, grid):
-        """h^(j) on the sampling grid ``grid`` (the base's: same support and
-        breaks), from the base's table for that grid.  The orders found so far
-        are kept per grid, so each is found once per grid."""
+    def _grid_derivs(self, orders, grid):
+        """h^(j) for every j in ``orders`` on the sampling grid ``grid`` (the
+        base's: same support and breaks), from the base's table for that
+        grid.  The orders found so far are kept per grid, so each is found
+        once per grid."""
+        top = max(orders)
         h = self._constants.setdefault(("grid_derivs", grid), [])
-        self._extend(self.base._grid_table(grid, j)[:j + 1], h)
-        return h[j]
+        self._extend(self.base._grid_table(grid, top)[:top + 1], h)
+        return [h[j] for j in orders]
 
 
 def zero_function():
@@ -491,7 +572,7 @@ def _quad_edges(f, panels):
     edges = np.linspace(lo, hi, panels + 1)
     br = np.asarray(getattr(f, "breaks", []), float)
     br = br[(br > lo) & (br < hi)]
-    return np.unique(np.concatenate([edges, br]))
+    return _sorted_unique([edges, br])
 
 
 def _quad_rule(f, panels):
@@ -510,30 +591,35 @@ _SUP_GRID = "sup"
 
 
 def _grid_points(f, grid):
-    """The points of f's sampling grid ``grid``: the flattened quadrature
-    nodes for ``grid`` panels, or for ``_SUP_GRID`` the sup sample of f's
-    support, 4001 equispaced points and the breaks (empty for an empty
-    support)."""
-    if grid != _SUP_GRID:
-        return _quad_rule(f, grid)[0].ravel()
-    if f.unbounded:
-        lo, hi = -1e3, 1e3
-    else:
-        lo, hi = f.support
-        if hi <= lo:
-            return np.empty(0)
-    pts = [np.linspace(lo, hi, 4001), np.asarray(getattr(f, "breaks", []), float)]
-    return np.unique(np.concatenate(pts))
-
-
-def _l2_norm_deriv(f, order, panels):
-    """||f^(order)||_2 by the quadrature rule on ``panels`` panels, memoized
-    on f."""
+    """The points of f's sampling grid ``grid``, memoized on f: the flattened
+    quadrature nodes for ``grid`` panels, or for ``_SUP_GRID`` the sup
+    sample of f's support, 4001 equispaced points and the breaks (empty for
+    an empty support)."""
     def compute():
+        if grid != _SUP_GRID:
+            return _quad_rule(f, grid)[0].ravel()
+        if f.unbounded:
+            lo, hi = -1e3, 1e3
+        else:
+            lo, hi = f.support
+            if hi <= lo:
+                return np.empty(0)
+        return _sorted_unique([np.linspace(lo, hi, 4001),
+                               np.asarray(getattr(f, "breaks", []), float)])
+    return _memoized(f, ("grid_points", grid), compute)
+
+
+def _l2_norms(f, orders, panels):
+    """||f^(j)||_2 for every j in ``orders``, by the quadrature rule on
+    ``panels`` panels, memoized on f per order; the orders not yet known
+    are evaluated in one pass."""
+    missing = [j for j in orders if ("l2_norm", j, panels) not in f._constants]
+    if missing:
         X, W = _quad_rule(f, panels)
-        vals = (f._grid_deriv(order, panels) ** 2).reshape(X.shape)
-        return math.sqrt(max(float(np.sum(vals * W)), 0.0))
-    return _memoized(f, ("l2_norm", order, panels), compute)
+        for j, vals in zip(missing, f._grid_derivs(missing, panels)):
+            f._constants["l2_norm", j, panels] = math.sqrt(
+                max(float(np.sum((vals ** 2).reshape(X.shape) * W)), 0.0))
+    return [f._constants["l2_norm", j, panels] for j in orders]
 
 
 def gp_seminorm(f, p, panels=64):
@@ -548,9 +634,8 @@ def gp_seminorm(f, p, panels=64):
     if p + 1 > f.max_order:
         raise DerivativeOrderError(
             f"G_{p} needs derivatives up to order {p + 1}; have {f.max_order}")
-    coarse = _l2_norm_deriv(f, p, panels) + _l2_norm_deriv(f, p + 1, panels)
-    fine = (_l2_norm_deriv(f, p, 2 * panels)
-            + _l2_norm_deriv(f, p + 1, 2 * panels))
+    coarse = sum(_l2_norms(f, (p, p + 1), panels))
+    fine = sum(_l2_norms(f, (p, p + 1), 2 * panels))
     c = math.sqrt(2.0) / math.factorial(p)
     return SeminormReport(p=p, value_gp=c * fine, quadrature_error=c * abs(fine - coarse))
 
@@ -591,7 +676,8 @@ def fourier_l1_norm(f, p, grid=2**14):
 def sup_norm(f):
     """Sup of |f| over its support (dense grid plus breakpoints), memoized
     on f."""
-    return _memoized(f, "sup_norm", lambda: _max_abs(f._grid_deriv(0, _SUP_GRID)))
+    return _memoized(f, "sup_norm",
+                     lambda: _max_abs(f._grid_derivs((0,), _SUP_GRID)[0]))
 
 
 def _max_abs(values):

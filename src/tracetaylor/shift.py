@@ -15,7 +15,7 @@ from .bounds import BoundCertificate, inv_resolvent_trace
 from .operator_core import Interval
 # unused here, kept because bench/tests/test_tracer.py checks its rebinding
 from .operator_core import decompose  # noqa: F401
-from .scalar_functions import DerivativeOrderError
+from .scalar_functions import DerivativeOrderError, _sorted_unique
 
 
 class WindowError(ValueError):
@@ -106,7 +106,7 @@ def xi(D0, D1, window):
     w0, w1 = D0.eigenvalues, D1.eigenvalues
     _check_window(w0, window, "unperturbed")
     _check_window(w1, window, "perturbed")
-    breaks = np.unique(np.concatenate([w0, w1]))
+    breaks = _sorted_unique([w0, w1])
     # eigenvalues of H0 in (a, t] minus those of H0 + V (both ascending)
     vals = (np.searchsorted(w0, breaks, side="right")
             - np.searchsorted(w1, breaks, side="right"))
@@ -133,7 +133,7 @@ def eta(step, mu, window):
     integral of xi is a cumulative sum over earlier pieces."""
     locs = np.array([t for t, _ in mu.atoms], dtype=float)
     mass = np.cumsum([0.0] + [w for _, w in mu.atoms])
-    hi = np.unique(np.concatenate([step.breakpoints, locs, [window.hi]]))
+    hi = _sorted_unique([step.breakpoints, locs, [window.hi]])
     lo = np.concatenate([[window.lo], hi[:-1]])
     xival = step(lo)
     running = np.concatenate([[0.0], np.cumsum(xival * (hi - lo))[:-1]])

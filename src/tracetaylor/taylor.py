@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moi import evaluate_moi, trace_derivative_first, trace_derivative_higher
-from .operator_core import (_function_of, apply_function, as_matrix, decompose,
-                            schatten_norm)
+from .operator_core import apply_function, as_matrix, decompose, schatten_norm
 
 
 class InsufficientDataError(RuntimeError):
@@ -34,9 +33,14 @@ class ExpansionReport:
 
 def expansion_terms(f, D0, V, n):
     """Expansion terms tau_1..tau_{n-1}: tau_p is 1/p times the spectral sum
-    of (f')^[p-1] against the cyclic traces Tr(E V .. E V)."""
+    of (f')^[p-1] against the cyclic traces Tr(E V .. E V).
+
+    D0's table of f is filled to order n in one pass: the terms read
+    f'..f^(n-1), and the operator remainder and the order-n operator
+    integral of the same trial read f..f^(n) from it."""
     if f.max_order < n:
         raise ValueError(f"need derivatives up to order {n}; have {f.max_order}")
+    D0.derivative_table(f, n)
     out = []
     for p in range(1, n):
         if p == 1:
@@ -62,10 +66,12 @@ def _remainder_trace(f, D0, D1, V, n):
 def _traces(f, Ds):
     """Tr f(H) for the matrix H of each decomposition in Ds (all of one
     dimension), from one evaluation of f over all their spectra; each trace
-    is still formed from f(H) in its own eigenbasis."""
+    is the real part of the trace of U diag(f) U*, formed in H's own
+    eigenbasis (the diagonal that ``_function_of`` would symmetrize has
+    that real part already)."""
     fvals = np.asarray(f.value(np.concatenate([D.index_values() for D in Ds])),
                        dtype=float).reshape(len(Ds), -1)
-    return [float(np.trace(_function_of(D, fv).mat).real)
+    return [float(np.trace((D.eigenvectors * fv) @ D.eigenvectors.conj().T).real)
             for D, fv in zip(Ds, fvals)]
 
 
@@ -77,7 +83,8 @@ def operator_remainder(f, H0, V, p):
 
 def _operator_remainder(f, D0, D1, V, p):
     """``operator_remainder`` from the decompositions D0 of H0 and D1 of
-    H0+V."""
+    H0+V; D0's table of f is filled to order p - 1 in one pass first."""
+    D0.derivative_table(f, p - 1)
     R = apply_function(f, D1).mat.copy()
     for k in range(p):
         R -= evaluate_moi(f, D0, [V] * k)

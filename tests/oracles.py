@@ -1,7 +1,8 @@
 """Reference implementations that the tests compare the library against.
 
 Each one takes an independent route to a quantity the library computes or
-bounds: exact polynomial derivatives, the scalar divided-difference loop,
+bounds: exact polynomial derivatives, the per-order evaluation of a
+function's derivatives, the scalar divided-difference loop,
 explicit loops over eigenvector index tuples, finite differences of the
 functional calculus, and a sampled supremum of eigenvalue counts.
 
@@ -24,7 +25,8 @@ from tracetaylor.operator_core import (HermitianOperator, Interval,
                                        apply_function, as_matrix,
                                        counting_trace, decompose,
                                        operator_norm, schatten_norm)
-from tracetaylor.scalar_functions import _gauss_legendre, gp_seminorm, sup_norm
+from tracetaylor.scalar_functions import (FractionalPower, _gauss_legendre,
+                                          gp_seminorm, sup_norm)
 from tracetaylor.taylor import operator_remainder
 
 
@@ -49,6 +51,48 @@ class PolynomialProbe:
 
     def deriv(self, j, x):
         return self.poly.deriv(j)(x) if j else self.poly(x)
+
+    def derivs(self, orders, x):
+        x = np.asarray(x, dtype=float)
+        return np.array([self.deriv(j, x) for j in orders])
+
+
+def _eval_terms(terms, x):
+    out = np.zeros_like(x)
+    for k, P in terms.items():
+        if k == 0:
+            out += P(x)
+        else:
+            out += P(x) * (1.0 + x * x) ** (0.5 * k)
+    return out
+
+
+def derivs_per_order(f, orders, x):
+    """[f^(j) at the points x for j in orders] by the per-order route: each
+    piece of f's j-th derivative object evaluated term by term, one series
+    at a time, and for a FractionalPower the log-derivative recursion over
+    its base's orders 0..max(orders), each found by this route."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if isinstance(f, FractionalPower):
+        h = []
+        f._extend(derivs_per_order(f.base, range(max(orders) + 1), x), h)
+        return [h[j] for j in orders]
+    return [_deriv_per_order(f._derivative_obj(j), x) for j in orders]
+
+
+def _deriv_per_order(g, x):
+    if g.whole_line is not None:
+        return _eval_terms(g.whole_line, x)
+    out = np.zeros_like(x)
+    idx = np.searchsorted(g.breaks, x, side="right") - 1
+    # close the right endpoint of the support
+    idx[x == g.breaks[-1]] = len(g.piece_terms) - 1
+    inside = (idx >= 0) & (idx <= len(g.piece_terms) - 1) & (x <= g.breaks[-1])
+    for i, terms in enumerate(g.piece_terms):
+        mask = inside & (idx == i)
+        if np.any(mask):
+            out[mask] = _eval_terms(terms, x[mask])
+    return out
 
 
 def divided_difference_loop(f, nodes):

@@ -226,8 +226,9 @@ def test_criterion_10_norm_bounds():
         dim = 3 + trial % 6
         H, V = instance(11000 + trial, dim, vnorm=0.6)
         D = decompose(H)
-        if not hilbert_schmidt_bound_check(
-                divided_diff.divided_difference_tensor(F12, D.index_values(), 1), D, V):
+        F = divided_diff.divided_difference_tensor(D.derivative_table(F12, 1),
+                                                   D.index_values())
+        if not hilbert_schmidt_bound_check(F, D, V):
             ok = False
     verdict(10, "Schatten-Holder and Hilbert-Schmidt symbol bounds, "
                 "100 trials each", ok)

@@ -204,17 +204,18 @@ def test_constants_evaluate_each_function_order_and_grid_once(monkeypatch):
     # the dyadic roots and u-weighted products are memoized on f, and every
     # function keeps its L2 norms per (order, grid) and its sup, so building
     # the constants of orders 1-3 evaluates no derivative twice at the same
-    # points
+    # points, in any pass
     calls = Counter()
     seen = []
-    deriv = SmoothCompactFunction.deriv
+    derivs = SmoothCompactFunction.derivs
 
-    def counted(self, j, x):
+    def counted(self, orders, x):
         seen.append(self)  # keeps ids unique while counting
-        calls[id(self), j, np.asarray(x, float).tobytes()] += 1
-        return deriv(self, j, x)
+        for j in orders:
+            calls[id(self), j, np.asarray(x, float).tobytes()] += 1
+        return derivs(self, orders, x)
 
-    monkeypatch.setattr(SmoothCompactFunction, "deriv", counted)
+    monkeypatch.setattr(SmoothCompactFunction, "derivs", counted)
     _all_constants(make_poly_bump(0.0, 1.0, 20), (1, 2, 3))
     assert calls and max(calls.values()) == 1
 

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,10 +234,15 @@ def test_shift_names_failing_trials(tmp_path, monkeypatch, capsys):
     cfg = write_cfg(tmp_path)
     assert cli.main(["shift", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
     assert capsys.readouterr().err == ""
-    # an off remainder breaks both trace formulas of every trial
-    remainder_trace = taylor._remainder_trace
-    monkeypatch.setattr(taylor, "_remainder_trace",
-                        lambda *args: remainder_trace(*args) + 1e-6)
+    # an off Tr f(H0 + V) makes both remainders off, which breaks both trace
+    # formulas of every trial
+    traces = taylor._traces
+
+    def off_perturbed_trace(f, Ds):
+        *base, pert = traces(f, Ds)
+        return [*base, pert + 1e-6]
+
+    monkeypatch.setattr(taylor, "_traces", off_perturbed_trace)
     out = tmp_path / "bad"
     assert cli.main(["shift", "--config", cfg, "--out", str(out)]) == 1
     captured = capsys.readouterr()
@@ -248,20 +257,31 @@ def test_shift_names_failing_trials(tmp_path, monkeypatch, capsys):
             f"second_order_residual {float(r2):.6g} > 1e-08")]
 
 
-# command: (owner and name of the value made NaN, the FAIL text it causes)
+def _nan(*args):
+    return float("nan")
+
+
+def _nan_traces(f, Ds):
+    return [float("nan")] * len(Ds)
+
+
+# command: (owner and name of the value made NaN, its NaN-making stand-in,
+# the FAIL text it causes)
 NAN_GATES = {
-    "shift": (taylor, "_remainder_trace", "(first|second)_order_residual nan > "),
-    "expand": (taylor.ExpansionReport, "identity_residual", "identity_residual nan > "),
-    "certify": (taylor, "_remainder_trace", "remainder_(compact|hs) nan > "),
-    "sweep": (taylor, "scaling_exponent", "slope nan < "),
+    "shift": (taylor, "_traces", _nan_traces,
+              "(first|second)_order_residual nan > "),
+    "expand": (taylor.ExpansionReport, "identity_residual", _nan,
+               "identity_residual nan > "),
+    "certify": (taylor, "_remainder_trace", _nan, "remainder_(compact|hs) nan > "),
+    "sweep": (taylor, "scaling_exponent", _nan, "slope nan < "),
 }
 
 
 @pytest.mark.parametrize("command", list(NAN_GATES))
 def test_nan_residual_fails_its_gate(tmp_path, monkeypatch, capsys, command):
     # a NaN compares false both ways: each gate must name it as a failure
-    owner, name, text = NAN_GATES[command]
-    monkeypatch.setattr(owner, name, lambda *args: float("nan"))
+    owner, name, stand_in, text = NAN_GATES[command]
+    monkeypatch.setattr(owner, name, stand_in)
     cfg = write_cfg(tmp_path)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "nan")]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -361,6 +381,41 @@ def test_sweep_trial_evaluates_f_once(monkeypatch):
         cli._sweep_trial((cfg, 4, order, 0))
         assert len(values) == 1
         assert values[0].size == 4 * (1 + len(cfg.epsilons))
+
+
+def test_certify_trial_evaluates_f_once_at_the_spectrum_of_h0(monkeypatch):
+    # at n = 3 the expansion terms, the operator integral of the trace-norm
+    # bound and its order-3 symbol all read one table of f and its first
+    # three derivatives at the index values of H0, filled in one pass
+    cfg = cli.ExperimentConfig()
+    f = cfg.function()
+    lam = operator_core.decompose(cli.make_instance(cfg, 4, 3, 0)[0]).index_values()
+    calls = []
+    derivs = type(f).derivs
+    monkeypatch.setattr(type(f), "derivs", lambda self, orders, x: (
+        calls.append((self, tuple(orders), np.array(x))) or derivs(self, orders, x)))
+    cli._certify_trial((cfg, 4, 3, 0))
+    at_lam = [(obj, orders) for obj, orders, x in calls if np.array_equal(x, lam)]
+    assert at_lam == [(f, (0, 1, 2, 3))]
+
+
+def test_runs_import_neither_multiprocessing_nor_numpy_ma(tmp_path):
+    # a --jobs 1 run needs no process pool, and the sorted unions that
+    # stand in for np.unique keep numpy.ma unloaded
+    cfg = write_cfg(tmp_path, "dims = 3\norders = 1,2\ntrials = 1\n")
+    code = (
+        "import json, sys\n"
+        "from tracetaylor import cli\n"
+        f"codes = [cli.main([c, '--config', {cfg!r}, '--out', {str(tmp_path)!r}])\n"
+        "         for c in ('certify', 'sweep', 'shift', 'selftest')]\n"
+        "print(json.dumps([codes, [m for m in ('multiprocessing', 'numpy.ma')\n"
+        "                          if m in sys.modules]]))\n")
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert all(c in (0, 1) for c in codes) and loaded == []
 
 
 @pytest.mark.parametrize("command, config", [

@@ -13,7 +13,8 @@ from tracetaylor.divided_diff import (DividedDifferenceCache, divided_difference
                                       divided_difference_tensor,
                                       sqrt_split_residual,
                                       u_conjugation_residual)
-from tracetaylor.operator_core import CLUSTER_TOL, decompose
+from tracetaylor.moi import _trace_derivative, evaluate_moi
+from tracetaylor.operator_core import CLUSTER_TOL, decompose, random_hermitian
 from tracetaylor.scalar_functions import (DerivativeOrderError, dyadic_root,
                                           make_poly_bump)
 
@@ -141,7 +142,7 @@ spectra = st.lists(st.integers(-18, 18), min_size=1, max_size=6).map(
 @given(lam=spectra, p=st.integers(0, 4))
 def test_tensor_matches_scalar_divided_difference(lam, p):
     f = make_poly_bump(0.0, 1.0, 12)
-    F = divided_difference_tensor(f, lam, p)
+    F = divided_difference_tensor(f.derivs(range(p + 1), lam), lam)
     assert F.shape == (lam.size,) * (p + 1)
     scalar = DividedDifferenceCache(f)  # one scalar call per node multiset
     for idx in product(range(lam.size), repeat=p + 1):
@@ -160,7 +161,7 @@ def test_tensor_matches_polynomial_probe():
     for k in range(8):
         probe = PolynomialProbe.monomial(k)
         for p in range(5):
-            F = divided_difference_tensor(probe, lam, p)
+            F = divided_difference_tensor(probe.derivs(range(p + 1), lam), lam)
             for idx in product(range(lam.size), repeat=p + 1):
                 nodes = lam[list(idx)]
                 h = sum(math.prod(c) for c in
@@ -170,24 +171,33 @@ def test_tensor_matches_polynomial_probe():
 
 def test_tensor_needs_ascending_values():
     f = make_poly_bump(0.0, 1.0, 8)
+    lam = np.array([0.2, -0.1])
     with pytest.raises(ValueError):
-        divided_difference_tensor(f, np.array([0.2, -0.1]), 1)
+        divided_difference_tensor(f.derivs(range(2), lam), lam)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
 def test_tensor_evaluates_each_order_once(monkeypatch, p):
-    # f^(r) is evaluated once per order r <= p, at all the values at once,
-    # and gathered by index; a repeated value needs every order
+    # a decomposition evaluates f^(0..p) at its index values in one pass, and
+    # every tensor over f at that spectrum reads the table: the order-p
+    # operator integral, those of lower order and the trace derivatives
+    # (f')^[q-1]; a repeated value needs every order
     f = make_poly_bump(0.0, 1.0, 12)
     lam = np.array([-0.4, -0.1, -0.1, 0.3, 0.6, 0.6])
+    D = decompose(np.diag(lam).astype(complex))
+    assert np.array_equal(D.index_values(), lam)
+    V = random_hermitian(np.random.default_rng(p), lam.size, norm=0.1)
     calls = []
-    deriv = type(f).deriv
-    monkeypatch.setattr(type(f), "deriv", lambda self, j, x: (
-        calls.append((j, x)) or deriv(self, j, x)))
-    F = divided_difference_tensor(f, lam, p)
-    assert len(calls) <= p + 1
-    assert sorted(j for j, _ in calls) == list(range(p + 1))
-    assert all(np.array_equal(x, lam) for _, x in calls)
+    derivs = type(f).derivs
+    monkeypatch.setattr(type(f), "derivs", lambda self, orders, x: (
+        calls.append((tuple(orders), x)) or derivs(self, orders, x)))
+    for q in range(p, -1, -1):
+        evaluate_moi(f, D, [V] * q)
+        if q:
+            _trace_derivative(f, D, V, q)
+    assert [orders for orders, _ in calls] == [tuple(range(p + 1))]
+    assert np.array_equal(calls[0][1], lam)
     monkeypatch.undo()
+    F = divided_difference_tensor(D.derivative_table(f, p), lam)
     for idx in combinations_with_replacement(range(lam.size), p + 1):
         assert F[idx] == divided_difference_loop(f, lam[list(idx)])

@@ -184,7 +184,7 @@ def test_schatten_bound():
 def test_hilbert_schmidt_bound():
     f = make_poly_bump(0.0, 1.0, 8)
     H, D, V = rand_instance(15, 8)
-    F = divided_difference_tensor(f, D.index_values(), 1)
+    F = divided_difference_tensor(D.derivative_table(f, 1), D.index_values())
     assert hilbert_schmidt_bound_check(np.ones((8, 8)), D, V)
     assert hilbert_schmidt_bound_check(F, D, V)
     assert hilbert_schmidt_bound_check(F, D, np.zeros((8, 8)))
@@ -193,7 +193,7 @@ def test_hilbert_schmidt_bound():
 def test_symbol_moi_multilinearity():
     f = make_poly_bump(0.0, 1.0, 8)
     H, D, V = rand_instance(16, 4)
-    F = divided_difference_tensor(f, D.index_values(), 2)
+    F = divided_difference_tensor(D.derivative_table(f, 2), D.index_values())
     T1 = evaluate_symbol_moi(F, D, [V, 2.0 * V])
     T2 = evaluate_symbol_moi(F, D, [V, V])
     assert np.max(np.abs(T1 - 2.0 * T2)) < 1e-10

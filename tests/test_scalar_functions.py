@@ -1,8 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import derivs_per_order
+from tracetaylor import bounds
 from tracetaylor.scalar_functions import (_SUP_GRID, DerivativeOrderError,
                                           FractionalPower,
                                           UnsupportedFamilyError,
@@ -184,24 +189,79 @@ def test_fractional_power_grid_pass_equals_deriv():
         assert np.any(x < base.breaks[1]) and np.any(x > base.breaks[-2])
         for r in roots:
             for j in (2, 0, 4, 1, 3):
-                assert np.array_equal(r._grid_deriv(j, grid), r.deriv(j, x))
+                assert np.array_equal(r._grid_derivs((j,), grid)[0],
+                                      r.deriv(j, x))
 
 
 def test_roots_share_one_base_evaluation(monkeypatch):
+    # the roots of a base without exact roots read one table of base
+    # derivatives per sampling grid, filled in one pass: orders 0..4 on each
+    # quadrature grid of the seminorms, the values on the sup grid
     f = make_poly_bump(0.1, 0.8, 10)
     base = decompose_signed(f, 3)[0]
     calls = []
-    deriv = type(base).deriv
-    monkeypatch.setattr(type(base), "deriv", lambda self, j, x: (
-        calls.append((self, j)) or deriv(self, j, x)))
-    for k in (1, 2):
-        r = fractional_root(base, k, max_order=4)
-        for d in (1, 2, 3):
-            gp_seminorm(r, d)
-        sup_norm(r)
-    # orders 0..4 on two quadrature grids, and the values on the sup grid
-    assert sorted(j for _, j in calls) == sorted(list(range(5)) * 2 + [0])
-    assert all(obj is base for obj, _ in calls)
+    derivs = type(base).derivs
+    monkeypatch.setattr(type(base), "derivs", lambda self, orders, x: (
+        calls.append((self, tuple(orders), x)) or derivs(self, orders, x)))
+    bounds._root_constants(base, 3)
+    assert all(obj is base for obj, _, _ in calls)
+    grids = [_grid_points(base, grid) for grid in (64, 128, _SUP_GRID)]
+    assert sorted((orders, [x is g for g in grids].index(True))
+                  for _, orders, x in calls) == [
+        ((0,), 2), ((0, 1, 2, 3, 4), 0), ((0, 1, 2, 3, 4), 1)]
+
+
+@functools.cache
+def _families():
+    """One member of every kind that the library evaluates: polynomial bumps
+    and their sums, the u-weighted products and the weight, a negated
+    plateau (the derivatives of its flat piece are series of negative
+    zeros), and for every order n = 1..4 both halves of the signed split
+    (the plateau of edge order n + 1 and exponent 2^j_n, and its sum with
+    f), the exact roots of the plateau and the FractionalPower roots of the
+    other half."""
+    f = make_poly_bump(0.1, 0.8, 10)
+    fams = [f, make_poly_bump(-0.3, 1.7, 7), f.add(make_poly_bump(0.5, 0.6, 6)),
+            product_with_u(f), product_with_u2(f), weight_u(),
+            make_plateau_bump(-0.5, 0.5, 0.25, 3).scale(-1.0)]
+    for n in (1, 2, 3, 4):
+        f1, f2 = decompose_signed(f, n)
+        jn = 1 + int(math.floor(math.log2(n)))
+        fams += [f1, f2]
+        fams += [dyadic_root(f2, k) for k in range(1, jn + 1)]
+        fams += [fractional_root(f1, k, max_order=n + 1) for k in range(1, jn + 1)]
+    return fams
+
+
+def _span(f):
+    return (-3.0, 3.0) if f.unbounded else f.support
+
+
+def _marks(f):
+    """f's breaks and support edges, a step to either side of each, both
+    signed zeros and a point outside the support on either side."""
+    lo, hi = _span(f)
+    marks = [float(b) for b in f.breaks] + [lo, hi, 0.0, -0.0]
+    steps = [float(np.nextafter(b, s)) for b in marks for s in (-np.inf, np.inf)]
+    return np.array(marks + steps + [lo - 0.5, hi + 0.5])
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_derivs_equal_the_per_order_evaluation_bitwise(data):
+    # the stacked one-pass evaluation returns, for every requested order and
+    # in the requested order, the bits of the per-order evaluation, sign
+    # bit included
+    for f in _families():
+        orders = data.draw(st.lists(st.integers(0, min(f.max_order, 5)),
+                                    min_size=1, max_size=4))
+        lo, hi = _span(f)
+        x = np.append(_marks(f), data.draw(st.lists(st.floats(lo - 1.0, hi + 1.0),
+                                                    max_size=12)))
+        got = f.derivs(orders, x)
+        assert got.shape == (len(orders), x.size)
+        for row, expect in zip(got, derivs_per_order(f, orders, x)):
+            assert row.tobytes() == expect.tobytes()
 
 
 def test_values_memoized_on_the_function_match_a_fresh_one():

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .moi import evaluate_moi
-from .operator_core import Interval, counting_trace, operator_norm, schatten_norm
+from .operator_core import Interval, counting_trace, schatten_norm
 # unused here, kept because bench/tests/test_tracer.py checks its rebinding
 from .operator_core import decompose  # noqa: F401
 from .scalar_functions import (_memoized, decompose_signed, fractional_root,
@@ -103,21 +103,21 @@ def _root_constants(f, n):
     return sup_max, g_max
 
 
-def compact_trace_norm_bound(f, D, V, n):
-    """Trace-norm bound on the order-n operator integral with equal Hermitian
-    perturbations, against the eigenvalue count of supp f and dyadic-root
-    seminorms of f."""
+def compact_trace_norm_bound(f, D, V, v_norm, n):
+    """Trace-norm bound on the order-n operator integral of f at the
+    decomposition D with n copies of the Hermitian perturbation V, v_norm =
+    ||V||, against the eigenvalue count of supp f and dyadic-root seminorms
+    of f."""
     lhs = schatten_norm(evaluate_moi(f, D, [V] * n), 1)
     an = a_sequence(n)
     lo, hi = f.support
     tr_e = counting_trace(D, Interval(lo, hi))
-    vn = operator_norm(V)
     sup_max, g_max = _root_constants(f, n)
-    rhs = an * vn**n * tr_e * sup_max * g_max**n
+    rhs = an * v_norm**n * tr_e * sup_max * g_max**n
     return BoundCertificate(
         kind="compact", lhs=lhs, rhs=rhs,
         ingredients={"a_n": an, "j_n": j_of(n), "counting_trace": tr_e,
-                     "V_norm": vn, "root_sup": sup_max, "root_gmax": g_max})
+                     "V_norm": v_norm, "root_sup": sup_max, "root_gmax": g_max})
 
 
 @_per_function

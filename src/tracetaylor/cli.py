@@ -257,7 +257,7 @@ def _certify_trial(args):
     rem = taylor._remainder_trace(f, D0, D1, V, order)
     v_norm = operator_norm(V)
     certs = {
-        "moi_trace_norm": bounds.compact_trace_norm_bound(f, D0, V, order),
+        "moi_trace_norm": bounds.compact_trace_norm_bound(f, D0, V, v_norm, order),
         "remainder_compact": bounds.remainder_bound_compact(f, D0, v_norm, order, rem),
         "remainder_hs": bounds.remainder_bound_hs(f, D0, v_norm, order, rem),
     }

@@ -135,42 +135,37 @@ def _sorted_unique(parts):
 
 
 class SmoothCompactFunction:
-    """Piecewise ``sum_k P_k(x) u(x)^k`` with compact (or whole-line) support.
+    """Piecewise ``sum_k P_k(x) u(x)^k``: breaks plus one term dict per piece.
 
     ``breaks`` are the piece boundaries; ``piece_terms[i]`` holds the term
     dictionary valid on ``(breaks[i], breaks[i+1])``.  The function is zero
-    outside ``[breaks[0], breaks[-1]]`` unless ``whole_line`` terms are set
-    (used only for the weight ``u`` and its relatives).
+    outside ``[breaks[0], breaks[-1]]``.  A whole-line function (the weight
+    ``u`` and the multiplier ``u^2``) is one piece on breaks ``[-inf, inf]``.
+
+    Every value that depends only on the function lives in its one
+    ``_constants`` table, keyed by name and arguments: its derivative
+    objects, roots, u-weighted products, sup and L2 norms, derivative tables
+    on sampling grids and the (f, n) constants of ``bounds``.  They live and
+    die with the function.
     """
 
-    def __init__(self, breaks, piece_terms, max_order, whole_line=None,
-                 power=None):
+    def __init__(self, breaks, piece_terms, max_order, power=None):
         self.breaks = np.asarray(breaks, dtype=float)
         self.piece_terms = piece_terms
         self.max_order = max_order
-        self.whole_line = whole_line
         self.power = power  # (atom, integer exponent, coeff) when an exact power
-        # derivatives of order >= 1; order 0 is self, kept out of the dict so
-        # that a function is freed by reference counting, with its tables
-        self._deriv_cache = {}
-        # values that depend only on this function (its roots, its u-weighted
-        # products, its sup and L2 norms, its derivative tables on sampling
-        # grids, the (f, n) constants of ``bounds``), keyed by name and
-        # arguments; they live and die with the function
         self._constants = {}
 
     # -- basic geometry -------------------------------------------------
 
     @property
     def support(self):
-        """(lo, hi) hull of the support, or None for whole-line functions."""
-        if self.whole_line is not None:
-            return None
+        """(lo, hi) hull of the support; (-inf, inf) for a whole-line function."""
         return (float(self.breaks[0]), float(self.breaks[-1]))
 
     @property
     def unbounded(self):
-        return self.whole_line is not None
+        return math.isinf(self.breaks[0]) or math.isinf(self.breaks[-1])
 
     # -- evaluation -----------------------------------------------------
 
@@ -203,8 +198,6 @@ class SmoothCompactFunction:
                     f"derivative order {j} exceeds guaranteed order {self.max_order}")
         x = np.atleast_1d(np.asarray(x, dtype=float))
         plans = _memoized(self, ("derivs", orders), lambda: self._stack_plans(orders))
-        if self.whole_line is not None:
-            return _eval_stacked(plans[0], x)
         out = np.zeros((len(orders), x.size))
         idx = np.searchsorted(self.breaks, x, side="right") - 1
         # close the right endpoint of the support
@@ -217,11 +210,9 @@ class SmoothCompactFunction:
         return out
 
     def _stack_plans(self, orders):
-        """The ``_stack_terms`` plan of every piece (of the whole-line terms
-        for a whole-line function) over the derivatives of the given orders."""
+        """The ``_stack_terms`` plan of every piece over the derivatives of
+        the given orders."""
         gs = [self._derivative_obj(j) for j in orders]
-        if self.whole_line is not None:
-            return [_stack_terms([g.whole_line for g in gs])]
         return [_stack_terms([g.piece_terms[i] for g in gs])
                 for i in range(len(self.piece_terms))]
 
@@ -244,20 +235,17 @@ class SmoothCompactFunction:
         return self._derivative_obj(1)
 
     def _derivative_obj(self, j):
+        # order 0 is self, kept out of ``_constants`` so that a function is
+        # freed by reference counting, with its tables
         if j == 0:
             return self
-        if j not in self._deriv_cache:
+
+        def compute():
             prev = self._derivative_obj(j - 1)
-            if prev.whole_line is not None:
-                g = SmoothCompactFunction(
-                    prev.breaks, [], max(prev.max_order - 1, 0),
-                    whole_line=self._diff_terms(prev.whole_line))
-            else:
-                g = SmoothCompactFunction(
-                    prev.breaks, [self._diff_terms(t) for t in prev.piece_terms],
-                    max(prev.max_order - 1, 0))
-            self._deriv_cache[j] = g
-        return self._deriv_cache[j]
+            return SmoothCompactFunction(
+                prev.breaks, [self._diff_terms(t) for t in prev.piece_terms],
+                max(prev.max_order - 1, 0))
+        return _memoized(self, ("derivative", j), compute)
 
     def _grid_derivs(self, orders, grid):
         """f^(j) for every j in ``orders`` at the points of f's sampling grid
@@ -278,8 +266,6 @@ class SmoothCompactFunction:
 
     def _pieces_on(self, lo, hi):
         """Term dict valid on the open interval (lo, hi)."""
-        if self.whole_line is not None:
-            return self.whole_line
         mid = 0.5 * (lo + hi)
         if mid < self.breaks[0] or mid > self.breaks[-1]:
             return {}
@@ -319,34 +305,21 @@ class SmoothCompactFunction:
         if self.power is not None and self.power[2] * c >= 0:
             atom, m, coeff = self.power
             power = (atom, m, coeff * c) if c > 0 else None
-        mapper = lambda terms: {k: c * P for k, P in terms.items()}
-        if self.whole_line is not None:
-            return SmoothCompactFunction(self.breaks, [], self.max_order,
-                                         whole_line=mapper(self.whole_line))
-        return SmoothCompactFunction(self.breaks,
-                                     [mapper(t) for t in self.piece_terms],
-                                     self.max_order, power=power)
+        return SmoothCompactFunction(
+            self.breaks, [{k: c * P for k, P in t.items()} for t in self.piece_terms],
+            self.max_order, power=power)
 
     def mul(self, other):
         """Pointwise product; at least one operand compactly supported."""
         if self.unbounded and other.unbounded:
-            tl = {}
-            for k1, P1 in self.whole_line.items():
-                for k2, P2 in other.whole_line.items():
-                    k = k1 + k2
-                    tl[k] = tl[k] + P1 * P2 if k in tl else P1 * P2
-            return SmoothCompactFunction([], [], min(self.max_order, other.max_order),
-                                         whole_line=tl)
+            raise ValueError("product of whole-line functions is not supported")
         if self.unbounded:
             return other.mul(self)
-        lo, hi = self.breaks[0], self.breaks[-1]
-        if not other.unbounded:
-            lo = max(lo, other.breaks[0])
-            hi = min(hi, other.breaks[-1])
-            if lo >= hi:
-                return zero_function()
-        breaks = self._merge_breaks(self.breaks,
-                                    [] if other.unbounded else other.breaks, lo, hi)
+        lo = max(self.breaks[0], other.breaks[0])
+        hi = min(self.breaks[-1], other.breaks[-1])
+        if lo >= hi:
+            return zero_function()
+        breaks = self._merge_breaks(self.breaks, other.breaks, lo, hi)
         pieces = []
         for a, b in zip(breaks[:-1], breaks[1:]):
             t1 = self._pieces_on(a, b)
@@ -382,7 +355,6 @@ class FractionalPower:
         self.alpha = float(alpha)
         self.max_order = max_order
         self.breaks = base.breaks
-        self.whole_line = None
         self._constants = {}
 
     @property
@@ -504,6 +476,10 @@ def make_plateau_bump(inner_lo, inner_hi, pad, edge_order, exponent=1, coeff=1.0
 
 def _from_power(atom, exponent, coeff):
     if isinstance(atom, _BumpAtom):
+        if exponent < 2:
+            # (1 - s^2)^1 has a kink at either end of its support
+            raise DerivativeOrderError(
+                f"a bump of exponent {exponent} has no derivative")
         f = make_poly_bump(atom.center, atom.radius, exponent)
         return f if coeff == 1.0 else f.scale(coeff)
     return make_plateau_bump(atom.inner_lo, atom.inner_hi,
@@ -535,11 +511,21 @@ def fractional_root(f, k, max_order):
         return FractionalPower(f, 2.0 ** -k, max_order)
 
 
+def _on_the_line(terms):
+    """``sum_k P_k(x) u(x)^k`` on the whole line: one piece on (-inf, inf)."""
+    return SmoothCompactFunction([-math.inf, math.inf], [terms], _UNLIMITED)
+
+
 @lru_cache(maxsize=1)
 def weight_u():
     """The weight u(t) = (1 + t^2)^(1/2), with exact derivatives of all orders."""
-    return SmoothCompactFunction([], [], _UNLIMITED,
-                                 whole_line={1: Chebyshev([1.0])})
+    return _on_the_line({1: Chebyshev([1.0])})
+
+
+@lru_cache(maxsize=1)
+def _weight_u2():
+    """The multiplier u(t)^2 = 1 + t^2, a polynomial on the whole line."""
+    return _on_the_line({0: Chebyshev([1.5, 0.0, 0.5])})
 
 
 def product_with_u(f):
@@ -549,8 +535,7 @@ def product_with_u(f):
 
 def product_with_u2(f):
     """f(x) * (1 + x^2), memoized on f; stays polynomial-piecewise."""
-    return _memoized(f, "product_with_u2", lambda: f.mul(SmoothCompactFunction(
-        [], [], _UNLIMITED, whole_line={0: Chebyshev([1.5, 0.0, 0.5])})))
+    return _memoized(f, "product_with_u2", lambda: f.mul(_weight_u2()))
 
 
 # -- norms and seminorms -------------------------------------------------
@@ -570,8 +555,7 @@ def _gauss_legendre(n):
 def _quad_edges(f, panels):
     lo, hi = (-100.0, 100.0) if f.unbounded else f.support
     edges = np.linspace(lo, hi, panels + 1)
-    br = np.asarray(getattr(f, "breaks", []), float)
-    br = br[(br > lo) & (br < hi)]
+    br = f.breaks[(f.breaks > lo) & (f.breaks < hi)]
     return _sorted_unique([edges, br])
 
 
@@ -593,19 +577,16 @@ _SUP_GRID = "sup"
 def _grid_points(f, grid):
     """The points of f's sampling grid ``grid``, memoized on f: the flattened
     quadrature nodes for ``grid`` panels, or for ``_SUP_GRID`` the sup
-    sample of f's support, 4001 equispaced points and the breaks (empty for
-    an empty support)."""
+    sample of f's support (of [-1e3, 1e3] for a whole-line function), 4001
+    equispaced points and the finite breaks (empty for an empty support)."""
     def compute():
         if grid != _SUP_GRID:
             return _quad_rule(f, grid)[0].ravel()
-        if f.unbounded:
-            lo, hi = -1e3, 1e3
-        else:
-            lo, hi = f.support
-            if hi <= lo:
-                return np.empty(0)
+        lo, hi = (-1e3, 1e3) if f.unbounded else f.support
+        if hi <= lo:
+            return np.empty(0)
         return _sorted_unique([np.linspace(lo, hi, 4001),
-                               np.asarray(getattr(f, "breaks", []), float)])
+                               f.breaks[np.isfinite(f.breaks)]])
     return _memoized(f, ("grid_points", grid), compute)
 
 
@@ -690,7 +671,7 @@ def decompose_signed(f, n):
     f2 = 2 sup|f| * b for a plateau bump b = beta^(2^j_n) equal to 1 on supp f
     (support padded by half the support radius), and f1 = f2 + f.
     """
-    if f.support is None:
+    if f.unbounded:
         raise UnsupportedFamilyError("signed decomposition needs compact support")
     lo, hi = f.support
     jn = 1 + int(math.floor(math.log2(n))) if n >= 1 else 1

@@ -9,6 +9,7 @@ import numpy as np
 
 from .moi import evaluate_moi, trace_derivative_first, trace_derivative_higher
 from .operator_core import apply_function, as_matrix, decompose, schatten_norm
+from .scalar_functions import DerivativeOrderError
 
 
 class InsufficientDataError(RuntimeError):
@@ -39,7 +40,8 @@ def expansion_terms(f, D0, V, n):
     f'..f^(n-1), and the operator remainder and the order-n operator
     integral of the same trial read f..f^(n) from it."""
     if f.max_order < n:
-        raise ValueError(f"need derivatives up to order {n}; have {f.max_order}")
+        raise DerivativeOrderError(
+            f"need derivatives up to order {n}; have {f.max_order}")
     D0.derivative_table(f, n)
     out = []
     for p in range(1, n):

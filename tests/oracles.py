@@ -81,8 +81,8 @@ def derivs_per_order(f, orders, x):
 
 
 def _deriv_per_order(g, x):
-    if g.whole_line is not None:
-        return _eval_terms(g.whole_line, x)
+    if g.unbounded:
+        return _eval_terms(g.piece_terms[0], x)
     out = np.zeros_like(x)
     idx = np.searchsorted(g.breaks, x, side="right") - 1
     # close the right endpoint of the support

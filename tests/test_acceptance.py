@@ -89,7 +89,8 @@ def test_criterion_03_compact_resolvent_bounds():
         for trial in range(50):
             H, V = instance(3000 + 100 * n + trial, 4 + trial % 3, vnorm=0.15)
             D = decompose(H)
-            if not bounds.compact_trace_norm_bound(F20, D, V, n).passed:
+            if not bounds.compact_trace_norm_bound(F20, D, V, operator_norm(V),
+                                                   n).passed:
                 ok = False
             rem = taylor.remainder_trace(F20, H, V, n)
             if not bounds.remainder_bound_compact(F20, D, operator_norm(V), n,

@@ -77,13 +77,13 @@ def test_compact_trace_norm_bound():
     f = make_poly_bump(0.0, 1.0, 20)
     H, V = rand_instance(0, 5)
     D = decompose(H)
-    cert = compact_trace_norm_bound(f, D, np.zeros((5, 5)), 1)
+    cert = compact_trace_norm_bound(f, D, np.zeros((5, 5)), 0.0, 1)
     assert cert.passed and cert.lhs == 0.0
     for seed in range(5):
         H, V = rand_instance(seed, 5)
         D = decompose(H)
         for n in (1, 2, 3):
-            assert compact_trace_norm_bound(f, D, V, n).passed
+            assert compact_trace_norm_bound(f, D, V, operator_norm(V), n).passed
 
 
 def test_compact_bound_disjoint_spectrum():
@@ -93,7 +93,7 @@ def test_compact_bound_disjoint_spectrum():
     H = random_hermitian_in_window(rng, 4, 2.0, 3.0)
     V = random_hermitian(rng, 4, norm=0.1)
     D = decompose(H)
-    cert = compact_trace_norm_bound(f, D, V, 1)
+    cert = compact_trace_norm_bound(f, D, V, operator_norm(V), 1)
     assert cert.ingredients["counting_trace"] == 0
     assert cert.lhs < 1e-12 and cert.passed
 
@@ -175,7 +175,7 @@ def test_constants_are_computed_once_per_function(monkeypatch):
     def certify():
         return [remainder_bound_hs(f, D, operator_norm(V), 2, rem).rhs,
                 remainder_bound_compact(f, D, operator_norm(V), 2, rem).rhs,
-                compact_trace_norm_bound(f, D, V, 2).rhs]
+                compact_trace_norm_bound(f, D, V, operator_norm(V), 2).rhs]
 
     first = certify()
     n_first = len(calls)

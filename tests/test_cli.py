@@ -337,7 +337,7 @@ def test_trials_solve_each_matrix_once(monkeypatch):
 
 def test_trials_take_the_norm_of_v_once(monkeypatch):
     # one SVD normalizes V in make_instance and one gives ||V|| to the
-    # bounds and the window; certify's MOI trace-norm bound takes one more
+    # bounds and the window
     calls = []
     operator_norm = operator_core.operator_norm
 
@@ -354,7 +354,7 @@ def test_trials_take_the_norm_of_v_once(monkeypatch):
     for order in (1, 2, 3):
         calls.clear()
         cli._certify_trial((cfg, 4, order, 0))
-        assert len(calls) == 3
+        assert len(calls) == 2
         calls.clear()
         cli._sweep_trial((cfg, 4, order, 0))
         assert len(calls) == 2
@@ -422,12 +422,16 @@ def test_runs_import_neither_multiprocessing_nor_numpy_ma(tmp_path):
     ("certify", "bump_m = 4\norders = 1,2,3\ndims = 4\ntrials = 2\n"),
     ("sweep", "bump_m = 4\norders = 1,2,3\ndims = 4\ntrials = 2\n"),
     ("shift", "bump_m = 3\norders = 1,2\ndims = 4\ntrials = 2\n"),
-], ids=["certify", "sweep", "shift"])
+    ("certify", "bump_m = 2\norders = 1\ndims = 4\ntrials = 1\n"),
+    ("shift", "bump_m = 2\norders = 1\ndims = 4\ntrials = 1\n"),
+], ids=["certify", "sweep", "shift", "certify-bump_m_2", "shift-bump_m_2"])
 def test_too_few_derivatives_for_the_command_exits_2(tmp_path, capsys, command,
                                                      config):
     # validate accepts these (every order is at most bump_m - 1), but the
     # dyadic roots (certify, sweep) or the second-order check (shift) need
-    # more derivatives than the bump has
+    # more derivatives than the bump has; at bump_m = 2 the expansion terms
+    # of shift need f'', and certify's square root of the bump has exponent
+    # 1 and no derivative
     cfg = write_cfg(tmp_path, config, "smooth.txt")
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2

@@ -11,7 +11,7 @@ from tracetaylor import bounds
 from tracetaylor.scalar_functions import (_SUP_GRID, DerivativeOrderError,
                                           FractionalPower,
                                           UnsupportedFamilyError,
-                                          _grid_points,
+                                          _grid_points, _weight_u2,
                                           decompose_signed, dyadic_root,
                                           fourier_l1_norm, fractional_root,
                                           gp_seminorm, make_plateau_bump,
@@ -114,6 +114,30 @@ def test_weight_u():
     probes = np.linspace(-2.9, 2.9, 25)
     assert np.max(np.abs(u2f.deriv(2, probes) - 2.0)) < 1e-12
     del f
+
+
+def test_u_and_u2_are_one_piece_on_the_real_line():
+    for g in (weight_u(), _weight_u2()):
+        assert tuple(g.breaks) == (-np.inf, np.inf) and len(g.piece_terms) == 1
+        assert g.unbounded and g.support == (-np.inf, np.inf)
+    xs = np.array([-1e6, 1e6])
+    assert np.max(np.abs(weight_u().value(xs) / np.sqrt(1.0 + xs * xs) - 1.0)) <= 1e-15
+    assert np.max(np.abs(_weight_u2().value(xs) / (1.0 + xs * xs) - 1.0)) <= 1e-15
+    for a in (weight_u(), _weight_u2()):
+        for b in (weight_u(), _weight_u2()):
+            with pytest.raises(ValueError):
+                a.add(b)
+            with pytest.raises(ValueError):
+                a.mul(b)
+
+
+def test_sampling_grids_of_u_are_finite():
+    u = weight_u()
+    for grid in (64, 128, _SUP_GRID):
+        points = _grid_points(u, grid)
+        assert points.size and np.all(np.isfinite(points))
+    # the sup sample is the 4001 points of [-1e3, 1e3], no break added
+    assert _grid_points(u, _SUP_GRID).size == 4001
 
 
 def test_gp_seminorm_basics():
@@ -238,10 +262,10 @@ def _span(f):
 
 
 def _marks(f):
-    """f's breaks and support edges, a step to either side of each, both
-    signed zeros and a point outside the support on either side."""
+    """f's finite breaks and support edges, a step to either side of each,
+    both signed zeros and a point outside the support on either side."""
     lo, hi = _span(f)
-    marks = [float(b) for b in f.breaks] + [lo, hi, 0.0, -0.0]
+    marks = [float(b) for b in f.breaks if np.isfinite(b)] + [lo, hi, 0.0, -0.0]
     steps = [float(np.nextafter(b, s)) for b in marks for s in (-np.inf, np.inf)]
     return np.array(marks + steps + [lo - 0.5, hi + 0.5])
 

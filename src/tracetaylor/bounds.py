@@ -25,8 +25,9 @@ _OPS = {"<=": (operator.le, ">"), ">=": (operator.ge, "<")}
 @dataclass(frozen=True)
 class Check:
     """One gate, ``value op threshold`` with ``op`` '<=' or '>='.  It passes
-    only for a finite value on the right side, so NaN and inf fail; its
-    string is the FAIL text, the value on the wrong side of the threshold."""
+    only for a finite value on the right side of a finite threshold, so NaN
+    and inf on either side fail; its string is the FAIL text, the value on
+    the wrong side of the threshold."""
     name: str
     value: float
     op: str
@@ -34,7 +35,7 @@ class Check:
 
     @property
     def passed(self):
-        return (math.isfinite(self.value)
+        return (math.isfinite(self.value) and math.isfinite(self.threshold)
                 and bool(_OPS[self.op][0](self.value, self.threshold)))
 
     def __str__(self):

@@ -49,6 +49,11 @@ class ExperimentConfig:
     jobs: int = 1
 
     def validate(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not self.dims or any(d < 1 for d in self.dims):

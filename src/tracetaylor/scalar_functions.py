@@ -121,6 +121,15 @@ def _eval_stacked(plan, x):
     return out
 
 
+def _collect(pairs):
+    """Term dict ``{k: P}`` of the (k, P) pairs: the series of equal power k
+    summed in the order they come."""
+    terms = {}
+    for k, P in pairs:
+        terms[k] = terms[k] + P if k in terms else P
+    return terms
+
+
 def _sorted_unique(parts):
     """The distinct values of the concatenated arrays, ascending: what
     ``np.unique`` gives for NaN-free floats (a sort, then a mask of the
@@ -153,7 +162,7 @@ class SmoothCompactFunction:
         self.breaks = np.asarray(breaks, dtype=float)
         self.piece_terms = piece_terms
         self.max_order = max_order
-        self.power = power  # (atom, integer exponent, coeff) when an exact power
+        self.power = power  # (atom, integer exponent, coeff > 0) when an exact power
         self._constants = {}
 
     # -- basic geometry -------------------------------------------------
@@ -221,15 +230,13 @@ class SmoothCompactFunction:
     @staticmethod
     def _diff_terms(terms):
         # d/dx (P u^k) = P' u^k + k x P u^(k-2)
-        new = {}
-        for k, P in terms.items():
-            dP = P.deriv()
-            new[k] = new[k] + dP if k in new else dP
-            if k != 0:
-                ident = type(P).identity(domain=P.domain, window=P.window)
-                xP = (k * ident) * P
-                new[k - 2] = new[k - 2] + xP if (k - 2) in new else xP
-        return new
+        def pairs():
+            for k, P in terms.items():
+                yield k, P.deriv()
+                if k != 0:
+                    ident = type(P).identity(domain=P.domain, window=P.window)
+                    yield k - 2, (k * ident) * P
+        return _collect(pairs())
 
     def derivative(self):
         return self._derivative_obj(1)
@@ -265,46 +272,42 @@ class SmoothCompactFunction:
     # -- algebra ---------------------------------------------------------
 
     def _pieces_on(self, lo, hi):
-        """Term dict valid on the open interval (lo, hi)."""
+        """Term dict valid on the open interval (lo, hi), every series
+        rebased onto it."""
         mid = 0.5 * (lo + hi)
         if mid < self.breaks[0] or mid > self.breaks[-1]:
             return {}
         i = int(np.searchsorted(self.breaks, mid, side="right") - 1)
         i = min(i, len(self.piece_terms) - 1)
-        return self.piece_terms[i]
+        return {k: _rebase(P, lo, hi) for k, P in self.piece_terms[i].items()}
 
-    @staticmethod
-    def _merge_breaks(a, b, lo, hi):
-        pts = np.concatenate([np.asarray(a, float), np.asarray(b, float)])
-        pts = pts[(pts >= lo) & (pts <= hi)]
-        return _sorted_unique([pts, [lo, hi]])
+    def _combine(self, other, lo, hi, join):
+        """The function on [lo, hi] whose term dict on each piece between
+        the merged breaks of both operands is ``join(s, o)``, with s and o
+        the operands' term dicts there."""
+        pts = np.concatenate([self.breaks, other.breaks])
+        breaks = _sorted_unique([pts[(pts >= lo) & (pts <= hi)], [lo, hi]])
+        pieces = [join(self._pieces_on(a, b), other._pieces_on(a, b))
+                  for a, b in zip(breaks[:-1], breaks[1:])]
+        return SmoothCompactFunction(
+            breaks, pieces, min(self.max_order, other.max_order))
 
     def add(self, other):
         """Pointwise sum; both operands must be compactly supported."""
         if self.unbounded or other.unbounded:
             raise ValueError("sum of whole-line functions is not supported")
-        lo = min(self.breaks[0], other.breaks[0])
-        hi = max(self.breaks[-1], other.breaks[-1])
-        breaks = self._merge_breaks(self.breaks, other.breaks, lo, hi)
-        pieces = []
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            t1 = self._pieces_on(a, b)
-            t2 = other._pieces_on(a, b)
-            merged = {}
-            for src in (t1, t2):
-                for k, P in src.items():
-                    Q = _rebase(P, a, b)
-                    merged[k] = merged[k] + Q if k in merged else Q
-            pieces.append(merged)
-        return SmoothCompactFunction(
-            breaks, pieces, min(self.max_order, other.max_order))
+        return self._combine(
+            other, min(self.breaks[0], other.breaks[0]),
+            max(self.breaks[-1], other.breaks[-1]),
+            lambda s, o: _collect([*s.items(), *o.items()]))
 
     def scale(self, c):
+        """c times the function; an exact power stays one for c > 0 only."""
         c = float(c)
         power = None
-        if self.power is not None and self.power[2] * c >= 0:
+        if self.power is not None and c > 0:
             atom, m, coeff = self.power
-            power = (atom, m, coeff * c) if c > 0 else None
+            power = (atom, m, coeff * c)
         return SmoothCompactFunction(
             self.breaks, [{k: c * P for k, P in t.items()} for t in self.piece_terms],
             self.max_order, power=power)
@@ -319,21 +322,8 @@ class SmoothCompactFunction:
         hi = min(self.breaks[-1], other.breaks[-1])
         if lo >= hi:
             return zero_function()
-        breaks = self._merge_breaks(self.breaks, other.breaks, lo, hi)
-        pieces = []
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            t1 = self._pieces_on(a, b)
-            t2 = other._pieces_on(a, b)
-            prod = {}
-            for k1, P1 in t1.items():
-                Q1 = _rebase(P1, a, b)
-                for k2, P2 in t2.items():
-                    k = k1 + k2
-                    Q = Q1 * _rebase(P2, a, b)
-                    prod[k] = prod[k] + Q if k in prod else Q
-            pieces.append(prod)
-        return SmoothCompactFunction(breaks, pieces,
-                                     min(self.max_order, other.max_order))
+        return self._combine(other, lo, hi, lambda s, o: _collect(
+            (k1 + k2, P1 * P2) for k1, P1 in s.items() for k2, P2 in o.items()))
 
 
 class FractionalPower:
@@ -413,11 +403,10 @@ class FractionalPower:
 
     def _grid_derivs(self, orders, grid):
         """h^(j) for every j in ``orders`` on the sampling grid ``grid`` (the
-        base's: same support and breaks), from the base's table for that
-        grid.  The orders found so far are kept per grid, so each is found
-        once per grid."""
+        base's: same support and breaks), found afresh from the base's table
+        for that grid, which the base keeps."""
         top = max(orders)
-        h = self._constants.setdefault(("grid_derivs", grid), [])
+        h = []
         self._extend(self.base._grid_table(grid, top)[:top + 1], h)
         return [h[j] for j in orders]
 
@@ -448,10 +437,10 @@ def make_poly_bump(center, radius, m):
         power=(_BumpAtom(float(center), float(radius)), int(m), 1.0))
 
 
-def make_plateau_bump(inner_lo, inner_hi, pad, edge_order, exponent=1, coeff=1.0):
-    """Plateau equal to ``coeff`` on [inner_lo, inner_hi], smoothstep edges of
-    width ``pad``, raised to an integer ``exponent`` (plateau value unchanged
-    when coeff == 1).  C^(edge_order) across the junctions."""
+def make_plateau_bump(inner_lo, inner_hi, pad, edge_order, exponent=1):
+    """Plateau equal to 1 on [inner_lo, inner_hi], smoothstep edges of width
+    ``pad``, raised to an integer ``exponent``.  C^(edge_order) across the
+    junctions."""
     if pad <= 0 or inner_hi < inner_lo:
         raise ValueError("bad plateau geometry")
     lo, hi = inner_lo - pad, inner_hi + pad
@@ -465,26 +454,27 @@ def make_plateau_bump(inner_lo, inner_hi, pad, edge_order, exponent=1, coeff=1.0
                              window=[-1.0, 1.0]), lo, inner_lo)
     fall = _rebase(Chebyshev(Se.coef, domain=[inner_hi, hi],
                              window=[1.0, -1.0]), inner_hi, hi)
-    flat = Chebyshev([1.0])
-    pieces = [{0: coeff * rise}, {0: coeff * flat}, {0: coeff * fall}]
+    pieces = [{0: rise}, {0: Chebyshev([1.0])}, {0: fall}]
     atom = _PlateauAtom(float(lo), float(inner_lo), float(inner_hi), float(hi),
                         int(edge_order))
     return SmoothCompactFunction(
         [lo, inner_lo, inner_hi, hi], pieces, edge_order,
-        power=(atom, int(exponent), float(coeff)))
+        power=(atom, int(exponent), 1.0))
 
 
 def _from_power(atom, exponent, coeff):
-    if isinstance(atom, _BumpAtom):
-        if exponent < 2:
-            # (1 - s^2)^1 has a kink at either end of its support
-            raise DerivativeOrderError(
-                f"a bump of exponent {exponent} has no derivative")
+    """coeff times the atom raised to ``exponent``."""
+    if isinstance(atom, _PlateauAtom):
+        f = make_plateau_bump(atom.inner_lo, atom.inner_hi,
+                              atom.inner_lo - atom.lo, atom.edge_order,
+                              exponent=exponent)
+    elif exponent < 2:
+        # (1 - s^2)^1 has a kink at either end of its support
+        raise DerivativeOrderError(
+            f"a bump of exponent {exponent} has no derivative")
+    else:
         f = make_poly_bump(atom.center, atom.radius, exponent)
-        return f if coeff == 1.0 else f.scale(coeff)
-    return make_plateau_bump(atom.inner_lo, atom.inner_hi,
-                             atom.inner_lo - atom.lo, atom.edge_order,
-                             exponent=exponent, coeff=coeff)
+    return f if coeff == 1.0 else f.scale(coeff)
 
 
 def dyadic_root(f, k):
@@ -496,9 +486,8 @@ def dyadic_root(f, k):
     if getattr(f, "power", None) is None:
         raise UnsupportedFamilyError("no exact dyadic root for this function")
     atom, m, coeff = f.power
-    if coeff < 0 or m % (1 << k) != 0:
-        raise UnsupportedFamilyError(
-            f"exponent {m} not divisible by 2^{k} (or negative scale)")
+    if m % (1 << k) != 0:
+        raise UnsupportedFamilyError(f"exponent {m} not divisible by 2^{k}")
     return _memoized(f, ("dyadic_root", k),
                     lambda: _from_power(atom, m >> k, coeff ** (2.0 ** -k)))
 
@@ -577,16 +566,15 @@ _SUP_GRID = "sup"
 def _grid_points(f, grid):
     """The points of f's sampling grid ``grid``, memoized on f: the flattened
     quadrature nodes for ``grid`` panels, or for ``_SUP_GRID`` the sup
-    sample of f's support (of [-1e3, 1e3] for a whole-line function), 4001
-    equispaced points and the finite breaks (empty for an empty support)."""
+    sample of f's compact support, 4001 equispaced points and the breaks
+    (empty for an empty support)."""
     def compute():
         if grid != _SUP_GRID:
             return _quad_rule(f, grid)[0].ravel()
-        lo, hi = (-1e3, 1e3) if f.unbounded else f.support
+        lo, hi = f.support
         if hi <= lo:
             return np.empty(0)
-        return _sorted_unique([np.linspace(lo, hi, 4001),
-                               f.breaks[np.isfinite(f.breaks)]])
+        return _sorted_unique([np.linspace(lo, hi, 4001), f.breaks])
     return _memoized(f, ("grid_points", grid), compute)
 
 
@@ -656,7 +644,9 @@ def fourier_l1_norm(f, p, grid=2**14):
 
 def sup_norm(f):
     """Sup of |f| over its support (dense grid plus breakpoints), memoized
-    on f."""
+    on f; a whole-line function has no sample that bounds it."""
+    if f.unbounded:
+        raise ValueError("sup norm defined for compact support only")
     return _memoized(f, "sup_norm",
                      lambda: _max_abs(f._grid_derivs((0,), _SUP_GRID)[0]))
 

@@ -1,4 +1,5 @@
 import gc
+import json
 import time
 import weakref
 from collections import Counter
@@ -52,6 +53,20 @@ def test_certificate_passes_through_its_check():
     assert not BoundCertificate("k", 0.0, float("nan")).passed
     assert str(BoundCertificate("k", 2.0, 1.0).check("remainder_hs")) == \
         "remainder_hs 2 > 1"
+
+
+def test_check_with_an_infinite_threshold_fails():
+    # a gate against an infinite threshold could never fail, so it never passes
+    for op, value in (("<=", 1.0), (">=", 1.0), ("<=", -1e300), (">=", 1e300)):
+        for threshold in (float("inf"), -float("inf"), float("nan")):
+            assert not Check("r", value, op, threshold).passed
+
+
+def test_certificate_with_an_infinite_rhs_fails():
+    for rhs in (float("inf"), -float("inf")):
+        cert = BoundCertificate("k", 1.0, rhs)
+        assert not cert.passed
+        assert json.loads(json.dumps(cert.to_json_dict()))["passed"] is False
 
 
 def test_constant_table():

@@ -82,13 +82,18 @@ def test_exit_code_on_config_error(tmp_path):
     assert cli.main(["sweep", "--config", write_cfg(tmp_path), "--jobs", "0"]) == 2
 
 
-@pytest.mark.parametrize("command", ["expand", "certify"])
+@pytest.mark.parametrize("command", ["expand", "certify", "shift", "sweep", "selftest"])
 @pytest.mark.parametrize("bad", [
     "orders = 0",
     "bump_radius = 0",
     "bump_radius = -1",
     "bump_m = 4\norders = 1,2,3,4",
     "jobs = 0",
+    "perturbation_scale = nan",
+    "perturbation_scale = inf",
+    "bump_center = nan",
+    "bump_radius = inf",
+    "seed = -5",
 ])
 def test_configs_the_commands_cannot_run_exit_2(tmp_path, capsys, command, bad):
     cfg = write_cfg(tmp_path, SMALL_CFG + bad + "\n", "bad.txt")
@@ -98,6 +103,16 @@ def test_configs_the_commands_cannot_run_exit_2(tmp_path, capsys, command, bad):
     assert captured.out == "" and not out.exists()
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("command", ["expand", "certify", "shift", "sweep", "selftest"])
+def test_negative_seed_option_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", write_cfg(tmp_path), "--seed", "-1",
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == ["config error: seed must be >= 0"]
 
 
 def test_highest_order_the_bump_allows_is_valid(tmp_path):

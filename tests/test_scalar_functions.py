@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import derivs_per_order
@@ -67,6 +67,111 @@ def test_piecewise_algebra():
     assert np.allclose(f.add(g).value(xs), f.value(xs) + g.value(xs))
     assert np.allclose(f.scale(-2.5).value(xs), -2.5 * f.value(xs))
     assert np.allclose(f.mul(g).value(xs), f.value(xs) * g.value(xs))
+
+
+_SCALES = st.one_of(st.just(0.0), st.floats(0.1, 3.0), st.floats(-3.0, -0.1))
+
+
+@st.composite
+def _atoms(draw, lo=None, exponent=None):
+    """A poly bump or a plateau (three pieces, edges raised to a power)
+    whose support starts at ``lo``; lo and the exponent drawn when not given."""
+    lo = draw(st.floats(-2.0, 1.0)) if lo is None else lo
+    if draw(st.booleans()):
+        r = draw(st.floats(0.1, 1.5))
+        return make_poly_bump(lo + r, r, exponent or draw(st.integers(2, 8)))
+    pad = draw(st.floats(0.1, 1.0))
+    inner_lo = lo + pad
+    return make_plateau_bump(inner_lo, inner_lo + draw(st.floats(0.0, 1.0)), pad,
+                             draw(st.integers(1, 3)),
+                             exponent=exponent or draw(st.integers(1, 4)))
+
+
+@st.composite
+def _members(draw):
+    """A scaled atom, or the sum of two (up to seven pieces)."""
+    f = draw(_atoms()).scale(draw(_SCALES))
+    return f.add(draw(_atoms()).scale(draw(_SCALES))) if draw(st.booleans()) else f
+
+
+def _probes(draw, *fs):
+    """The breaks of every fs, and equispaced and random points around
+    their supports."""
+    breaks = np.concatenate([f.breaks for f in fs])
+    lo, hi = np.min(breaks) - 0.5, np.max(breaks) + 0.5
+    return np.concatenate([breaks, np.linspace(lo, hi, 201),
+                           draw(st.lists(st.floats(lo, hi), max_size=20))])
+
+
+def _leibniz(fd, gd, j):
+    """(fg)^(j) from the derivative rows fd, gd of f and g."""
+    return sum(math.comb(j, i) * fd[i] * gd[j - i] for i in range(j + 1))
+
+
+def _sups(rows):
+    return np.max(np.abs(rows), axis=1)
+
+
+def _assert_close(got, expect, scale):
+    """got equals expect to 1e-12 of the scale of the operands."""
+    assert np.all(np.abs(got - expect) <= 1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sums_and_products_agree_pointwise(data):
+    f, g = data.draw(_members()), data.draw(_members())
+    top = min(2, f.max_order, g.max_order)
+    fg_sum, fg_prod = f.add(g), f.mul(g)
+    x = _probes(data.draw, f, g, fg_sum, fg_prod)
+    fd, gd = f.derivs(range(top + 1), x), g.derivs(range(top + 1), x)
+    for j in range(top + 1):
+        _assert_close(fg_sum.deriv(j, x), fd[j] + gd[j], _sups(fd)[j] + _sups(gd)[j])
+        _assert_close(fg_prod.deriv(j, x), _leibniz(fd, gd, j),
+                      _leibniz(_sups(fd), _sups(gd), j))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_products_of_disjoint_supports_are_zero(data):
+    f = data.draw(_members())
+    g = data.draw(_atoms(lo=f.support[1] + data.draw(st.floats(0.0, 1.0))))
+    assume(g.support[0] >= f.support[1])
+    x = _probes(data.draw, f, g)
+    for h in (f.mul(g), g.mul(f)):
+        assert np.all(h.value(x) == 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_u_products_follow_leibniz(data):
+    f = data.draw(_members())
+    top = min(2, f.max_order)
+    x = _probes(data.draw, f)
+    u = np.sqrt(1.0 + x * x)
+    fd = f.derivs(range(top + 1), x)
+    # u' = x/u and u'' = 1/u^3; (u^2)' = 2x and (u^2)'' = 2
+    weights = {product_with_u: [u, x / u, 1.0 / u**3],
+               product_with_u2: [1.0 + x * x, 2.0 * x, np.full_like(x, 2.0)]}
+    for product, wd in weights.items():
+        fw = product(f)
+        for j in range(top + 1):
+            # pointwise scale: u grows, so a sup over x would hide errors
+            _assert_close(fw.deriv(j, x), _leibniz(fd, wd, j),
+                          _leibniz(_sups(fd), np.abs(wd), j))
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 2), m=st.integers(2, 4), c=_SCALES, data=st.data())
+def test_root_of_a_scaled_power_exists_exactly_for_positive_scales(k, m, c, data):
+    f = data.draw(_atoms(exponent=m << k))
+    if not c > 0:
+        with pytest.raises(UnsupportedFamilyError):
+            dyadic_root(f.scale(c), k)
+        return
+    x = _probes(data.draw, f)
+    expect = c ** (2.0 ** -k) * dyadic_root(f, k).value(x)
+    _assert_close(dyadic_root(f.scale(c), k).value(x), expect, np.max(np.abs(expect)))
 
 
 def test_dyadic_root_exact():
@@ -133,11 +238,9 @@ def test_u_and_u2_are_one_piece_on_the_real_line():
 
 def test_sampling_grids_of_u_are_finite():
     u = weight_u()
-    for grid in (64, 128, _SUP_GRID):
+    for grid in (64, 128):
         points = _grid_points(u, grid)
         assert points.size and np.all(np.isfinite(points))
-    # the sup sample is the 4001 points of [-1e3, 1e3], no break added
-    assert _grid_points(u, _SUP_GRID).size == 4001
 
 
 def test_gp_seminorm_basics():
@@ -186,6 +289,14 @@ def test_sup_norm():
     f = make_poly_bump(0.0, 1.0, 4)
     assert sup_norm(f) == pytest.approx(1.0, abs=1e-6)
     assert sup_norm(f.scale(-2.0)) == pytest.approx(2.0, abs=1e-6)
+
+
+def test_sup_norm_of_a_whole_line_function_raises():
+    # no finite sample bounds u or u^2, so no sampled sup may stand for one
+    for g in (weight_u(), _weight_u2()):
+        with pytest.raises(ValueError):
+            sup_norm(g)
+        assert "sup_norm" not in g._constants
 
 
 def test_decompose_signed():

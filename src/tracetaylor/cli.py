@@ -22,14 +22,17 @@ import numpy as np
 
 from . import bounds, divided_diff, moi, shift, taylor
 from .bounds import Check
-from .operator_core import (decompose, operator_norm, random_hermitian,
-                            random_hermitian_in_window)
+from .operator_core import (CLUSTER_TOL, decompose, operator_norm,
+                            random_hermitian, random_hermitian_in_window)
 from .scalar_functions import (DerivativeOrderError, fourier_l1_norm,
                                gp_seminorm, make_poly_bump)
 
 
 class ConfigError(ValueError):
     pass
+
+
+SLOPE_MARGIN = 0.15  # a sweep fit of order n passes at a slope >= n - SLOPE_MARGIN
 
 
 @dataclass
@@ -43,8 +46,6 @@ class ExperimentConfig:
     bump_radius: float = 1.0
     bump_m: int = 20
     perturbation_scale: float = 0.1
-    noise_floor: float = 1e-13
-    slope_margin: float = 0.15
     out_dir: str = "reports"
     jobs: int = 1
 
@@ -71,6 +72,20 @@ class ExperimentConfig:
         if max(self.orders) > self.bump_m - 1:
             raise ConfigError(f"orders must be <= bump_m - 1 = {self.bump_m - 1}, "
                               "the number of derivatives of the bump")
+        # A trial's numbers are powers of scale, at most scale^(n^2 + n + 4)
+        # at order n (2 under shift): the compact bound multiplies ||V||^n (1 +
+        # ||V|| + ||V||^2), 1 + x^2 at the support ends and the n-th power of
+        # seminorms growing like (1 / r)^n; 1e300 leaves 8 decades to spare
+        c, r, n = self.bump_center, self.bump_radius, max(*self.orders, 2)
+        scale = max(abs(c) + r + 2.0 * abs(self.perturbation_scale) + 1.0, 1.0 / r)
+        if (n * n + n + 4) * math.log10(scale) > 300:
+            raise ConfigError(f"max(|bump_center| + bump_radius + 2 |perturbation_scale|"
+                              f" + 1, 1 / bump_radius)^{n * n + n + 4} must be < 1e300")
+        # decompose resolves eigenvalues to CLUSTER_TOL (1 + span): a coarser
+        # float64 grid in H0's window c +- 0.8 r makes its clusters rounding
+        if np.spacing(abs(c) + 0.8 * r) > CLUSTER_TOL * (1.0 + 1.6 * r):
+            raise ConfigError(f"float64 cannot resolve bump_center +- 0.8 bump_radius"
+                              f" at {c:g} to CLUSTER_TOL (1 + 1.6 bump_radius)")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
 
@@ -223,7 +238,7 @@ def _sweep_trial(args):
     Ds = [decompose(H0 + eps * V) for eps in cfg.epsilons]
     rems = taylor.remainder_sweep(f, D0, Ds, V, order, cfg.epsilons)
     try:
-        slope = taylor.scaling_exponent(cfg.epsilons, rems, cfg.noise_floor)
+        slope = taylor.scaling_exponent(cfg.epsilons, rems)
     except taylor.InsufficientDataError:
         slope = float("nan")
     v_norm = operator_norm(V)
@@ -244,7 +259,7 @@ def cmd_sweep(cfg, out_dir):
     rows, checks = [], []
     for dim, order, trial, rems, bc, bh, slope in results:
         checks.append((f"dim {dim}, n {order}, trial {trial}",
-                       Check("slope", slope, ">=", order - cfg.slope_margin)))
+                       Check("slope", slope, ">=", order - SLOPE_MARGIN)))
         for eps, r, c, h in zip(cfg.epsilons, rems, bc, bh):
             rows.append([str(cfg.seed), str(dim), str(order), str(trial),
                          _fmt(eps), _fmt(abs(r)), _fmt(c), _fmt(h), _fmt(slope)])

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .divided_diff import divided_difference_tensor
-from .operator_core import _function_of, apply_function, schatten_norm
+from .operator_core import _function_of, schatten_norm
 from .scalar_functions import _memoized
 
 _EINSUM_LETTERS = "abcdefghij"
@@ -28,7 +28,7 @@ def evaluate_symbol_moi(F, D, perturbations):
         if V.shape != (n, n):
             raise ValueError("perturbation dimension mismatch")
     if p == 0:
-        return (U * F) @ U.conj().T
+        return _function_of(D, F)
     Vt = [U.conj().T @ V @ U for V in perturbations]
     idx = _EINSUM_LETTERS[: p + 1]
     spec = idx + "," + ",".join(idx[i: i + 2] for i in range(p)) + "->" + idx[0] + idx[-1]
@@ -42,15 +42,9 @@ def evaluate_moi(f, D, perturbations):
     p = len(perturbations)
     table = D.derivative_table(f, p)
     if p == 0:
-        return _function_of(D, table[0]).mat
+        return _function_of(D, table[0])
     F = divided_difference_tensor(table, D.index_values())
     return evaluate_symbol_moi(F, D, perturbations)
-
-
-def gateaux_derivative(f, D, V, p):
-    """p-th Gateaux derivative of s -> f(H + sV) at 0, i.e. p! times the
-    operator integral with symbol f^[p]."""
-    return math.factorial(p) * evaluate_moi(f, D, [V] * p)
 
 
 def _trace_derivative(f, D, V, p):
@@ -136,7 +130,7 @@ def edge_multiplier_check(psi1, f, psi2, D, perturbations):
     weighted = _glue(_glue(psi1.value(lam), F), psi2.value(lam))
     lhs = evaluate_symbol_moi(weighted, D, perturbations)
     mod = list(perturbations)
-    mod[0] = apply_function(psi1, D).mat @ mod[0]
-    mod[-1] = mod[-1] @ apply_function(psi2, D).mat
+    mod[0] = _function_of(D, psi1.value(lam)) @ mod[0]
+    mod[-1] = mod[-1] @ _function_of(D, psi2.value(lam))
     rhs = evaluate_symbol_moi(F, D, mod)
     return schatten_norm(lhs - rhs, 2)

@@ -30,6 +30,13 @@ class Interval:
         return (x >= self.lo) & (x <= self.hi)
 
 
+def _symmetrized(m):
+    """0.5 (m + m*): exactly Hermitian, and bitwise m when m is already."""
+    s = m + m.conj().T
+    s *= 0.5
+    return s
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """Dense n x n complex Hermitian matrix, symmetrized at construction."""
@@ -45,35 +52,17 @@ class HermitianOperator:
         if dev > 1e-12 * max(scale, 1.0):
             raise HermitianValidationError(
                 f"Hermitian deviation {dev:.3e} exceeds 1e-12 of max entry")
-        m = 0.5 * (m + m.conj().T)
+        m = _symmetrized(m)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
-
-    @property
-    def dim(self):
-        return self.mat.shape[0]
 
     def __add__(self, other):
         o = other.mat if isinstance(other, HermitianOperator) else other
         return HermitianOperator(self.mat + o)
 
-    def to_json_dict(self):
-        return {"dim": self.dim,
-                "re": self.mat.real.tolist(),
-                "im": self.mat.imag.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        n = int(d["dim"])
-        m = np.asarray(d["re"], float) + 1j * np.asarray(d["im"], float)
-        if m.shape != (n, n):
-            raise HermitianValidationError("dim does not match matrix shape")
-        return cls(m)
-
 
 def as_matrix(A):
-    """The matrix of a ``HermitianOperator``, or A as a complex ndarray: for
-    the entry points that accept either."""
+    """``A.mat`` of a ``HermitianOperator`` A, else A as a complex ndarray."""
     return A.mat if isinstance(A, HermitianOperator) else np.asarray(A, dtype=complex)
 
 
@@ -162,14 +151,14 @@ def decompose(H):
 
 def apply_function(f, D):
     """Functional calculus sum f(lambda_c) P_c, assembled in the eigenbasis."""
-    return _function_of(D, np.asarray(f.value(D.index_values()), dtype=float))
+    return HermitianOperator(_function_of(D, f.value(D.index_values())))
 
 
 def _function_of(D, fv):
-    """The operator with eigenvalue fv[i] on the i-th eigenvector of D: the
-    functional calculus of any f with f(D.index_values()) = fv."""
+    """U diag(fv) U* for the eigenvectors U of D, symmetrized: f(H) for any f
+    with f(D.index_values()) = fv.  Every such product on a D is formed here."""
     U = D.eigenvectors
-    return HermitianOperator((U * fv) @ U.conj().T)
+    return _symmetrized((U * fv) @ U.conj().T)
 
 
 def schatten_norm(A, alpha):
@@ -197,12 +186,12 @@ def random_hermitian(rng, n, norm=None):
     """GUE-style Hermitian matrix, exactly symmetrized; optionally rescaled to
     a given operator norm."""
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    A = 0.5 * (G + G.conj().T)
+    A = _symmetrized(G)
     if norm is not None:
         cur = operator_norm(A)
         if cur > 0:
             A = (norm / cur) * A
-    return HermitianOperator(A).mat
+    return _symmetrized(A)
 
 
 def random_hermitian_in_window(rng, n, lo, hi):
@@ -213,4 +202,4 @@ def random_hermitian_in_window(rng, n, lo, hi):
         w2 = np.full_like(w, 0.5 * (lo + hi))
     else:
         w2 = lo + (w - w[0]) * (hi - lo) / (w[-1] - w[0])
-    return HermitianOperator((U * w2) @ U.conj().T).mat
+    return _symmetrized((U * w2) @ U.conj().T)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moi import evaluate_moi, trace_derivative_first, trace_derivative_higher
-from .operator_core import apply_function, as_matrix, decompose, schatten_norm
+from .operator_core import _function_of, as_matrix, decompose, schatten_norm
 from .scalar_functions import DerivativeOrderError
 
 
@@ -68,13 +68,11 @@ def _remainder_trace(f, D0, D1, V, n):
 def _traces(f, Ds):
     """Tr f(H) for the matrix H of each decomposition in Ds (all of one
     dimension), from one evaluation of f over all their spectra; each trace
-    is the real part of the trace of U diag(f) U*, formed in H's own
-    eigenbasis (the diagonal that ``_function_of`` would symmetrize has
-    that real part already)."""
+    is the real part of the trace of ``_function_of(D, f)``, formed in H's
+    own eigenbasis."""
     fvals = np.asarray(f.value(np.concatenate([D.index_values() for D in Ds])),
                        dtype=float).reshape(len(Ds), -1)
-    return [float(np.trace((D.eigenvectors * fv) @ D.eigenvectors.conj().T).real)
-            for D, fv in zip(Ds, fvals)]
+    return [float(np.trace(_function_of(D, fv)).real) for D, fv in zip(Ds, fvals)]
 
 
 def operator_remainder(f, H0, V, p):
@@ -87,7 +85,7 @@ def _operator_remainder(f, D0, D1, V, p):
     """``operator_remainder`` from the decompositions D0 of H0 and D1 of
     H0+V; D0's table of f is filled to order p - 1 in one pass first."""
     D0.derivative_table(f, p - 1)
-    R = apply_function(f, D1).mat.copy()
+    R = _function_of(D1, f.value(D1.index_values()))
     for k in range(p):
         R -= evaluate_moi(f, D0, [V] * k)
     return R
@@ -107,13 +105,16 @@ def remainder_sweep(f, D0, Ds, V, n, eps_grid):
     return out
 
 
-def scaling_exponent(eps_grid, remainders, noise_floor=1e-13):
+NOISE_FLOOR = 1e-13  # remainders at or below it are rounding noise
+
+
+def scaling_exponent(eps_grid, remainders):
     """Least-squares slope of log|remainder| against log eps (the output of
-    ``remainder_sweep`` over ``eps_grid``), skipping points below the noise
-    floor."""
+    ``remainder_sweep`` over ``eps_grid``), skipping points at or below
+    ``NOISE_FLOOR``."""
     eps = np.asarray(eps_grid, float)
     rem = np.abs(np.asarray(remainders))
-    keep = rem > noise_floor
+    keep = rem > NOISE_FLOOR
     if np.count_nonzero(keep) < 3:
         raise InsufficientDataError(
             f"only {np.count_nonzero(keep)} usable grid points above the noise floor")

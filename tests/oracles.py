@@ -12,7 +12,6 @@ PSD resolvent and projection inequalities, trace-class and Schatten bounds,
 and the integral representation of the operator remainder.
 """
 
-import json
 import math
 from itertools import product
 
@@ -20,9 +19,8 @@ import numpy as np
 
 from tracetaylor.divided_diff import (DividedDifferenceCache, _merged_nodes,
                                       divided_difference)
-from tracetaylor.moi import evaluate_moi, evaluate_symbol_moi, gateaux_derivative
-from tracetaylor.operator_core import (HermitianOperator, Interval,
-                                       apply_function, as_matrix,
+from tracetaylor.moi import evaluate_moi, evaluate_symbol_moi
+from tracetaylor.operator_core import (Interval, apply_function, as_matrix,
                                        counting_trace, decompose,
                                        operator_norm, schatten_norm)
 from tracetaylor.scalar_functions import (FractionalPower, _gauss_legendre,
@@ -194,12 +192,6 @@ def mean_value_bound_check(f, nodes):
     return abs(divided_difference(f, nodes)) <= bound + 1e-9
 
 
-def load_json(path):
-    """A HermitianOperator from a JSON file of ``to_json_dict`` form."""
-    with open(path) as fh:
-        return HermitianOperator.from_json_dict(json.load(fh))
-
-
 def trace(A):
     return complex(np.trace(as_matrix(A)))
 
@@ -307,7 +299,7 @@ def integral_remainder_check(f, H0, V, p, quad_nodes=32):
     acc = np.zeros_like(Hm)
     for ti, wi in zip(t, w):
         Dt = decompose(Hm + ti * Vm)
-        deriv = gateaux_derivative(f, Dt, Vm, p)
+        deriv = math.factorial(p) * evaluate_moi(f, Dt, [Vm] * p)
         acc = acc + wi * (1.0 - ti) ** (p - 1) * deriv
     acc /= math.factorial(p - 1)
     return schatten_norm(acc - operator_remainder(f, H0, V, p), 2)

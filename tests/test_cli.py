@@ -55,22 +55,22 @@ bump_center = 1
 bump_radius = 0.9
 bump_m = 12
 perturbation_scale = 5e-2
-noise_floor = 1e-12
-slope_margin = 0.2
 out_dir = some/dir  # comment
 jobs = 2
 """))
     expected = dict(seed=7, dims=(4, 8), orders=(1, 2, 3), trials=3,
                     epsilons=(0.5, 0.25), bump_center=1.0, bump_radius=0.9,
-                    bump_m=12, perturbation_scale=0.05, noise_floor=1e-12,
-                    slope_margin=0.2, out_dir="some/dir", jobs=2)
+                    bump_m=12, perturbation_scale=0.05, out_dir="some/dir",
+                    jobs=2)
     for key, value in expected.items():
         got = getattr(cfg, key)
         assert got == value and type(got) is type(value)
         if isinstance(value, tuple):
             assert all(type(g) is type(v) for g, v in zip(got, value))
+    # the gate thresholds are constants, not keys
     for bad in ("trials = 2.5", "dims = 4, x", "bump_center = one",
-                "function = 3", "validate = 1"):
+                "function = 3", "validate = 1", "noise_floor = 1e-12",
+                "slope_margin = 0.2"):
         with pytest.raises(cli.ConfigError):
             cli.parse_config_file(write_cfg(tmp_path, bad + "\n", "bad.txt"))
 
@@ -94,6 +94,18 @@ def test_exit_code_on_config_error(tmp_path):
     "bump_center = nan",
     "bump_radius = inf",
     "seed = -5",
+    # float64 cannot resolve the spectrum window c +- 0.8 r
+    "bump_center = 1e16",
+    "bump_center = 1e20",
+    "bump_center = 1e40",
+    "bump_center = 1e60",
+    "bump_center = 1e100",
+    "bump_center = 1e150",
+    "bump_center = 1e300",
+    # the powers of ||V|| or of 1 / r that the bounds form overflow
+    "perturbation_scale = 1e160",
+    "perturbation_scale = 1e300",
+    "bump_radius = 1e-300",
 ])
 def test_configs_the_commands_cannot_run_exit_2(tmp_path, capsys, command, bad):
     cfg = write_cfg(tmp_path, SMALL_CFG + bad + "\n", "bad.txt")
@@ -103,6 +115,27 @@ def test_configs_the_commands_cannot_run_exit_2(tmp_path, capsys, command, bad):
     assert captured.out == "" and not out.exists()
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("command", ["expand", "certify", "shift", "sweep"])
+@pytest.mark.parametrize("edge", [
+    "perturbation_scale = 4.9e29",
+    "bump_radius = 1.01e-30",
+    "bump_center = 1e8",
+    "perturbation_scale = 2.7e18\norders = 1,2,3",
+    "bump_radius = 1.8e-19\norders = 1,2,3",
+])
+def test_configs_just_inside_the_range_run(tmp_path, command, edge):
+    # the range rule is not looser than what the commands can compute: each
+    # of these runs to a verdict, with no traceback and no config error
+    cfg = write_cfg(tmp_path, SMALL_CFG + edge + "\n", "edge.txt")
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) in (0, 1)
+
+
+def test_shipped_configs_validate():
+    cli.ExperimentConfig().validate()
+    wide = Path(__file__).resolve().parents[1] / "bench" / "expand_wide.cfg"
+    assert max(cli.parse_config_file(wide).orders) == 4
 
 
 @pytest.mark.parametrize("command", ["expand", "certify", "shift", "sweep", "selftest"])
@@ -194,14 +227,14 @@ def test_certify_flags_corrupted_constant(tmp_path, monkeypatch, capsys):
     assert captured.out.splitlines()[-1].endswith("certificates PASS (FAILURES)")
 
 
-def test_sweep_names_failing_fits(tmp_path, capsys):
+def test_sweep_names_failing_fits(tmp_path, monkeypatch, capsys):
     # a negative margin puts every threshold above n, so every fit fails
     out_ok, out_bad = tmp_path / "ok", tmp_path / "bad"
-    assert cli.main(["sweep", "--config", write_cfg(tmp_path),
-                     "--out", str(out_ok)]) == 0
+    cfg = write_cfg(tmp_path)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out_ok)]) == 0
     capsys.readouterr()
-    bad = write_cfg(tmp_path, SMALL_CFG + "slope_margin = -10\n", "bad.txt")
-    assert cli.main(["sweep", "--config", bad, "--out", str(out_bad)]) == 1
+    monkeypatch.setattr(cli, "SLOPE_MARGIN", -10)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out_bad)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "sweep: 4 fits, slopes FAIL\n"
     fits = {}
@@ -373,6 +406,23 @@ def test_trials_take_the_norm_of_v_once(monkeypatch):
         calls.clear()
         cli._sweep_trial((cfg, 4, order, 0))
         assert len(calls) == 2
+
+
+def test_commands_build_no_hermitian_operator(monkeypatch, capsys):
+    # inside the library a matrix is an ndarray: a trial of every command,
+    # and selftest, must run with the operator class unusable
+    def refuse(self):
+        raise AssertionError("HermitianOperator constructed")
+
+    monkeypatch.setattr(operator_core.HermitianOperator, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        operator_core.HermitianOperator(np.eye(2))
+    cfg = cli.ExperimentConfig()
+    cli._expand_trial((cfg, 4, 3, 0))
+    cli._sweep_trial((cfg, 4, 2, 0))
+    cli._certify_trial((cfg, 4, 2, 0))
+    cli._shift_trial((cfg, 4, 0))
+    assert cli.cmd_selftest(cfg) == 0
 
 
 def test_instances_are_exactly_hermitian_ndarrays():

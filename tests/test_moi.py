@@ -9,7 +9,7 @@ from tracetaylor import moi
 from tracetaylor.divided_diff import divided_difference, divided_difference_tensor
 from tracetaylor.moi import (additivity_check, edge_multiplier_check,
                              evaluate_moi, evaluate_symbol_moi,
-                             gateaux_derivative, moi_trace_identity_check,
+                             moi_trace_identity_check,
                              product_split_check, trace_derivative_first,
                              trace_derivative_higher)
 from tracetaylor.operator_core import (decompose, random_hermitian,
@@ -49,7 +49,7 @@ def test_gateaux_vs_finite_difference():
     f = make_poly_bump(0.0, 1.0, 12)
     H, D, V = rand_instance(7, 4, vnorm=0.3)
     for p in (1, 2, 3):
-        g = gateaux_derivative(f, D, V, p)
+        g = math.factorial(p) * evaluate_moi(f, D, [V] * p)
         fd = finite_difference_derivative(f, H, V, p)
         assert np.linalg.norm(g - fd, 2) < 1e-6 * (1 + 0.3) ** p
         # the derivative of a Hermitian family along Hermitian V is Hermitian
@@ -59,9 +59,10 @@ def test_gateaux_vs_finite_difference():
 def test_gateaux_trivial_cases():
     H, D, V = rand_instance(1, 4)
     flat = make_plateau_bump(-0.9, 0.9, 0.5, 3)  # f' = 0 on the spectrum
-    assert np.max(np.abs(gateaux_derivative(flat, D, V, 1))) < 1e-10
+    assert np.max(np.abs(math.factorial(1) * evaluate_moi(flat, D, [V]))) < 1e-10
     f = make_poly_bump(0.0, 1.0, 6)
-    assert np.max(np.abs(gateaux_derivative(f, D, np.zeros_like(V), 2))) == 0.0
+    zero = np.zeros_like(V)
+    assert np.max(np.abs(math.factorial(2) * evaluate_moi(f, D, [zero] * 2))) == 0.0
 
 
 def test_degenerate_spectrum_reduces_to_confluent_scalar():
@@ -79,7 +80,7 @@ def test_trace_derivative_first_paths():
     f = make_poly_bump(0.0, 1.0, 8)
     H, D, V = rand_instance(4, 6, vnorm=0.4)
     lhs = trace_derivative_first(f, D, V)
-    rhs = np.trace(gateaux_derivative(f, D, V, 1)).real
+    rhs = np.trace(math.factorial(1) * evaluate_moi(f, D, [V])).real
     assert abs(lhs - rhs) < 1e-10 * (1 + abs(rhs))
     # zero-diagonal V in the eigenbasis kills the first-order trace
     U = D.eigenvectors
@@ -161,11 +162,23 @@ def test_product_split_check_fails_when_glued_at_the_wrong_variable(monkeypatch)
 
 def test_edge_multiplier_check_fails_with_the_multipliers_swapped(monkeypatch):
     f, g, D, V, W = algebra_instance()
-    apply = moi.apply_function
-    # the right side absorbs psi2(H) into V_1 and psi1(H) into V_p
-    monkeypatch.setattr(moi, "apply_function",
-                        lambda psi, D: apply(f if psi is g else g, D))
+    function_of = moi._function_of
+    lam = D.index_values()
+    g_of, f_of = g.value(lam), f.value(lam)
+
+    swaps = []
+
+    def swapped(D, fv):
+        # the right side absorbs psi2(H) into V_1 and psi1(H) into V_p
+        for this, other in ((g_of, f_of), (f_of, g_of)):
+            if np.array_equal(fv, this):
+                swaps.append(fv)
+                return function_of(D, other)
+        return function_of(D, fv)
+
+    monkeypatch.setattr(moi, "_function_of", swapped)
     assert edge_multiplier_check(g, f, f, D, [V, W]) > 1e-6
+    assert len(swaps) == 2
 
 
 def test_schatten_bound():

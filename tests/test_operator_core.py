@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import (load_json, projection_inequality_check, psd_leq,
+from oracles import (projection_inequality_check, psd_leq,
                      resolvent_inequality_check, spectral_projection, trace,
                      trace_class_bound_check)
 from tracetaylor.operator_core import (HermitianOperator,
-                                       _cluster,
+                                       _cluster, _symmetrized,
                                        HermitianValidationError, Interval,
                                        apply_function, counting_trace,
                                        decompose, operator_norm,
@@ -21,21 +21,27 @@ def test_hermitian_validation():
     with pytest.raises(HermitianValidationError):
         HermitianOperator(np.zeros((2, 3)))
     H = HermitianOperator(np.array([[1.0, 2.0], [2.0, -1.0]]))
-    assert H.dim == 2
+    assert H.mat.shape == (2, 2)
 
 
-def test_json_roundtrip(tmp_path):
+def test_symmetrized_is_the_operator_class_bit_for_bit():
+    # the library symmetrizes with _symmetrized and builds no
+    # HermitianOperator: both must give the same bits
     rng = np.random.default_rng(0)
-    H = HermitianOperator(random_hermitian(rng, 4))
-    d = H.to_json_dict()
-    assert d["dim"] == 4
-    H2 = HermitianOperator.from_json_dict(d)
-    assert np.allclose(H.mat, H2.mat)
-    p = tmp_path / "h.json"
-    import json
-    p.write_text(json.dumps(d))
-    H3 = load_json(p)
-    assert np.allclose(H.mat, H3.mat)
+    G = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    A = G + G.conj().T
+    # off-Hermitian by rounding-size amounts, within the class's tolerance
+    near = A + 1e-14 * (rng.standard_normal((5, 5))
+                        + 1j * rng.standard_normal((5, 5)))
+    assert not np.array_equal(near, near.conj().T)
+    S = _symmetrized(near)
+    assert np.array_equal(S, HermitianOperator(near).mat)
+    assert np.array_equal(S, 0.5 * (near + near.conj().T))
+    assert np.array_equal(S, S.conj().T)
+    # an exactly Hermitian matrix comes back unchanged
+    assert np.array_equal(A, A.conj().T)
+    assert np.array_equal(_symmetrized(A), A)
+    assert np.array_equal(HermitianOperator(A).mat, A)
 
 
 def test_decompose_diagonal():

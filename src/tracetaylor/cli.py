@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -172,10 +173,12 @@ def _map(cfg, fn, work=None):
     if work is None:
         work = [(cfg, d, n, t) for d in cfg.dims for n in cfg.orders
                 for t in range(cfg.trials)]
-    if cfg.jobs > 1:
-        # imported here: a --jobs 1 run never loads multiprocessing
+    # a worker beyond the trials or the cores would only cost a start-up
+    workers = min(cfg.jobs, len(work), os.cpu_count() or 1)
+    if workers > 1:
+        # imported here: a one-worker run never loads multiprocessing
         from multiprocessing import Pool
-        with Pool(cfg.jobs) as pool:
+        with Pool(workers) as pool:
             return pool.map(fn, work)
     return [fn(a) for a in work]
 
@@ -318,8 +321,8 @@ def _shift_trial(args):
     # Tr R_1 and Tr R_2 = Tr R_1 - tau_1 from one pass over both traces
     base, pert = taylor._traces(f, [D0, D1])
     [tau_1] = taylor.expansion_terms(f, D0, V, 2)
-    r1 = shift.first_order_check(f, data, pert - base)
-    r2 = shift.second_order_check(f, data, pert - base - tau_1)
+    r1 = shift.trace_formula_check(f, data.xi, data.window, pert - base)
+    r2 = shift.trace_formula_check(f, data.eta, data.window, pert - base - tau_1)
     cert = shift.eta_l1_bound_check(D0, v_norm, data)
     return (dim, trial, r1, r2, cert, shift.shift_data_json(data))
 

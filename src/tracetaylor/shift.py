@@ -1,11 +1,10 @@
-"""First- and second-order trace-formula data: the eigenvalue-counting
-difference, the first-order atomic measure, and the piecewise-linear density
-representing the second-order remainder.
-
-Everything here reads one pair of spectra, the decompositions D0 of H0 and D1
-of H0 + V, and numbers: ||V|| and the remainder trace that each check tests.
-Only the first-order measure reads V as a matrix.  ``shift_data`` builds the
-three objects once and the checks read them."""
+"""Trace-formula kernels of one pair H0, H0 + V.  At finite dimension,
+Tr R_n(f) = int f^(n) eta_n, with eta_n a polynomial of degree n - 1 between
+consecutive points of spec(H0) and spec(H0 + V): eta_1 is the counting
+difference xi and eta_2 Koplienko's density.  Both are a ``Kernel``, and
+``trace_formula_check`` tests either.  Everything here reads the
+decompositions D0 of H0 and D1 of H0 + V, and numbers; only the first-order
+atoms read V as a matrix.  ``shift_data`` builds the three objects once."""
 
 from dataclasses import dataclass
 
@@ -22,73 +21,50 @@ class WindowError(ValueError):
     pass
 
 
-@dataclass
-class StepFunction:
-    """Piecewise-constant function: values[k] on [breakpoints[k],
-    breakpoints[k+1]), zero outside."""
-
-    breakpoints: np.ndarray
-    values: np.ndarray
-
-    def __call__(self, x):
-        x = np.asarray(x, float)
-        idx = np.searchsorted(self.breakpoints, x, side="right") - 1
-        out = np.zeros_like(x, dtype=float)
-        inside = (idx >= 0) & (idx < self.values.size)
-        out[inside] = self.values[idx[inside]]
-        return out
+def _horner(coef, h):
+    """Row by row, sum_j coef[:, j] h^j."""
+    acc = coef[:, -1]
+    for j in range(coef.shape[1] - 2, -1, -1):
+        acc = acc * h + coef[:, j]
+    return acc
 
 
 @dataclass
-class AtomicMeasure:
-    """Point masses (location, weight)."""
+class Kernel:
+    """Piecewise polynomial: sum_j coef[k, j] (x - lo[k])^j on the piece
+    [lo[k], hi[k]), zero outside every piece.  The pieces ascend and do not
+    overlap; the order n = degree + 1 is the number of columns of coef."""
 
-    atoms: list
-
-
-@dataclass
-class PiecewiseLinearFunction:
-    """Affine pieces (lo, hi, slope, intercept); value slope*(x-lo)+intercept
-    on (lo, hi), zero outside all pieces.  Jumps at breakpoints are allowed."""
-
-    pieces: list
+    lo: np.ndarray
+    hi: np.ndarray
+    coef: np.ndarray
 
     def __call__(self, x):
         scalar = np.isscalar(x)
         x = np.atleast_1d(np.asarray(x, float))
+        k = np.searchsorted(self.lo, x, side="right") - 1
+        inside = (k >= 0) & (x < self.hi[k])
         out = np.zeros_like(x)
-        for lo, hi, slope, intercept in self.pieces:
-            mask = (x >= lo) & (x < hi)
-            out[mask] = slope * (x[mask] - lo) + intercept
+        k = k[inside]
+        out[inside] = _horner(self.coef[k], x[inside] - self.lo[k])
         return float(out[0]) if scalar else out
 
     def l1_norm(self):
-        """Exact integral of |eta| over the pieces."""
+        """Exact integral of |kernel| for degree <= 1, summed piece by piece:
+        a piece whose ends differ in sign splits at its root."""
+        if self.coef.shape[1] > 2:
+            raise NotImplementedError("exact L1 norm only for degree <= 1")
+        width = self.hi - self.lo
         total = 0.0
-        for lo, hi, slope, intercept in self.pieces:
-            v0 = intercept
-            v1 = intercept + slope * (hi - lo)
+        for h, v0, v1, slope in zip(width.tolist(), self.coef[:, 0].tolist(),
+                                    _horner(self.coef, width).tolist(),
+                                    self.coef[:, -1].tolist()):
             if v0 * v1 >= 0:
-                total += 0.5 * abs(v0 + v1) * (hi - lo)
+                total += 0.5 * abs(v0 + v1) * h
             else:
-                x0 = -v0 / slope  # sign change inside the piece
-                total += 0.5 * abs(v0) * x0 + 0.5 * abs(v1) * (hi - lo - x0)
+                x0 = -v0 / slope  # sign change: the piece is affine
+                total += 0.5 * abs(v0) * x0 + 0.5 * abs(v1) * (h - x0)
         return total
-
-
-def _check_window(eigs, window, label):
-    lo, hi = window.lo, window.hi
-    for t in eigs:
-        if not (lo < t < hi):
-            raise WindowError(
-                f"{label} eigenvalue {t:.6g} outside window ({lo:.6g}, {hi:.6g})")
-
-
-def _check_support(f, window):
-    lo, hi = f.support
-    if not (window.lo < lo and hi < window.hi):
-        raise WindowError(f"supp f [{lo:.6g}, {hi:.6g}] must lie inside the "
-                          f"window ({window.lo:.6g}, {window.hi:.6g})")
 
 
 def default_window(D0, D1, v_norm):
@@ -101,57 +77,58 @@ def default_window(D0, D1, v_norm):
 
 
 def xi(D0, D1, window):
-    """Counting difference: eigenvalues of H0 in (a, x] minus eigenvalues of
-    H0 + V in (a, x], as a step function on the merged spectra."""
+    """Counting difference, the order-1 kernel: eigenvalues of H0 in (a, x]
+    minus eigenvalues of H0 + V in (a, x], constant from each point of the
+    merged spectra to the next; the last piece ends at b."""
     w0, w1 = D0.eigenvalues, D1.eigenvalues
-    _check_window(w0, window, "unperturbed")
-    _check_window(w1, window, "perturbed")
+    for label, eigs in (("unperturbed", w0), ("perturbed", w1)):
+        for t in eigs:
+            if not (window.lo < t < window.hi):
+                raise WindowError(f"{label} eigenvalue {t:.6g} outside window "
+                                  f"({window.lo:.6g}, {window.hi:.6g})")
     breaks = _sorted_unique([w0, w1])
-    # eigenvalues of H0 in (a, t] minus those of H0 + V (both ascending)
     vals = (np.searchsorted(w0, breaks, side="right")
             - np.searchsorted(w1, breaks, side="right"))
-    return StepFunction(breakpoints=breaks, values=vals.astype(float))
+    return Kernel(breaks, np.append(breaks[1:], window.hi),
+                  vals.astype(float)[:, None])
 
 
 def mu_measure(D0, V, window):
-    """First-order measure: one atom per cluster inside the window, weighted
-    by Tr(E_c V), the sum of the diagonal of U*VU over the cluster."""
+    """First-order measure as (location, weight) atoms: one per cluster
+    inside the window, weighted by Tr(E_c V), the sum of the diagonal of
+    U*VU over the cluster."""
     U = D0.eigenvectors
     diag = np.einsum("ij,ij->j", U.conj(), V @ U).real
-    atoms = []
-    for lam_c, idx in zip(D0.cluster_values, D0.clusters):
-        if window.lo < lam_c < window.hi:
-            atoms.append((float(lam_c), float(np.sum(diag[list(idx)]))))
-    return AtomicMeasure(atoms=atoms)
+    return [(float(lam_c), float(np.sum(diag[list(idx)])))
+            for lam_c, idx in zip(D0.cluster_values, D0.clusters)
+            if window.lo < lam_c < window.hi]
 
 
-def eta(step, mu, window):
-    """Second-order density: mu((a, x)) minus the running integral of the
-    counting difference, stored exactly as affine pieces.  On each piece
-    (lo, hi) between consecutive breakpoints, xi is its value at lo,
-    mu((a, x)) is the mass of the atoms at or left of lo, and the running
-    integral of xi is a cumulative sum over earlier pieces."""
-    locs = np.array([t for t, _ in mu.atoms], dtype=float)
-    mass = np.cumsum([0.0] + [w for _, w in mu.atoms])
-    hi = _sorted_unique([step.breakpoints, locs, [window.hi]])
+def eta(step, atoms, window):
+    """Second-order density, the order-2 kernel: mu((a, x)) for mu the
+    ``atoms``, minus the running integral of the counting difference
+    ``step``.  On each piece (lo, hi) between consecutive breakpoints, xi is
+    its value at lo, mu((a, x)) the mass of the atoms at or left of lo, and
+    the running integral a cumulative sum over earlier pieces."""
+    locs = np.array([t for t, _ in atoms], dtype=float)
+    mass = np.cumsum([0.0] + [w for _, w in atoms])
+    hi = _sorted_unique([step.lo, locs, [window.hi]])
     lo = np.concatenate([[window.lo], hi[:-1]])
     xival = step(lo)
     running = np.concatenate([[0.0], np.cumsum(xival * (hi - lo))[:-1]])
     intercept = mass[np.searchsorted(locs, lo, side="right")] - running
-    return PiecewiseLinearFunction(pieces=[
-        (float(a), float(b), float(-x), float(c))
-        for a, b, x, c in zip(lo, hi, xival, intercept)])
+    return Kernel(lo, hi, np.column_stack([intercept, -xival]))
 
 
 @dataclass
 class ShiftData:
-    """The counting difference, the first-order measure and the second-order
+    """The counting difference, the first-order atoms and the second-order
     density of one pair H0, H0 + V over a window."""
 
     window: Interval
-    xi: StepFunction
-    mu: AtomicMeasure
-    eta: PiecewiseLinearFunction
+    xi: Kernel
+    mu: list
+    eta: Kernel
 
 
 def shift_data(D0, D1, V, window):
@@ -162,36 +139,30 @@ def shift_data(D0, D1, V, window):
     return ShiftData(window=window, xi=step, mu=mu, eta=eta(step, mu, window))
 
 
-def first_order_check(f, data, remainder):
-    """Residual of ``remainder``, the order-1 remainder trace
-    Tr f(H0+V) - Tr f(H0) of f, against the integral of f' times the counting
-    difference; the step integral telescopes exactly, so no quadrature error
-    enters."""
-    _check_support(f, data.window)
-    step = data.xi
-    # int f' xi = sum_k xi_k (f(t_{k+1}) - f(t_k)), last interval reaches b
-    knots = np.append(step.breakpoints, data.window.hi)
-    fvals = f.value(knots)
-    integral = float(np.sum(step.values * (fvals[1:] - fvals[:-1])))
-    return abs(remainder - integral)
-
-
-def second_order_check(f, data, remainder):
-    """Residual of ``remainder``, the order-2 remainder trace of f at (H0, V),
-    against the integral of f'' times the density, in closed form: on a piece
-    (lo, hi) where the density is c + s (x - lo), integration by parts gives
-    f'(hi) (c + s (hi - lo)) - f'(lo) c - s (f(hi) - f(lo))."""
-    if f.max_order < 3:
-        raise DerivativeOrderError(
-            f"the second-order check needs a C^3 function; f is C^{f.max_order}")
-    _check_support(f, data.window)
-    lo, hi, s, c = np.array(data.eta.pieces, dtype=float).reshape(-1, 4).T
-    ends = np.concatenate([lo, hi])
-    f_lo, f_hi = np.split(f.value(ends), 2)
-    d_lo, d_hi = np.split(f.deriv(1, ends), 2)
-    total = float(np.sum(d_hi * (c + s * (hi - lo)) - d_lo * c
-                         - s * (f_hi - f_lo)))
-    return abs(remainder - total)
+def trace_formula_check(f, kernel, window, remainder):
+    """Residual of ``remainder``, the order-n remainder trace of f at (H0, V),
+    against int f^(n) kernel, n the kernel's order, in closed form: on a
+    piece (lo, hi), n integrations by parts give the sum over j of
+    (-1)^j [f^(n-1-j) kernel^(j)] from lo to hi.  Order n >= 2 needs a
+    C^(n+1) function; order 1 reads only f."""
+    n = kernel.coef.shape[1]
+    if n > 1 and f.max_order < n + 1:
+        raise DerivativeOrderError(f"the order-{n} check needs a C^{n + 1} "
+                                   f"function; f is C^{f.max_order}")
+    a, b = f.support
+    if not (window.lo < a and b < window.hi):
+        raise WindowError(f"supp f [{a:.6g}, {b:.6g}] must lie inside the "
+                          f"window ({window.lo:.6g}, {window.hi:.6g})")
+    lo, hi, p = kernel.lo, kernel.hi, kernel.coef
+    d_lo, d_hi = np.split(f.derivs(range(n), np.concatenate([lo, hi])), 2, 1)
+    terms = np.zeros(lo.size)
+    for j in range(n - 1):  # p holds the coefficients of kernel^(j)
+        terms += (-1) ** j * (d_hi[n - 1 - j] * _horner(p, hi - lo)
+                              - d_lo[n - 1 - j] * p[:, 0])
+        p = p[:, 1:] * np.arange(1, p.shape[1])
+    # kernel^(n-1) is constant on each piece; for xi the sum telescopes
+    terms += (-1) ** (n - 1) * (p[:, 0] * (d_hi[0] - d_lo[0]))
+    return abs(remainder - float(np.sum(terms)))
 
 
 def eta_l1_bound_check(D0, v_norm, data):
@@ -217,9 +188,11 @@ def shift_data_json(data):
     """Serializable bundle: counting-difference breakpoints/values, density
     pieces, and the first-order atoms."""
     return {
-        "breakpoints": [float(t) for t in data.xi.breakpoints],
-        "xi_values": [float(v) for v in data.xi.values],
+        "breakpoints": data.xi.lo.tolist(),
+        "xi_values": data.xi.coef[:, 0].tolist(),
         "eta_pieces": [{"lo": lo, "hi": hi, "slope": s, "intercept": c}
-                       for lo, hi, s, c in data.eta.pieces],
-        "atoms": [{"location": t, "weight": w} for t, w in data.mu.atoms],
+                       for lo, hi, (c, s) in zip(data.eta.lo.tolist(),
+                                                 data.eta.hi.tolist(),
+                                                 data.eta.coef.tolist())],
+        "atoms": [{"location": t, "weight": w} for t, w in data.mu],
     }

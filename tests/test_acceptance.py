@@ -154,7 +154,8 @@ def test_criterion_07_first_order_trace_formula():
         H, V = instance(7000 + trial, dim, vnorm=0.25)
         data = shift_instance(H, V)[2]
         rem = taylor.remainder_trace(F12, H, V, 1)
-        if not shift.first_order_check(F12, data, rem) <= 1e-10:
+        if not shift.trace_formula_check(F12, data.xi, data.window,
+                                         rem) <= 1e-10:
             ok = False
     verdict(7, "first-order trace formula against the counting-difference "
                "step function, 50 trials", ok)
@@ -167,7 +168,8 @@ def test_criterion_08_second_order_density():
         H, V = instance(8000 + trial, dim, vnorm=0.2)
         D0, _, data = shift_instance(H, V)
         rem = taylor.remainder_trace(F12, H, V, 2)
-        if not shift.second_order_check(F12, data, rem) <= 1e-8:
+        if not shift.trace_formula_check(F12, data.eta, data.window,
+                                         rem) <= 1e-8:
             ok = False
         if not shift.eta_l1_bound_check(D0, operator_norm(V), data).passed:
             ok = False

@@ -483,6 +483,36 @@ def test_runs_import_neither_multiprocessing_nor_numpy_ma(tmp_path):
     assert all(c in (0, 1) for c in codes) and loaded == []
 
 
+@pytest.mark.parametrize("jobs, n_work, cores, size", [
+    (5000, 60, 2, 2), (5000, 3, 8, 3), (4, 60, 8, 4), (5000, 60, None, None)])
+def test_map_starts_no_more_workers_than_work_or_cores(monkeypatch, jobs,
+                                                       n_work, cores, size):
+    # the stand-in records its size and maps in this process, so no worker
+    # starts; size None means that _map ran without a pool
+    import multiprocessing
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return [fn(a) for a in work]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    work = list(range(-n_work, 0))
+    assert cli._map(cli.ExperimentConfig(jobs=jobs), abs, work) == [
+        abs(a) for a in work]
+    assert sizes == ([] if size is None else [size])
+
+
 @pytest.mark.parametrize("command, config", [
     ("certify", "bump_m = 4\norders = 1,2,3\ndims = 4\ntrials = 2\n"),
     ("sweep", "bump_m = 4\norders = 1,2,3\ndims = 4\ntrials = 2\n"),

@@ -9,11 +9,9 @@ from tracetaylor.operator_core import (HermitianOperator, Interval, as_matrix,
                                        random_hermitian,
                                        random_hermitian_in_window)
 from tracetaylor.scalar_functions import make_poly_bump
-from tracetaylor.shift import (PiecewiseLinearFunction, WindowError,
-                               default_window, eta,
-                               eta_l1_bound_check, first_order_check,
-                               mu_measure, second_order_check, shift_data,
-                               shift_data_json, xi)
+from tracetaylor.shift import (Kernel, WindowError, default_window, eta,
+                               eta_l1_bound_check, mu_measure, shift_data,
+                               shift_data_json, trace_formula_check, xi)
 from tracetaylor.taylor import remainder_trace
 
 
@@ -49,13 +47,13 @@ def data_of(H, V, window=None):
 
 
 def first_order(f, H, V, window):
-    return first_order_check(f, data_of(H, V, window)[3],
-                             remainder_trace(f, H, V, 1))
+    return trace_formula_check(f, data_of(H, V, window)[3].xi, window,
+                               remainder_trace(f, H, V, 1))
 
 
 def second_order(f, H, V, window):
-    return second_order_check(f, data_of(H, V, window)[3],
-                              remainder_trace(f, H, V, 2))
+    return trace_formula_check(f, data_of(H, V, window)[3].eta, window,
+                               remainder_trace(f, H, V, 2))
 
 
 def test_xi_zero_perturbation():
@@ -74,6 +72,7 @@ def test_xi_scalar_counting():
     assert step(0.5) == pytest.approx(1.0)
     assert step(-0.5) == pytest.approx(0.0)
     assert step(1.5) == pytest.approx(0.0)
+    assert step.l1_norm() == 1.0
 
 
 def test_xi_jumps_balance():
@@ -111,8 +110,8 @@ def test_mu_measure():
     w = window_of(H, V)
     mu = mu_measure(D0, V, w)
     zero_mu = mu_measure(D0, np.zeros((5, 5)), w)
-    assert all(abs(m) < 1e-15 for _, m in zero_mu.atoms)
-    total = sum(m * f.deriv(1, t) for t, m in mu.atoms)
+    assert all(abs(m) < 1e-15 for _, m in zero_mu)
+    total = sum(m * f.deriv(1, t) for t, m in mu)
     assert total == pytest.approx(trace_derivative_first(f, D0, V), abs=1e-10)
 
 
@@ -137,15 +136,18 @@ def test_eta_zero_perturbation():
     assert np.max(np.abs(density(xs))) < 1e-13
 
 
-def test_eta_continuity_at_breakpoints():
-    H, V = rand_instance(6, 4)
-    density = data_of(H, V)[3].eta
-    for lo, hi, slope, intercept in density.pieces[1:]:
-        left = density(lo - 1e-9)
-        right = slope * 0.0 + intercept  # value at the left end of the piece
-        # eta is continuous except possibly at mu atoms with zero xi mass;
-        # check the reconstruction is bounded near every breakpoint
-        assert abs(left - right) < 1.0
+def test_eta_jumps_by_the_atoms_and_vanishes_at_the_window_ends():
+    # eta = mu((a, x)) - int_a^x xi: the running integral is continuous, so
+    # eta jumps by the atom weight at an atom and nowhere else
+    for seed in range(40):
+        data = data_of(*rand_instance(600 + seed, 2 + seed % 7))[3]
+        density = data.eta
+        c, s = density.coef.T
+        left = c + s * (density.hi - density.lo)  # left limit at each hi
+        weight = [sum(w for t, w in data.mu if t == x) for x in density.lo[1:]]
+        assert np.max(np.abs(c[1:] - left[:-1] - weight)) < 1e-12
+        assert np.all(density.coef[0] == 0.0)
+        assert density.hi[-1] == data.window.hi and abs(left[-1]) < 1e-12
 
 
 def test_second_order_density():
@@ -160,17 +162,38 @@ def test_second_order_density():
         assert second_order(f, H, np.zeros((8, 8)), w) < 1e-13
 
 
-def test_second_order_check_fails_on_negated_slopes():
-    # the closed form reads the slope of every piece: flipping them must show
+@pytest.mark.parametrize("order", [1, 2])
+def test_trace_formula_check_fails_on_a_negated_kernel(order):
+    # the closed form reads the top coefficient of every piece, xi's value
+    # at order 1 and eta's slope at order 2: flipping them must show
     f = make_poly_bump(0.0, 1.0, 12)
     for seed in (7, 8):
         H, V = rand_instance(seed, 8)
         data = data_of(H, V)[3]
-        rem = remainder_trace(f, H, V, 2)
-        assert second_order_check(f, data, rem) < 1e-8
-        data.eta = PiecewiseLinearFunction(pieces=[
-            (lo, hi, -s, c) for lo, hi, s, c in data.eta.pieces])
-        assert second_order_check(f, data, rem) > 1e-6
+        kernel = data.xi if order == 1 else data.eta
+        rem = remainder_trace(f, H, V, order)
+        assert trace_formula_check(f, kernel, data.window, rem) < 1e-8
+        kernel.coef[:, -1] *= -1.0
+        assert trace_formula_check(f, kernel, data.window, rem) > 1e-6
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_trace_formula_check_integrates_by_parts(order):
+    # a random kernel of every order against Gauss-Legendre quadrature of
+    # f^(n) kernel, exact here: each piece lies on one side of the support
+    # edges +-1 of f, where f^(n) is one polynomial of degree < 24
+    f = make_poly_bump(0.0, 1.0, 12)
+    rng = np.random.default_rng(order)
+    breaks = np.sort(np.concatenate([rng.uniform(-1.5, 1.5, 7), [-1.0, 1.0]]))
+    kernel = Kernel(breaks[:-1], breaks[1:],
+                    rng.standard_normal((breaks.size - 1, order)))
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    integral = 0.0
+    for lo, hi in zip(kernel.lo, kernel.hi):
+        x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+        integral += 0.5 * (hi - lo) * np.sum(
+            weights * f.deriv(order, x) * kernel(x))
+    assert trace_formula_check(f, kernel, Interval(-2.0, 2.0), integral) < 1e-12
 
 
 def test_eta_l1_bound():

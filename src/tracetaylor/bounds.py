@@ -1,6 +1,7 @@
 """Explicit constants and certified inequalities for the trace remainder:
-the doubling-recursion constant sequence, dyadic-root depth, compact-resolvent
-trace-norm bounds, and the Hilbert-Schmidt-resolvent constant."""
+the doubling-recursion constant sequence, compact-resolvent trace-norm bounds
+over the dyadic roots of depth ``j_of(n)``, and the Hilbert-Schmidt-resolvent
+constant."""
 
 import functools
 import math
@@ -14,8 +15,8 @@ from .operator_core import Interval, counting_trace, schatten_norm
 # unused here, kept because bench/tests/test_tracer.py checks its rebinding
 from .operator_core import decompose  # noqa: F401
 from .scalar_functions import (_memoized, decompose_signed, fractional_root,
-                               gp_seminorm, product_with_u, product_with_u2,
-                               sup_norm, weight_u)
+                               gp_seminorm, j_of, product_with_u,
+                               product_with_u2, sup_norm, weight_u)
 
 
 # each Check op: its comparison, and the sign that the FAIL text shows
@@ -70,13 +71,6 @@ def a_sequence(n):
     if n == 1:
         return 2
     return a_sequence(n - 1) + a_sequence(n // 2)
-
-
-def j_of(n):
-    """Dyadic-root depth 1 + floor(log2 n)."""
-    if n < 1:
-        raise ValueError("index must be >= 1")
-    return 1 + int(math.floor(math.log2(n)))
 
 
 def _per_function(constant):

@@ -440,10 +440,14 @@ def main(argv=None):
         if args.jobs is not None:
             cfg.jobs = args.jobs
         cfg.validate()
+        # reports go to out_dir, which must be or lie under a directory
+        out_dir = Path(cfg.out_dir)
+        held = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        if args.command != "selftest" and not held.is_dir():
+            raise ConfigError(f"out_dir {out_dir}: {held} is not a directory")
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(cfg.out_dir)
     commands = {"expand": cmd_expand, "sweep": cmd_sweep,
                 "certify": cmd_certify, "shift": cmd_shift}
     if args.command not in commands:

@@ -11,7 +11,7 @@ symbolic engine).
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial
@@ -38,21 +38,6 @@ def _memoized(f, key, compute):
     if key not in f._constants:
         f._constants[key] = compute()
     return f._constants[key]
-
-
-@dataclass(frozen=True)
-class _BumpAtom:
-    center: float
-    radius: float
-
-
-@dataclass(frozen=True)
-class _PlateauAtom:
-    lo: float
-    inner_lo: float
-    inner_hi: float
-    hi: float
-    edge_order: int
 
 
 def _smoothstep(s):
@@ -162,7 +147,9 @@ class SmoothCompactFunction:
         self.breaks = np.asarray(breaks, dtype=float)
         self.piece_terms = piece_terms
         self.max_order = max_order
-        self.power = power  # (atom, integer exponent, coeff > 0) when an exact power
+        # (rebuild, integer exponent m, coeff > 0) when an exact power: the
+        # function is coeff * rebuild(m), and rebuild(m') gives its other powers
+        self.power = power
         self._constants = {}
 
     # -- basic geometry -------------------------------------------------
@@ -306,8 +293,8 @@ class SmoothCompactFunction:
         c = float(c)
         power = None
         if self.power is not None and c > 0:
-            atom, m, coeff = self.power
-            power = (atom, m, coeff * c)
+            rebuild, m, coeff = self.power
+            power = (rebuild, m, coeff * c)
         return SmoothCompactFunction(
             self.breaks, [{k: c * P for k, P in t.items()} for t in self.piece_terms],
             self.max_order, power=power)
@@ -374,40 +361,34 @@ class FractionalPower:
         if top > self.max_order:
             raise DerivativeOrderError(
                 f"derivative order {top} exceeds guaranteed order {self.max_order}")
-        h = []
-        self._extend(list(self.base.derivs(range(top + 1), x)), h)
+        h = self._orders(self.base.derivs(range(top + 1), x))
         return np.array([h[j] for j in orders])
 
-    def _extend(self, g, h):
-        """Extend h = [h, h', ..] to order len(g) - 1 from the base
-        derivatives g = [g, g', ..] at the same points.  Order r reads only
-        g[:r+1] and h[:r], so its value does not depend on how the list was
-        extended."""
+    def _orders(self, g):
+        """[h, h', ..] to order len(g) - 1 from the base derivatives
+        g = [g, g', ..] at the same points; order r reads only g[:r+1]."""
         tiny = 1e-250
         safe = g[0] > tiny
         gs = np.where(safe, g[0], 1.0)
-        # l[r] = (log g)^(r); solved from g^(r) = sum C(r-1,i) g^(i) l[r-i]
-        l = [None] * len(g)
+        h, l = [np.where(safe, gs**self.alpha, 0.0)], [None]
         for r in range(1, len(g)):
+            # l[r] = (log g)^(r); solved from g^(r) = sum C(r-1,i) g^(i) l[r-i]
             acc = g[r].copy()
             for i in range(1, r):
                 acc = acc - math.comb(r - 1, i) * g[i] * l[r - i]
-            l[r] = acc / gs
-        if not h:
-            h.append(np.where(safe, gs**self.alpha, 0.0))
-        for r in range(len(h), len(g)):
+            l.append(acc / gs)
             acc = np.zeros_like(g[0])
             for i in range(r):
                 acc += math.comb(r - 1, i) * h[i] * (self.alpha * l[r - i])
             h.append(np.where(safe, acc, 0.0))
+        return h
 
     def _grid_derivs(self, orders, grid):
         """h^(j) for every j in ``orders`` on the sampling grid ``grid`` (the
         base's: same support and breaks), found afresh from the base's table
         for that grid, which the base keeps."""
         top = max(orders)
-        h = []
-        self._extend(self.base._grid_table(grid, top)[:top + 1], h)
+        h = self._orders(self.base._grid_table(grid, top)[:top + 1])
         return [h[j] for j in orders]
 
 
@@ -423,7 +404,8 @@ def make_poly_bump(center, radius, m):
     if radius <= 0:
         raise ValueError("radius must be positive")
     if m < 2:
-        raise ValueError("exponent m must be at least 2")
+        # (1 - s^2)^1 has a kink at either end of its support
+        raise DerivativeOrderError(f"a bump of exponent {m} has no derivative")
     # (1 - s^2)^m expanded in Chebyshev series of s = (x-center)/radius,
     # with the affine map carried by the domain attribute.  The Chebyshev
     # coefficients stay O(1), so evaluation keeps ~1e-15 absolute accuracy;
@@ -434,7 +416,7 @@ def make_poly_bump(center, radius, m):
                   window=[-1.0, 1.0])
     return SmoothCompactFunction(
         [center - radius, center + radius], [{0: P}], m - 1,
-        power=(_BumpAtom(float(center), float(radius)), int(m), 1.0))
+        power=(partial(make_poly_bump, center, radius), int(m), 1.0))
 
 
 def make_plateau_bump(inner_lo, inner_hi, pad, edge_order, exponent=1):
@@ -455,26 +437,10 @@ def make_plateau_bump(inner_lo, inner_hi, pad, edge_order, exponent=1):
     fall = _rebase(Chebyshev(Se.coef, domain=[inner_hi, hi],
                              window=[1.0, -1.0]), inner_hi, hi)
     pieces = [{0: rise}, {0: Chebyshev([1.0])}, {0: fall}]
-    atom = _PlateauAtom(float(lo), float(inner_lo), float(inner_hi), float(hi),
-                        int(edge_order))
     return SmoothCompactFunction(
         [lo, inner_lo, inner_hi, hi], pieces, edge_order,
-        power=(atom, int(exponent), 1.0))
-
-
-def _from_power(atom, exponent, coeff):
-    """coeff times the atom raised to ``exponent``."""
-    if isinstance(atom, _PlateauAtom):
-        f = make_plateau_bump(atom.inner_lo, atom.inner_hi,
-                              atom.inner_lo - atom.lo, atom.edge_order,
-                              exponent=exponent)
-    elif exponent < 2:
-        # (1 - s^2)^1 has a kink at either end of its support
-        raise DerivativeOrderError(
-            f"a bump of exponent {exponent} has no derivative")
-    else:
-        f = make_poly_bump(atom.center, atom.radius, exponent)
-    return f if coeff == 1.0 else f.scale(coeff)
+        power=(partial(make_plateau_bump, inner_lo, inner_hi, pad, edge_order),
+               int(exponent), 1.0))
 
 
 def dyadic_root(f, k):
@@ -485,11 +451,22 @@ def dyadic_root(f, k):
         return f
     if getattr(f, "power", None) is None:
         raise UnsupportedFamilyError("no exact dyadic root for this function")
-    atom, m, coeff = f.power
+    rebuild, m, coeff = f.power
     if m % (1 << k) != 0:
         raise UnsupportedFamilyError(f"exponent {m} not divisible by 2^{k}")
-    return _memoized(f, ("dyadic_root", k),
-                    lambda: _from_power(atom, m >> k, coeff ** (2.0 ** -k)))
+
+    def compute():
+        root, c = rebuild(m >> k), coeff ** (2.0 ** -k)
+        return root if c == 1.0 else root.scale(c)
+    return _memoized(f, ("dyadic_root", k), compute)
+
+
+def j_of(n):
+    """Dyadic-root depth 1 + floor(log2 n): the constants of order n read the
+    roots f^(2^-k) for k = 1..j_of(n)."""
+    if n < 1:
+        raise ValueError("index must be >= 1")
+    return 1 + int(math.floor(math.log2(n)))
 
 
 def fractional_root(f, k, max_order):
@@ -664,12 +641,7 @@ def decompose_signed(f, n):
     if f.unbounded:
         raise UnsupportedFamilyError("signed decomposition needs compact support")
     lo, hi = f.support
-    jn = 1 + int(math.floor(math.log2(n))) if n >= 1 else 1
     pad = max(0.25 * (hi - lo), 1e-3)
-    M = sup_norm(f)
-    b = make_plateau_bump(lo, hi, pad, n + 1, exponent=1 << jn)
-    if M == 0.0:
-        zf = b.scale(0.0)
-        return zf, zf
-    f2 = b.scale(2.0 * M)
+    b = make_plateau_bump(lo, hi, pad, n + 1, exponent=1 << j_of(n))
+    f2 = b.scale(2.0 * sup_norm(f))
     return f2.add(f), f2

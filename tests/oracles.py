@@ -72,8 +72,7 @@ def derivs_per_order(f, orders, x):
     its base's orders 0..max(orders), each found by this route."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(f, FractionalPower):
-        h = []
-        f._extend(derivs_per_order(f.base, range(max(orders) + 1), x), h)
+        h = f._orders(derivs_per_order(f.base, range(max(orders) + 1), x))
         return [h[j] for j in orders]
     return [_deriv_per_order(f._derivative_obj(j), x) for j in orders]
 

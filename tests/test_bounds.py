@@ -86,6 +86,10 @@ def test_dyadic_depth():
     assert [j_of(n) for n in range(1, 9)] == [1, 2, 2, 3, 3, 3, 3, 4]
     with pytest.raises(ValueError):
         j_of(0)
+    # the signed split takes its depth from the same rule, so no order below
+    # 1 has one
+    with pytest.raises(ValueError):
+        decompose_signed(make_poly_bump(0.0, 1.0, 8), 0)
 
 
 def test_compact_trace_norm_bound():

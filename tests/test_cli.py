@@ -148,6 +148,22 @@ def test_negative_seed_option_exits_2(tmp_path, capsys, command):
     assert captured.err.splitlines() == ["config error: seed must be >= 0"]
 
 
+@pytest.mark.parametrize("command", ["expand", "certify", "shift", "sweep"])
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-a-file"])
+def test_out_dir_that_cannot_be_a_directory_exits_2(tmp_path, capsys, monkeypatch,
+                                                    command, under):
+    # found before any trial runs, not as a traceback after all of them
+    monkeypatch.setattr(cli, "_map", lambda *args: pytest.fail("a trial ran"))
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / under if under else blocker
+    assert cli.main([command, "--config", write_cfg(tmp_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and blocker.read_text() == "kept\n"
+    assert captured.err.splitlines() == [
+        f"config error: out_dir {out}: {blocker} is not a directory"]
+
+
 def test_highest_order_the_bump_allows_is_valid(tmp_path):
     cfg = cli.parse_config_file(write_cfg(tmp_path, "bump_m = 4\norders = 1,2,3\n"))
     assert max(cfg.orders) == cfg.function().max_order == 3
@@ -544,8 +560,11 @@ def test_shift_command(tmp_path):
     assert set(data) == {"breakpoints", "xi_values", "eta_pieces", "atoms"}
 
 
-def test_selftest_passes():
-    assert cli.main(["selftest"]) == 0
+def test_selftest_passes(tmp_path):
+    # selftest writes nothing, so it makes no output directory
+    out = tmp_path / "new" / "out"
+    assert cli.main(["selftest", "--out", str(out)]) == 0
+    assert not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("module, name, check", [

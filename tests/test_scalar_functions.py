@@ -35,7 +35,7 @@ def test_poly_bump_values():
     assert f.deriv(1, -1.0) == 0.0
     assert f.value(0.5) == pytest.approx(0.31640625, abs=1e-15)
     assert f.value(2.0) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(DerivativeOrderError):
         make_poly_bump(0.0, 1.0, 1)
 
 
@@ -169,9 +169,29 @@ def test_root_of_a_scaled_power_exists_exactly_for_positive_scales(k, m, c, data
         with pytest.raises(UnsupportedFamilyError):
             dyadic_root(f.scale(c), k)
         return
+    # a root is its atom rebuilt by its own constructor: same breaks, bitwise
+    for g in (f, f.scale(c)):
+        assert np.array_equal(dyadic_root(g, k).breaks, f.breaks)
     x = _probes(data.draw, f)
     expect = c ** (2.0 ** -k) * dyadic_root(f, k).value(x)
     _assert_close(dyadic_root(f.scale(c), k).value(x), expect, np.max(np.abs(expect)))
+
+
+def test_plateau_roots_keep_the_plateau_geometry_bitwise():
+    # here inner_lo - lo, with lo = inner_lo - pad rounded, is not the pad
+    # bit for bit: a root rebuilt from the support would end one ulp off
+    f = make_plateau_bump(-1.0, -0.5, 0.1, 2, exponent=2)
+    assert np.array_equal(dyadic_root(f, 1).breaks, f.breaks)
+    # the same for the plateau half of the signed split of bumps of the
+    # shipped exponent 20, at every root the constants of orders 1-3 read
+    rng = np.random.default_rng(0)
+    shapes = [(0.0, 1.0), (0.1, 0.8), (-0.3, 1.7), (1.5, 0.1)] + list(zip(
+        rng.uniform(-2.0, 2.0, 200), rng.uniform(0.1, 3.0, 200)))
+    for c, r in shapes:
+        for n in (1, 2, 3):
+            f2 = decompose_signed(make_poly_bump(c, r, 20), n)[1]
+            for k in range(1, bounds.j_of(n) + 1):
+                assert np.array_equal(dyadic_root(f2, k).breaks, f2.breaks)
 
 
 def test_dyadic_root_exact():
@@ -361,7 +381,7 @@ def _families():
             make_plateau_bump(-0.5, 0.5, 0.25, 3).scale(-1.0)]
     for n in (1, 2, 3, 4):
         f1, f2 = decompose_signed(f, n)
-        jn = 1 + int(math.floor(math.log2(n)))
+        jn = bounds.j_of(n)
         fams += [f1, f2]
         fams += [dyadic_root(f2, k) for k in range(1, jn + 1)]
         fams += [fractional_root(f1, k, max_order=n + 1) for k in range(1, jn + 1)]

@@ -6,7 +6,9 @@ piecewise as sums of terms ``P(x) * u(x)^k`` with ``P`` a polynomial,
 ``u(x) = (1 + x^2)^(1/2)`` and ``k`` an integer, which keeps the family
 closed under differentiation, sums, products, and multiplication by ``u``
 and ``u^2``.  Derivatives are therefore exact (no finite differencing, no
-symbolic engine).
+symbolic engine).  Each ``P`` is a 1-d float64 array of Chebyshev
+coefficients in its piece's own variable, worked on by the
+``numpy.polynomial.chebyshev`` functions.
 """
 
 import math
@@ -15,6 +17,7 @@ from functools import cache, lru_cache, partial
 
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial
+from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial import polyutils as pu
 
 
@@ -26,10 +29,10 @@ class DerivativeOrderError(ValueError):
     """Raised when a derivative beyond the guaranteed order is requested."""
 
 
-_X = Polynomial([0.0, 1.0])
-
 # max_order sentinel for functions smooth to all orders we ever use
 _UNLIMITED = 10**6
+
+_WINDOW = (-1.0, 1.0)
 
 
 def _memoized(f, key, compute):
@@ -40,78 +43,72 @@ def _memoized(f, key, compute):
     return f._constants[key]
 
 
+def _domain(lo, hi):
+    """The interval that the variable of a piece on [lo, hi] maps onto
+    [-1, 1]: the piece itself, or (-1, 1), x itself, on an infinite or empty
+    piece.  The local variable avoids the catastrophic coefficient growth of
+    global monomial expansions (a plateau edge raised to a power is otherwise
+    evaluated with ~1e16-scale cancellation)."""
+    if math.isinf(lo) or math.isinf(hi) or hi <= lo:
+        return _WINDOW
+    return (lo, hi)
+
+
+def _rebase(c, domain, a, b, window=_WINDOW):
+    """The series c in the variable that maps ``domain`` onto ``window``,
+    as coefficients in the variable of the piece [a, b]."""
+    return Chebyshev(c, domain, window).convert(domain=[a, b]).coef
+
+
 def _smoothstep(s):
-    """Polynomial S with S(0)=0, S(1)=1 and S', .., S^(s) vanishing at 0 and 1."""
-    base = _X**s * (Polynomial([1.0, -1.0])) ** s
-    S = base.integ()
-    return S / S(1.0)
-
-
-def _rebase(P, a, b):
-    """Equivalent polynomial mapped from [a, b] to the window [-1, 1].
-
-    Keeping piece polynomials in a local variable avoids the catastrophic
-    coefficient growth of global monomial expansions (edge polynomials of a
-    plateau raised to a power are otherwise evaluated with ~1e16-scale
-    cancellation).
-    """
-    if (isinstance(P, Chebyshev) and tuple(P.domain) == (a, b)
-            and tuple(P.window) == (-1.0, 1.0)):
-        return P
-    return P.convert(domain=[a, b], window=[-1.0, 1.0], kind=Chebyshev)
+    """Polynomial S with S(0)=0, S(1)=1 and S', .., S^(s) vanishing at 0 and
+    1, in the variable that maps [0, 1] onto [-1, 1]."""
+    S = (Polynomial([0.0, 1.0]) ** s * Polynomial([1.0, -1.0]) ** s).integ()
+    return (S / S(1.0)).convert(domain=[0.0, 1.0], kind=Chebyshev).coef
 
 
 def _stack_terms(term_dicts):
-    """Evaluation plan for the term dicts ``{k: P_k}`` of one piece, one dict
-    per row: the series of every row that share a kind, a domain map and a
-    power u^k become the columns of one coefficient matrix, zero-padded at
-    the high end.  Returns the stacks ``(P, k, C)``, with P a series that
-    carries the stack's map, and for each row its (stack, column) pairs in
-    the row's own term order."""
-    stack_of = {}   # (kind, domain, window, k) -> stack index
-    members = []    # per stack: k and its series, one per column
-    rows = []
+    """Evaluation plan for the term dicts ``{k: c_k}`` of one piece, one per
+    row: the series of power u^k of every row are the columns of one matrix
+    ``stacks[k]``, zero-padded at the high end.  Returns the stacks, and for
+    each row its (k, column) pairs in the row's own term order."""
+    series, rows = {}, []
     for terms in term_dicts:
-        row = []
-        for k, P in terms.items():
-            key = (type(P), P.domain.tobytes(), P.window.tobytes(), k)
-            s = stack_of.setdefault(key, len(members))
-            if s == len(members):
-                members.append((k, []))
-            row.append((s, len(members[s][1])))
-            members[s][1].append(P)
-        rows.append(row)
-    stacks = []
-    for k, series in members:
-        C = np.zeros((max(P.coef.size for P in series), len(series)))
-        for col, P in enumerate(series):
-            C[:P.coef.size, col] = P.coef
-        stacks.append((series[0], k, C))
+        rows.append([])
+        for k, c in terms.items():
+            rows[-1].append((k, len(series.setdefault(k, []))))
+            series[k].append(c)
+    stacks = {}
+    for k, cs in series.items():
+        stacks[k] = np.zeros((max(c.size for c in cs), len(cs)))
+        for col, c in enumerate(cs):
+            stacks[k][:c.size, col] = c
     return stacks, rows
 
 
-def _eval_stacked(plan, x):
-    """Rows sum_k P_k(x) u(x)^k of a ``_stack_terms`` plan at the points x,
-    one series evaluation per stack; each term is formed and summed as
-    ``P(x) * u(x)**k`` would be, in the row's term order."""
+def _eval_stacked(plan, domain, x):
+    """Rows sum_k P_k(x) u(x)^k of a ``_stack_terms`` plan at the points x of
+    a piece of that ``_domain``, one series evaluation per stack; each term is
+    formed and summed as ``P(x) * u(x)**k`` would be, in the row's order."""
     stacks, rows = plan
-    vals = []
-    for P, k, C in stacks:
-        v = P._val(pu.mapdomain(x, P.domain, P.window), C)
-        vals.append(v * (1.0 + x * x) ** (0.5 * k) if k else v)
+    t = pu.mapdomain(x, domain, _WINDOW)
+    vals = {}
+    for k, C in stacks.items():
+        v = cheb.chebval(t, C)
+        vals[k] = v * (1.0 + x * x) ** (0.5 * k) if k else v
     out = np.zeros((len(rows), x.size))
     for r, row in enumerate(rows):
-        for s, col in row:
-            out[r] += vals[s][col]
+        for k, col in row:
+            out[r] += vals[k][col]
     return out
 
 
 def _collect(pairs):
-    """Term dict ``{k: P}`` of the (k, P) pairs: the series of equal power k
+    """Term dict ``{k: c}`` of the (k, c) pairs: the series of equal power k
     summed in the order they come."""
     terms = {}
-    for k, P in pairs:
-        terms[k] = terms[k] + P if k in terms else P
+    for k, c in pairs:
+        terms[k] = cheb.chebadd(terms[k], c) if k in terms else c
     return terms
 
 
@@ -132,9 +129,11 @@ class SmoothCompactFunction:
     """Piecewise ``sum_k P_k(x) u(x)^k``: breaks plus one term dict per piece.
 
     ``breaks`` are the piece boundaries; ``piece_terms[i]`` holds the term
-    dictionary valid on ``(breaks[i], breaks[i+1])``.  The function is zero
-    outside ``[breaks[0], breaks[-1]]``.  A whole-line function (the weight
-    ``u`` and the multiplier ``u^2``) is one piece on breaks ``[-inf, inf]``.
+    dictionary ``{k: c_k}`` valid on ``(breaks[i], breaks[i+1])``, each c_k
+    the Chebyshev coefficients of P_k in the piece's ``_domain`` variable.
+    The function is zero outside ``[breaks[0], breaks[-1]]``.  A whole-line
+    function (the weight ``u`` and the multiplier ``u^2``) is one piece on
+    breaks ``[-inf, inf]``.
 
     Every value that depends only on the function lives in its one
     ``_constants`` table, keyed by name and arguments: its derivative
@@ -202,7 +201,8 @@ class SmoothCompactFunction:
         for i, plan in enumerate(plans):
             mask = inside & (idx == i)
             if np.any(mask):
-                out[:, mask] = _eval_stacked(plan, x[mask])
+                domain = _domain(*self.breaks[i:i + 2])
+                out[:, mask] = _eval_stacked(plan, domain, x[mask])
         return out
 
     def _stack_plans(self, orders):
@@ -215,14 +215,16 @@ class SmoothCompactFunction:
     # -- differentiation ------------------------------------------------
 
     @staticmethod
-    def _diff_terms(terms):
-        # d/dx (P u^k) = P' u^k + k x P u^(k-2)
+    def _diff_terms(terms, domain):
+        # d/dx (P u^k) = P' u^k + k x P u^(k-2), in the piece's variable
+        scl = pu.mapparms(domain, _WINDOW)[1]
+        x = cheb.chebline(*pu.mapparms(_WINDOW, domain))
+
         def pairs():
-            for k, P in terms.items():
-                yield k, P.deriv()
+            for k, c in terms.items():
+                yield k, cheb.chebder(c, 1, scl)
                 if k != 0:
-                    ident = type(P).identity(domain=P.domain, window=P.window)
-                    yield k - 2, (k * ident) * P
+                    yield k - 2, cheb.chebmul(cheb.chebmul(k, x), c)
         return _collect(pairs())
 
     def derivative(self):
@@ -237,7 +239,8 @@ class SmoothCompactFunction:
         def compute():
             prev = self._derivative_obj(j - 1)
             return SmoothCompactFunction(
-                prev.breaks, [self._diff_terms(t) for t in prev.piece_terms],
+                prev.breaks, [self._diff_terms(t, _domain(*prev.breaks[i:i + 2]))
+                              for i, t in enumerate(prev.piece_terms)],
                 max(prev.max_order - 1, 0))
         return _memoized(self, ("derivative", j), compute)
 
@@ -266,7 +269,10 @@ class SmoothCompactFunction:
             return {}
         i = int(np.searchsorted(self.breaks, mid, side="right") - 1)
         i = min(i, len(self.piece_terms) - 1)
-        return {k: _rebase(P, lo, hi) for k, P in self.piece_terms[i].items()}
+        domain = _domain(*self.breaks[i:i + 2])
+        if domain == (lo, hi):
+            return self.piece_terms[i]
+        return {k: _rebase(c, domain, lo, hi) for k, c in self.piece_terms[i].items()}
 
     def _combine(self, other, lo, hi, join):
         """The function on [lo, hi] whose term dict on each piece between
@@ -296,7 +302,8 @@ class SmoothCompactFunction:
             rebuild, m, coeff = self.power
             power = (rebuild, m, coeff * c)
         return SmoothCompactFunction(
-            self.breaks, [{k: c * P for k, P in t.items()} for t in self.piece_terms],
+            self.breaks, [{k: cheb.chebmul(c, P) for k, P in t.items()}
+                          for t in self.piece_terms],
             self.max_order, power=power)
 
     def mul(self, other):
@@ -310,7 +317,8 @@ class SmoothCompactFunction:
         if lo >= hi:
             return zero_function()
         return self._combine(other, lo, hi, lambda s, o: _collect(
-            (k1 + k2, P1 * P2) for k1, P1 in s.items() for k2, P2 in o.items()))
+            (k1 + k2, cheb.chebmul(P1, P2))
+            for k1, P1 in s.items() for k2, P2 in o.items()))
 
 
 class FractionalPower:
@@ -324,10 +332,9 @@ class FractionalPower:
     def __init__(self, base, alpha, max_order):
         if base.unbounded:
             raise UnsupportedFamilyError("fractional power needs compact support")
-        for terms in base.piece_terms:
-            if any(k != 0 for k in terms):
-                raise UnsupportedFamilyError(
-                    "fractional power defined only for polynomial pieces")
+        if any(k != 0 for terms in base.piece_terms for k in terms):
+            raise UnsupportedFamilyError(
+                "fractional power defined only for polynomial pieces")
         self.base = base
         self.alpha = float(alpha)
         self.max_order = max_order
@@ -407,15 +414,12 @@ def make_poly_bump(center, radius, m):
         # (1 - s^2)^1 has a kink at either end of its support
         raise DerivativeOrderError(f"a bump of exponent {m} has no derivative")
     # (1 - s^2)^m expanded in Chebyshev series of s = (x-center)/radius,
-    # with the affine map carried by the domain attribute.  The Chebyshev
-    # coefficients stay O(1), so evaluation keeps ~1e-15 absolute accuracy;
-    # the global monomial expansion loses ~8 digits to binomial-scale
-    # cancellation at this degree.
-    P = Chebyshev((Chebyshev([0.5, 0.0, -0.5]) ** m).coef,
-                  domain=[center - radius, center + radius],
-                  window=[-1.0, 1.0])
+    # the variable of the one piece.  The Chebyshev coefficients stay O(1),
+    # so evaluation keeps ~1e-15 absolute accuracy; the global monomial
+    # expansion loses ~8 digits to binomial-scale cancellation at this degree.
+    c = cheb.chebpow([0.5, 0.0, -0.5], m, maxpower=m)
     return SmoothCompactFunction(
-        [center - radius, center + radius], [{0: P}], m - 1,
+        [center - radius, center + radius], [{0: c}], m - 1,
         power=(partial(make_poly_bump, center, radius), int(m), 1.0))
 
 
@@ -426,17 +430,13 @@ def make_plateau_bump(inner_lo, inner_hi, pad, edge_order, exponent=1):
     if pad <= 0 or inner_hi < inner_lo:
         raise ValueError("bad plateau geometry")
     lo, hi = inner_lo - pad, inner_hi + pad
-    S = _smoothstep(edge_order)
-    # Expand S**exponent as a Chebyshev series in an edge-local variable and
-    # let the domain attribute carry the affine change of variable; a global
-    # monomial expansion is numerically useless here, and even the edge-local
-    # monomial basis loses ~8 digits at moderate exponents.
-    Se = S.convert(domain=[0.0, 1.0], window=[-1.0, 1.0], kind=Chebyshev) ** exponent
-    rise = _rebase(Chebyshev(Se.coef, domain=[lo, inner_lo],
-                             window=[-1.0, 1.0]), lo, inner_lo)
-    fall = _rebase(Chebyshev(Se.coef, domain=[inner_hi, hi],
-                             window=[1.0, -1.0]), inner_hi, hi)
-    pieces = [{0: rise}, {0: Chebyshev([1.0])}, {0: fall}]
+    # S**exponent as a Chebyshev series in the rising edge's own variable,
+    # and its mirror image on the falling edge; a global monomial expansion
+    # is numerically useless here, and even the edge-local monomial basis
+    # loses ~8 digits at moderate exponents.
+    rise = cheb.chebpow(_smoothstep(edge_order), exponent, maxpower=exponent)
+    fall = _rebase(rise, (inner_hi, hi), inner_hi, hi, window=(1.0, -1.0))
+    pieces = [{0: rise}, {0: np.array([1.0])}, {0: fall}]
     return SmoothCompactFunction(
         [lo, inner_lo, inner_hi, hi], pieces, edge_order,
         power=(partial(make_plateau_bump, inner_lo, inner_hi, pad, edge_order),
@@ -485,13 +485,13 @@ def _on_the_line(terms):
 @lru_cache(maxsize=1)
 def weight_u():
     """The weight u(t) = (1 + t^2)^(1/2), with exact derivatives of all orders."""
-    return _on_the_line({1: Chebyshev([1.0])})
+    return _on_the_line({1: np.array([1.0])})
 
 
 @lru_cache(maxsize=1)
 def _weight_u2():
     """The multiplier u(t)^2 = 1 + t^2, a polynomial on the whole line."""
-    return _on_the_line({0: Chebyshev([1.5, 0.0, 0.5])})
+    return _on_the_line({0: np.array([1.5, 0.0, 0.5])})
 
 
 def product_with_u(f):

@@ -16,6 +16,7 @@ import math
 from itertools import product
 
 import numpy as np
+from numpy.polynomial import chebyshev, polyutils
 
 from tracetaylor.divided_diff import (DividedDifferenceCache, _merged_nodes,
                                       divided_difference)
@@ -55,13 +56,15 @@ class PolynomialProbe:
         return np.array([self.deriv(j, x) for j in orders])
 
 
-def _eval_terms(terms, x):
+def _eval_terms(terms, x, lo, hi):
+    """sum_k c_k(t) u(x)^k on one piece [lo, hi], term by term: each c_k a
+    Chebyshev series in the variable t that maps the piece onto [-1, 1], or
+    t = x itself (the identity map of [-1, 1]) on an infinite piece."""
+    span = (lo, hi) if np.isfinite(lo) and np.isfinite(hi) else (-1.0, 1.0)
     out = np.zeros_like(x)
-    for k, P in terms.items():
-        if k == 0:
-            out += P(x)
-        else:
-            out += P(x) * (1.0 + x * x) ** (0.5 * k)
+    for k, c in terms.items():
+        v = chebyshev.chebval(polyutils.mapdomain(x, span, (-1.0, 1.0)), c)
+        out += v if k == 0 else v * (1.0 + x * x) ** (0.5 * k)
     return out
 
 
@@ -78,8 +81,6 @@ def derivs_per_order(f, orders, x):
 
 
 def _deriv_per_order(g, x):
-    if g.unbounded:
-        return _eval_terms(g.piece_terms[0], x)
     out = np.zeros_like(x)
     idx = np.searchsorted(g.breaks, x, side="right") - 1
     # close the right endpoint of the support
@@ -88,7 +89,7 @@ def _deriv_per_order(g, x):
     for i, terms in enumerate(g.piece_terms):
         mask = inside & (idx == i)
         if np.any(mask):
-            out[mask] = _eval_terms(terms, x[mask])
+            out[mask] = _eval_terms(terms, x[mask], *g.breaks[i:i + 2])
     return out
 
 

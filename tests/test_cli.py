@@ -552,6 +552,14 @@ def test_too_few_derivatives_for_the_command_exits_2(tmp_path, capsys, command,
     assert captured.err.startswith(f"config error: {command} needs more derivatives")
 
 
+@pytest.mark.parametrize("command", ["expand", "certify", "shift"])
+def test_bump_exponents_above_a_hundred_run(tmp_path, capsys, command):
+    # numpy's series classes cap powers at 100; the bump's power has no cap
+    cfg = write_cfg(tmp_path, SMALL_CFG + "bump_m = 101\n", "m101.txt")
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_shift_command(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "shift"

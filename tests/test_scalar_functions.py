@@ -177,6 +177,33 @@ def test_root_of_a_scaled_power_exists_exactly_for_positive_scales(k, m, c, data
     _assert_close(dyadic_root(f.scale(c), k).value(x), expect, np.max(np.abs(expect)))
 
 
+@settings(max_examples=30, deadline=None)
+@given(c=st.floats(0.1, 3.0), data=st.data())
+def test_every_piece_series_is_a_float64_coefficient_array(c, data):
+    f, g = data.draw(_members()), data.draw(_members())
+    root = data.draw(_atoms(exponent=8)).scale(c)
+    fs = [f, f.add(g), f.mul(g), product_with_u(f), product_with_u2(f),
+          dyadic_root(root, 1), dyadic_root(root, 2), weight_u(), _weight_u2()]
+    for h in fs:
+        for j in range(min(h.max_order, 2) + 1):
+            for terms in h._derivative_obj(j).piece_terms:
+                for series in terms.values():
+                    assert type(series) is np.ndarray
+                    assert series.dtype == np.float64 and series.ndim == 1
+
+
+def test_bump_exponents_have_no_cap():
+    # numpy's series classes refuse powers above 100; the bumps take any
+    x = np.linspace(-1.2, 1.2, 97)
+    s = np.clip(np.abs(x), 0.0, 1.0)
+    for m in (101, 1000):
+        assert np.allclose(make_poly_bump(0.0, 1.0, m).value(x), (1.0 - s * s) ** m,
+                           rtol=0.0, atol=1e-12)
+    edge = make_plateau_bump(-1.0, 1.0, 0.5, 2, exponent=1)
+    assert np.allclose(make_plateau_bump(-1.0, 1.0, 0.5, 2, exponent=128).value(x),
+                       edge.value(x) ** 128, rtol=0.0, atol=1e-12)
+
+
 def test_plateau_roots_keep_the_plateau_geometry_bitwise():
     # here inner_lo - lo, with lo = inner_lo - pad rounded, is not the pad
     # bit for bit: a root rebuilt from the support would end one ulp off

@@ -8,8 +8,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .moi import evaluate_moi
 from .operator_core import Interval, counting_trace, schatten_norm
 # unused here, kept because bench/tests/test_tracer.py checks its rebinding
@@ -94,7 +92,7 @@ def _root_constants(f, n):
         # highest order first: a FractionalPower then finds every order on a
         # grid from one pass of its base's table
         for d in range(n, 0, -1):
-            g_max = max(g_max, gp_seminorm(r, d).value_gp)
+            g_max = max(g_max, gp_seminorm(r, d))
     return sup_max, g_max
 
 
@@ -126,14 +124,6 @@ def _signed_root_constants(f, n):
     return halves, f1.support
 
 
-def inv_resolvent_trace(D0):
-    """Tr (1 + H0^2)^-1, as the sum of 1 / (1 + lambda^2) over the eigenvalues
-    of the decomposition D0 of H0: the instance factor of both remainder
-    bounds and of the density L1 bound."""
-    lam = D0.eigenvalues
-    return float(np.sum(1.0 / (1.0 + lam * lam)))
-
-
 def remainder_bound_compact(f, D0, v_norm, n, remainder):
     """Certificate for |remainder|, the order-n remainder trace of f at (H0, V)
     with D0 the decomposition of H0 and v_norm = ||V||, via the signed
@@ -144,7 +134,7 @@ def remainder_bound_compact(f, D0, v_norm, n, remainder):
     an = a_sequence(n)
     c1, c2 = (0.0 if h is None else an * h[0] * h[1]**n for h in halves)
     smax = max(abs(lo), abs(hi))
-    inv_res_trace = inv_resolvent_trace(D0)
+    inv_res_trace = D0.inv_resolvent_trace
     cert_count = ((1.0 + smax * smax) * (1.0 + v_norm + v_norm * v_norm)
                   * inv_res_trace)
     rhs = (c1 + c2) * cert_count * v_norm**n
@@ -162,14 +152,14 @@ def hs_constant(f, n):
     fu, fu^2 and the weight u."""
     fu2 = product_with_u2(f)
     if n == 1:
-        return gp_seminorm(fu2, 1).value_gp + 2.0 * sup_norm(fu2)
+        return gp_seminorm(fu2, 1) + 2.0 * sup_norm(fu2)
     fu = product_with_u(f)
     u = weight_u()
     m1 = max([sup_norm(f), sup_norm(fu)]
-             + [gp_seminorm(f, k).value_gp for k in range(1, n + 1)]
-             + [gp_seminorm(fu, k).value_gp for k in range(1, n + 1)])
-    m2 = max(gp_seminorm(u, l).value_gp for l in range(2, n + 1))
-    return (gp_seminorm(fu2, n).value_gp
+             + [gp_seminorm(f, k) for k in range(1, n + 1)]
+             + [gp_seminorm(fu, k) for k in range(1, n + 1)])
+    m2 = max(gp_seminorm(u, l) for l in range(2, n + 1))
+    return (gp_seminorm(fu2, n)
             + 0.5 * n * (n + 3) * m1 * m2 * m2)
 
 
@@ -179,7 +169,7 @@ def remainder_bound_hs(f, D0, v_norm, n, remainder):
     v_norm = ||V||: the eigenvalue-count factor is traded for
     Tr (1 + H0^2)^-1."""
     c = hs_constant(f, n)
-    inv_res_trace = inv_resolvent_trace(D0)
+    inv_res_trace = D0.inv_resolvent_trace
     rhs = c * inv_res_trace * (1.0 + v_norm + v_norm * v_norm) * v_norm**n
     return BoundCertificate(
         kind="hilbert_schmidt", lhs=abs(remainder), rhs=rhs,

@@ -90,9 +90,8 @@ class SpectralDecomposition:
 
     @cached_property
     def _index_values(self):
-        vals = np.empty(self.dim)
-        for c, idx in enumerate(self.clusters):
-            vals[list(idx)] = self.cluster_values[c]
+        # the clusters are consecutive ascending index runs
+        vals = np.repeat(self.cluster_values, [len(idx) for idx in self.clusters])
         vals.setflags(write=False)
         return vals
 
@@ -100,6 +99,13 @@ class SpectralDecomposition:
         """Cluster representative value for every eigenvector index (one
         read-only array, computed once)."""
         return self._index_values
+
+    @cached_property
+    def inv_resolvent_trace(self):
+        """Tr (1 + H^2)^-1, computed once: the instance factor of the
+        remainder bounds and of the density L1 bound."""
+        lam = self.eigenvalues
+        return float(np.sum(1.0 / (1.0 + lam * lam)))
 
     def derivative_table(self, f, p):
         """[f, f', .., f^(p)] at ``index_values()``.  The missing orders are

@@ -12,7 +12,6 @@ coefficients in its piece's own variable, worked on by the
 """
 
 import math
-from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 
 import numpy as np
@@ -60,11 +59,15 @@ def _rebase(c, domain, a, b, window=_WINDOW):
     return Chebyshev(c, domain, window).convert(domain=[a, b]).coef
 
 
+@cache
 def _smoothstep(s):
     """Polynomial S with S(0)=0, S(1)=1 and S', .., S^(s) vanishing at 0 and
-    1, in the variable that maps [0, 1] onto [-1, 1]."""
+    1, in the variable that maps [0, 1] onto [-1, 1]; built once per order
+    and read-only, since every plateau of that edge order shares it."""
     S = (Polynomial([0.0, 1.0]) ** s * Polynomial([1.0, -1.0]) ** s).integ()
-    return (S / S(1.0)).convert(domain=[0.0, 1.0], kind=Chebyshev).coef
+    coef = (S / S(1.0)).convert(domain=[0.0, 1.0], kind=Chebyshev).coef
+    coef.setflags(write=False)
+    return coef
 
 
 def _stack_terms(term_dicts):
@@ -506,13 +509,6 @@ def product_with_u2(f):
 
 # -- norms and seminorms -------------------------------------------------
 
-@dataclass
-class SeminormReport:
-    p: int
-    value_gp: float
-    quadrature_error: float
-
-
 @cache
 def _gauss_legendre(n):
     return np.polynomial.legendre.leggauss(n)
@@ -555,35 +551,39 @@ def _grid_points(f, grid):
     return _memoized(f, ("grid_points", grid), compute)
 
 
-def _l2_norms(f, orders, panels):
-    """||f^(j)||_2 for every j in ``orders``, by the quadrature rule on
-    ``panels`` panels, memoized on f per order; the orders not yet known
-    are evaluated in one pass."""
+def _norm_sum(f, p, panels):
+    """||f^(p)||_2 + ||f^(p+1)||_2 by the quadrature rule on ``panels``
+    panels, each norm memoized on f per order and grid; the orders not yet
+    known are evaluated in one pass.  For the whole-line weight the
+    integrals are truncated to [-100, 100] (derivatives of order >= 2 decay
+    at least like |x|^-3, so the tail is far below the quadrature error)."""
+    if f.unbounded and p < 2:
+        raise DerivativeOrderError("whole-line weight is in G_p only for p >= 2")
+    if p + 1 > f.max_order:
+        raise DerivativeOrderError(
+            f"G_{p} needs derivatives up to order {p + 1}; have {f.max_order}")
+    orders = (p, p + 1)
     missing = [j for j in orders if ("l2_norm", j, panels) not in f._constants]
     if missing:
         X, W = _quad_rule(f, panels)
         for j, vals in zip(missing, f._grid_derivs(missing, panels)):
             f._constants["l2_norm", j, panels] = math.sqrt(
                 max(float(np.sum((vals ** 2).reshape(X.shape) * W)), 0.0))
-    return [f._constants["l2_norm", j, panels] for j in orders]
+    return sum(f._constants["l2_norm", j, panels] for j in orders)
 
 
-def gp_seminorm(f, p, panels=64):
-    """sqrt(2)/p! * (||f^(p)||_2 + ||f^(p+1)||_2), by composite Gauss-Legendre.
+def gp_seminorm(f, p, panels=128):
+    """sqrt(2)/p! * (||f^(p)||_2 + ||f^(p+1)||_2), by composite Gauss-Legendre
+    on ``panels`` panels."""
+    return math.sqrt(2.0) / math.factorial(p) * _norm_sum(f, p, panels)
 
-    The quadrature error is estimated by panel doubling; for the whole-line
-    weight the integral is truncated to [-100, 100] (derivatives of order
-    >= 2 decay at least like |x|^-3, so the tail is far below the estimate).
-    """
-    if f.unbounded and p < 2:
-        raise DerivativeOrderError("whole-line weight is in G_p only for p >= 2")
-    if p + 1 > f.max_order:
-        raise DerivativeOrderError(
-            f"G_{p} needs derivatives up to order {p + 1}; have {f.max_order}")
-    coarse = sum(_l2_norms(f, (p, p + 1), panels))
-    fine = sum(_l2_norms(f, (p, p + 1), 2 * panels))
-    c = math.sqrt(2.0) / math.factorial(p)
-    return SeminormReport(p=p, value_gp=c * fine, quadrature_error=c * abs(fine - coarse))
+
+def quadrature_error(f, p, panels=64):
+    """Panel-doubling error estimate of ``gp_seminorm(f, p, 2 * panels)``,
+    sqrt(2)/p! times the change of the norm sum from ``panels`` panels to
+    twice as many.  No certificate reads it."""
+    coarse, fine = _norm_sum(f, p, panels), _norm_sum(f, p, 2 * panels)
+    return math.sqrt(2.0) / math.factorial(p) * abs(fine - coarse)
 
 
 def fourier_l1_norm(f, p, grid=2**14):

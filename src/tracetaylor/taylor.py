@@ -67,12 +67,21 @@ def _remainder_trace(f, D0, D1, V, n):
 
 def _traces(f, Ds):
     """Tr f(H) for the matrix H of each decomposition in Ds (all of one
-    dimension), from one evaluation of f over all their spectra; each trace
-    is the real part of the trace of ``_function_of(D, f)``, formed in H's
-    own eigenbasis."""
+    dimension): the sum of f over ``D.index_values()``, where each cluster
+    value stands once per eigenvector, so with its multiplicity.  f is
+    evaluated once, over all the spectra together; no matrix is formed."""
     fvals = np.asarray(f.value(np.concatenate([D.index_values() for D in Ds])),
                        dtype=float).reshape(len(Ds), -1)
-    return [float(np.trace(_function_of(D, fv)).real) for D, fv in zip(Ds, fvals)]
+    return fvals.sum(axis=1).tolist()
+
+
+def _expansion(f, D0, Ds, V, n):
+    """The terms tau_1..tau_{n-1}, Tr f(H0), and Tr f(H) for the matrix H
+    of each decomposition in Ds.  The terms fill D0's table of f in one pass
+    and Tr f(H0) is the sum of its row 0, so H0's spectrum is evaluated
+    once; the perturbed spectra are evaluated together by ``_traces``."""
+    taus = expansion_terms(f, D0, V, n)
+    return taus, float(np.sum(D0.derivative_table(f, 0)[0])), _traces(f, Ds)
 
 
 def operator_remainder(f, H0, V, p):
@@ -94,10 +103,8 @@ def _operator_remainder(f, D0, D1, V, p):
 def remainder_sweep(f, D0, Ds, V, n, eps_grid):
     """Remainder traces over an epsilon grid, from the decomposition D0 of H0
     and the decompositions Ds of H0 + eps V, one per eps.  The terms are
-    computed once and rescaled as eps^p, and f is evaluated once, over all
-    the spectra together."""
-    base, *perts = _traces(f, [D0, *Ds])
-    taus = expansion_terms(f, D0, V, n)
+    computed once and rescaled as eps^p (see ``_expansion``)."""
+    taus, base, perts = _expansion(f, D0, Ds, V, n)
     out = []
     for eps, pert in zip(eps_grid, perts):
         poly = sum(tau * eps**p for p, tau in enumerate(taus, start=1))
@@ -125,8 +132,7 @@ def scaling_exponent(eps_grid, remainders):
 def expansion_report(f, D0, D1, V, n):
     """Terms, both traces, the remainder trace and the operator remainder of
     order n, from the decompositions D0 of H0 and D1 of H0+V."""
-    base, pert = _traces(f, [D0, D1])
-    taus = expansion_terms(f, D0, V, n)
+    taus, base, [pert] = _expansion(f, D0, [D1], V, n)
     rem = pert - base - sum(taus)
     R = _operator_remainder(f, D0, D1, V, n)
     return ExpansionReport(base_trace=base, perturbed_trace=pert,

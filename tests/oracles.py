@@ -3,8 +3,9 @@
 Each one takes an independent route to a quantity the library computes or
 bounds: exact polynomial derivatives, the per-order evaluation of a
 function's derivatives, the scalar divided-difference loop,
-explicit loops over eigenvector index tuples, finite differences of the
-functional calculus, and a sampled supremum of eigenvalue counts.
+explicit loops over eigenvector index tuples, the trace of f(H) formed as a
+matrix, finite differences of the functional calculus, and a sampled
+supremum of eigenvalue counts.
 
 The checks after those test claims of the paper that no command runs:
 permutation symmetry and the mean-value bound of divided differences, the
@@ -25,7 +26,8 @@ from tracetaylor.operator_core import (Interval, apply_function, as_matrix,
                                        counting_trace, decompose,
                                        operator_norm, schatten_norm)
 from tracetaylor.scalar_functions import (FractionalPower, _gauss_legendre,
-                                          gp_seminorm, sup_norm)
+                                          gp_seminorm, quadrature_error,
+                                          sup_norm)
 from tracetaylor.taylor import operator_remainder
 
 
@@ -129,6 +131,14 @@ def expansion_terms_eigensum(f, D0, V, n):
             total += w * prod_elem
         out.append(float(total.real) / p)
     return out
+
+
+def trace_by_matrix(f, D):
+    """Tr f(H) by the matrix route: the real part of the trace of the
+    symmetrized U diag(f) U* at the index values of D, U its eigenvectors."""
+    U = D.eigenvectors
+    F = (U * f.value(D.index_values())) @ U.conj().T
+    return float(np.trace(0.5 * (F + F.conj().T)).real)
 
 
 def finite_difference_derivative(f, H, V, p, h=None):
@@ -271,8 +281,7 @@ def schatten_bound_check(f, D, perturbations, alphas, alpha):
     if abs(inv - target) > 1e-12:
         raise ValueError("Schatten exponents must satisfy 1/alpha = sum 1/alpha_j")
     lhs = schatten_norm(evaluate_moi(f, D, perturbations), alpha)
-    rep = gp_seminorm(f, p)
-    rhs = rep.value_gp + rep.quadrature_error
+    rhs = gp_seminorm(f, p) + quadrature_error(f, p)
     for V, a in zip(perturbations, alphas):
         rhs *= schatten_norm(V, a)
     return lhs <= rhs + 1e-9 * (1.0 + rhs)

@@ -449,35 +449,76 @@ def test_instances_are_exactly_hermitian_ndarrays():
             assert np.array_equal(A, A.conj().T)
 
 
+def _passes_at_h0(trial, args):
+    """The orders of every ``derivs`` pass of the shared bump f that ``trial``
+    makes at the points of H0's spectrum (its index values), and for each
+    point the number of passes that evaluate it.  ``value`` and ``deriv``
+    are views of ``derivs``, so every evaluation of f is one pass.  The
+    trace-formula check integrates f^(n) against its kernel from f at the
+    kernel's breaks, H0's eigenvalues among them: an independent route, so
+    its passes are not counted."""
+    cfg, dim, order = args[0], args[1], 2 if trial is cli._shift_trial else args[2]
+    f = cfg.function()
+    lam = operator_core.decompose(
+        cli.make_instance(cfg, dim, order, args[-1])[0]).index_values()
+    hits, passes, paused = np.zeros(lam.size, dtype=int), [], []
+    derivs, check = type(f).derivs, shift.trace_formula_check
+
+    def counted(self, orders, x):
+        at = np.isin(lam, x)
+        if self is f and not paused and at.any():
+            hits[at] += 1
+            passes.append(tuple(orders))
+        return derivs(self, orders, x)
+
+    def uncounted(*a):
+        paused.append(True)
+        try:
+            return check(*a)
+        finally:
+            paused.pop()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(f), "derivs", counted)
+        mp.setattr(shift, "trace_formula_check", uncounted)
+        trial(args)
+    return passes, hits.tolist()
+
+
 def test_sweep_trial_evaluates_f_once(monkeypatch):
-    # one f pass over the spectra of H0 and of every H0 + eps V
+    # the terms fill the table of f at H0 in one pass, and Tr f(H0) is read
+    # from it; one value pass covers the spectra of every H0 + eps V
     cfg = cli.ExperimentConfig()
     f = cfg.function()
-    values = []
+    sizes = []
     value = type(f).value
     monkeypatch.setattr(type(f), "value", lambda self, x: (
-        self is f and values.append(x)) or value(self, x))
+        self is f and sizes.append(np.size(x))) or value(self, x))
     for order in (1, 2, 3):
-        values.clear()
-        cli._sweep_trial((cfg, 4, order, 0))
-        assert len(values) == 1
-        assert values[0].size == 4 * (1 + len(cfg.epsilons))
+        sizes.clear()
+        passes, hits = _passes_at_h0(cli._sweep_trial, (cfg, 4, order, 0))
+        assert passes == [tuple(range(order + 1))] and hits == [1] * 4
+        assert sizes == [4 * len(cfg.epsilons)]
 
 
-def test_certify_trial_evaluates_f_once_at_the_spectrum_of_h0(monkeypatch):
-    # at n = 3 the expansion terms, the operator integral of the trace-norm
-    # bound and its order-3 symbol all read one table of f and its first
-    # three derivatives at the index values of H0, filled in one pass
+def test_certify_trial_evaluates_f_once_at_the_spectrum_of_h0():
+    # the expansion terms, Tr f(H0), the operator integral of the trace-norm
+    # bound and its order-n symbol all read one table of f and its first n
+    # derivatives at the index values of H0, filled in one pass
     cfg = cli.ExperimentConfig()
-    f = cfg.function()
-    lam = operator_core.decompose(cli.make_instance(cfg, 4, 3, 0)[0]).index_values()
-    calls = []
-    derivs = type(f).derivs
-    monkeypatch.setattr(type(f), "derivs", lambda self, orders, x: (
-        calls.append((self, tuple(orders), np.array(x))) or derivs(self, orders, x)))
-    cli._certify_trial((cfg, 4, 3, 0))
-    at_lam = [(obj, orders) for obj, orders, x in calls if np.array_equal(x, lam)]
-    assert at_lam == [(f, (0, 1, 2, 3))]
+    for order in (1, 2, 3):
+        passes, hits = _passes_at_h0(cli._certify_trial, (cfg, 4, order, 0))
+        assert passes == [tuple(range(order + 1))] and hits == [1] * 4
+
+
+@pytest.mark.parametrize("trial, args", [
+    (cli._expand_trial, (4, 3, 0)), (cli._expand_trial, (8, 1, 2)),
+    (cli._shift_trial, (4, 0)), (cli._shift_trial, (8, 1))],
+    ids=["expand-dim4-n3", "expand-dim8-n1", "shift-dim4", "shift-dim8"])
+def test_expand_and_shift_trials_evaluate_f_once_at_the_spectrum_of_h0(trial, args):
+    cfg = cli.ExperimentConfig()
+    passes, hits = _passes_at_h0(trial, (cfg, *args))
+    assert len(passes) == 1 and hits == [1] * args[0]
 
 
 def test_runs_import_neither_multiprocessing_nor_numpy_ma(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import derivs_per_order
 from tracetaylor import bounds
+from tracetaylor import scalar_functions as sf
 from tracetaylor.scalar_functions import (_SUP_GRID, DerivativeOrderError,
                                           FractionalPower,
                                           UnsupportedFamilyError,
@@ -16,7 +17,7 @@ from tracetaylor.scalar_functions import (_SUP_GRID, DerivativeOrderError,
                                           fourier_l1_norm, fractional_root,
                                           gp_seminorm, make_plateau_bump,
                                           make_poly_bump, product_with_u,
-                                          product_with_u2,
+                                          product_with_u2, quadrature_error,
                                           sup_norm, weight_u, zero_function)
 
 
@@ -292,13 +293,13 @@ def test_sampling_grids_of_u_are_finite():
 
 def test_gp_seminorm_basics():
     z = zero_function()
-    assert gp_seminorm(z, 1).value_gp == 0.0
+    assert gp_seminorm(z, 1) == 0.0
     f = make_poly_bump(0.0, 1.0, 6)
     r1 = gp_seminorm(f, 1)
     r2 = gp_seminorm(f.scale(-3.0), 1)
-    assert r2.value_gp == pytest.approx(3.0 * r1.value_gp, abs=1e-12)
-    fine = gp_seminorm(f, 1, panels=256)
-    assert r1.value_gp == pytest.approx(fine.value_gp, rel=1e-8)
+    assert r2 == pytest.approx(3.0 * r1, abs=1e-12)
+    fine = gp_seminorm(f, 1, panels=512)
+    assert r1 == pytest.approx(fine, rel=1e-8)
 
 
 def test_gp_seminorm_order_guard():
@@ -307,7 +308,35 @@ def test_gp_seminorm_order_guard():
         gp_seminorm(f, 3)
     with pytest.raises(DerivativeOrderError):
         gp_seminorm(weight_u(), 1)
-    assert gp_seminorm(weight_u(), 2).value_gp > 0.0
+    for seminorm_or_error in (gp_seminorm, quadrature_error):
+        with pytest.raises(DerivativeOrderError):
+            seminorm_or_error(f, 3)
+    assert gp_seminorm(weight_u(), 2) > 0.0
+
+
+def test_constants_read_one_quadrature_grid(monkeypatch):
+    # every (f, n) constant reads the seminorms on the 128-panel grid alone:
+    # the 64-panel pass feeds only the error estimate, which keeps its bits
+    f = make_poly_bump(0.1, 0.8, 10)
+    panels = []
+    rule = sf._quad_rule
+    monkeypatch.setattr(sf, "_quad_rule", lambda g, m: (
+        panels.append(m) or rule(g, m)))
+    for n in (1, 2, 3):
+        bounds._root_constants(f, n)
+        bounds._signed_root_constants(f, n)
+        bounds.hs_constant(f, n)
+    assert panels and set(panels) == {128}
+    root = fractional_root(decompose_signed(f, 3)[0], 1, max_order=4)
+    # the bits both had when one call computed the seminorm and its error
+    expect = {
+        (root, 1): ("0x1.8944d3f902859p+6", "0x1.21189fc80a155p-32"),
+        (root, 2): ("0x1.12129933bd0bep+10", "0x1.c3b4b25ebc90fp-15"),
+        (root, 3): ("0x1.47756b1b323fap+13", "0x1.ad2e7a96ef30ep+2"),
+        (weight_u(), 2): ("0x1.82b7eb90fd305p+0", "0x1.8c7d4e51173f5p-28"),
+        (weight_u(), 3): ("0x1.881a63244da88p-1", "0x1.2a1d2fa50b6b8p-23")}
+    for (g, p), bits in expect.items():
+        assert (gp_seminorm(g, p).hex(), quadrature_error(g, p).hex()) == bits
 
 
 def test_fourier_l1_basics():
@@ -327,9 +356,9 @@ def test_fourier_domination():
     for m in (6, 8, 12):
         f = make_poly_bump(0.1, 0.9, m)
         for p in (1, 2, 3):
-            rep = gp_seminorm(f, p)
             lhs = fourier_l1_norm(f, p) / math.factorial(p)
-            assert lhs <= rep.value_gp + rep.quadrature_error + 1e-3 * lhs + 1e-12
+            assert lhs <= (gp_seminorm(f, p) + quadrature_error(f, p)
+                           + 1e-3 * lhs + 1e-12)
 
 
 def test_sup_norm():
@@ -377,7 +406,7 @@ def test_fractional_power_grid_pass_equals_deriv():
 
 def test_roots_share_one_base_evaluation(monkeypatch):
     # the roots of a base without exact roots read one table of base
-    # derivatives per sampling grid, filled in one pass: orders 0..4 on each
+    # derivatives per sampling grid, filled in one pass: orders 0..4 on the
     # quadrature grid of the seminorms, the values on the sup grid
     f = make_poly_bump(0.1, 0.8, 10)
     base = decompose_signed(f, 3)[0]
@@ -387,10 +416,9 @@ def test_roots_share_one_base_evaluation(monkeypatch):
         calls.append((self, tuple(orders), x)) or derivs(self, orders, x)))
     bounds._root_constants(base, 3)
     assert all(obj is base for obj, _, _ in calls)
-    grids = [_grid_points(base, grid) for grid in (64, 128, _SUP_GRID)]
+    grids = [_grid_points(base, grid) for grid in (128, _SUP_GRID)]
     assert sorted((orders, [x is g for g in grids].index(True))
-                  for _, orders, x in calls) == [
-        ((0,), 2), ((0, 1, 2, 3, 4), 0), ((0, 1, 2, 3, 4), 1)]
+                  for _, orders, x in calls) == [((0,), 1), ((0, 1, 2, 3, 4), 0)]
 
 
 @functools.cache
@@ -463,7 +491,8 @@ def test_values_memoized_on_the_function_match_a_fresh_one():
             assert np.array_equal(g.deriv(j, xs), expect[key].deriv(j, xs))
     assert sup_norm(f) == sup_norm(fresh) == sup_norm(f)
     # the L2 norms are kept per order and grid (so few panels that the
-    # quadrature depends on the grid)
+    # quadrature depends on the grid); the error estimate reads two grids
     for panels in (2, 4, 1):
-        assert gp_seminorm(f, 2, panels) == gp_seminorm(
-            make_poly_bump(0.0, 1.0, 20), 2, panels)
+        g = make_poly_bump(0.0, 1.0, 20)
+        assert gp_seminorm(f, 2, panels) == gp_seminorm(g, 2, panels)
+        assert quadrature_error(f, 2, panels) == quadrature_error(g, 2, panels)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import expansion_terms_eigensum, integral_remainder_check
+from oracles import (expansion_terms_eigensum, integral_remainder_check,
+                     trace_by_matrix)
 from tracetaylor import taylor
 from tracetaylor.divided_diff import divided_difference
 from tracetaylor.operator_core import (CLUSTER_TOL, HermitianOperator, decompose,
@@ -23,6 +24,14 @@ def rand_instance(seed, dim, vnorm=0.2):
     H = random_hermitian_in_window(rng, dim, -0.7, 0.7)
     V = random_hermitian(rng, dim, norm=vnorm)
     return H, V
+
+
+def in_random_basis(rng, w):
+    """The matrix with spectrum w in a Haar-random unitary eigenbasis."""
+    Q, R = np.linalg.qr(rng.standard_normal((w.size, w.size))
+                        + 1j * rng.standard_normal((w.size, w.size)))
+    U = Q * (np.diag(R) / np.abs(np.diag(R)))
+    return (U * w) @ U.conj().T
 
 
 def test_terms_zero_perturbation():
@@ -169,12 +178,43 @@ def test_expansion_report_identity_on_near_chains(seed):
     gaps = rng.uniform(2.25, 4.75, size=(2, 3)) * CLUSTER_TOL * (1.0 + span)
     chains = np.array([[-0.4], [0.3]]) + np.concatenate(
         [np.zeros((2, 1)), np.cumsum(gaps, axis=1)], axis=1)
-    Q, R = np.linalg.qr(rng.standard_normal((8, 8))
-                        + 1j * rng.standard_normal((8, 8)))
-    U = Q * (np.diag(R) / np.abs(np.diag(R)))
-    H = HermitianOperator((U * chains.ravel()) @ U.conj().T)
+    H = HermitianOperator(in_random_basis(rng, chains.ravel()))
     assert len(decompose(H.mat).clusters) == 8
     V = random_hermitian(rng, 8, norm=0.1)
     f = make_poly_bump(0.0, 1.0, 20)
     rep = expansion_report(f, decompose(H.mat), decompose(H.mat + V), V, 4)
     assert rep.identity_residual() <= 1e-10 * (1.0 + abs(rep.perturbed_trace))
+
+
+# gaps of a chain in cluster tolerances: below 1 it merges into one cluster
+# at its mean, above 2 decompose keeps its values apart
+CHAIN_GAPS = {"merged_chain": (0.25, 0.75), "near_chain": (2.25, 4.75)}
+
+
+@pytest.mark.parametrize("kind", ["gue", "repeated", *CHAIN_GAPS])
+def test_traces_match_the_matrix_route(kind):
+    # a trace is the sum of f over the index values, where a cluster value
+    # stands once per eigenvector: on two clusters of four it must count
+    # each cluster four times to match the trace of f(H) formed as a matrix
+    rng = np.random.default_rng(21)
+    f = make_poly_bump(0.0, 1.0, 12)
+    Hs = []
+    for _ in range(3):
+        if kind == "gue":
+            Hs.append(random_hermitian_in_window(rng, 8, -0.7, 0.7))
+            continue
+        centers = rng.uniform(-0.7, 0.7, size=(2, 1))
+        gaps = np.zeros((2, 3))
+        if kind != "repeated":
+            span = float(np.ptp(centers))
+            gaps = rng.uniform(*CHAIN_GAPS[kind], size=(2, 3)) * CLUSTER_TOL * (1.0 + span)
+        w = centers + np.concatenate([np.zeros((2, 1)), np.cumsum(gaps, axis=1)], 1)
+        Hs.append(in_random_basis(rng, w.ravel()))
+    D0, *Ds = [decompose(H) for H in Hs]
+    sizes = sorted(len(c) for c in D0.clusters)
+    assert sizes == ([4, 4] if kind in ("repeated", "merged_chain") else [1] * 8)
+    V = random_hermitian(rng, 8, norm=0.1)
+    _, base, perts = taylor._expansion(f, D0, Ds, V, 3)
+    assert taylor._traces(f, Ds) == perts
+    for D, tr in zip([D0, *Ds], [base, *perts]):
+        assert abs(tr - trace_by_matrix(f, D)) <= 1e-14 * (1.0 + abs(tr))

@@ -124,6 +124,13 @@ def _signed_root_constants(f, n):
     return halves, f1.support
 
 
+def inv_resolvent_trace(D0):
+    """Tr (1 + H0^2)^-1 over the eigenvalues of D0: the instance factor of
+    both remainder bounds and of the density L1 bound."""
+    lam = D0.eigenvalues
+    return float((1.0 / (1.0 + lam * lam)).sum())
+
+
 def remainder_bound_compact(f, D0, v_norm, n, remainder):
     """Certificate for |remainder|, the order-n remainder trace of f at (H0, V)
     with D0 the decomposition of H0 and v_norm = ||V||, via the signed
@@ -134,7 +141,7 @@ def remainder_bound_compact(f, D0, v_norm, n, remainder):
     an = a_sequence(n)
     c1, c2 = (0.0 if h is None else an * h[0] * h[1]**n for h in halves)
     smax = max(abs(lo), abs(hi))
-    inv_res_trace = D0.inv_resolvent_trace
+    inv_res_trace = inv_resolvent_trace(D0)
     cert_count = ((1.0 + smax * smax) * (1.0 + v_norm + v_norm * v_norm)
                   * inv_res_trace)
     rhs = (c1 + c2) * cert_count * v_norm**n
@@ -169,7 +176,7 @@ def remainder_bound_hs(f, D0, v_norm, n, remainder):
     v_norm = ||V||: the eigenvalue-count factor is traded for
     Tr (1 + H0^2)^-1."""
     c = hs_constant(f, n)
-    inv_res_trace = D0.inv_resolvent_trace
+    inv_res_trace = inv_resolvent_trace(D0)
     rhs = c * inv_res_trace * (1.0 + v_norm + v_norm * v_norm) * v_norm**n
     return BoundCertificate(
         kind="hilbert_schmidt", lhs=abs(remainder), rhs=rhs,

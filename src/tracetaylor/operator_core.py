@@ -100,13 +100,6 @@ class SpectralDecomposition:
         read-only array, computed once)."""
         return self._index_values
 
-    @cached_property
-    def inv_resolvent_trace(self):
-        """Tr (1 + H^2)^-1, computed once: the instance factor of the
-        remainder bounds and of the density L1 bound."""
-        lam = self.eigenvalues
-        return float(np.sum(1.0 / (1.0 + lam * lam)))
-
     def derivative_table(self, f, p):
         """[f, f', .., f^(p)] at ``index_values()``.  The missing orders are
         added in one ``f.derivs`` pass and kept, keyed by f itself."""

@@ -534,6 +534,7 @@ def _quad_rule(f, panels):
 
 
 _SUP_GRID = "sup"
+_PANELS = 128  # the seminorms' quadrature grid
 
 
 def _grid_points(f, grid):
@@ -572,17 +573,16 @@ def _norm_sum(f, p, panels):
     return sum(f._constants["l2_norm", j, panels] for j in orders)
 
 
-def gp_seminorm(f, p, panels=128):
+def gp_seminorm(f, p, panels=_PANELS):
     """sqrt(2)/p! * (||f^(p)||_2 + ||f^(p+1)||_2), by composite Gauss-Legendre
     on ``panels`` panels."""
     return math.sqrt(2.0) / math.factorial(p) * _norm_sum(f, p, panels)
 
 
-def quadrature_error(f, p, panels=64):
-    """Panel-doubling error estimate of ``gp_seminorm(f, p, 2 * panels)``,
-    sqrt(2)/p! times the change of the norm sum from ``panels`` panels to
-    twice as many.  No certificate reads it."""
-    coarse, fine = _norm_sum(f, p, panels), _norm_sum(f, p, 2 * panels)
+def quadrature_error(f, p):
+    """Panel-doubling error estimate of ``gp_seminorm(f, p)``, sqrt(2)/p! times
+    the norm sum's change from _PANELS // 2 panels; no certificate reads it."""
+    coarse, fine = _norm_sum(f, p, _PANELS // 2), _norm_sum(f, p, _PANELS)
     return math.sqrt(2.0) / math.factorial(p) * abs(fine - coarse)
 
 

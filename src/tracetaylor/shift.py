@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundCertificate
+from .bounds import BoundCertificate, inv_resolvent_trace
 from .operator_core import Interval
 # unused here, kept because bench/tests/test_tracer.py checks its rebinding
 from .operator_core import decompose  # noqa: F401
@@ -175,7 +175,7 @@ def eta_l1_bound_check(D0, v_norm, data):
     u2_sup = 1.0 + babs * babs
     du2_sup = 2.0 * babs
     c_ab = 9.0 * max(1.0, (b - a) ** 2) * max(2.0, u_sup, u2_sup, du2_sup)
-    inv_res_trace = D0.inv_resolvent_trace
+    inv_res_trace = inv_resolvent_trace(D0)
     rhs = (c_ab * inv_res_trace * (1.0 + v_norm + v_norm * v_norm)
            * v_norm * v_norm)
     return BoundCertificate(

@@ -450,25 +450,27 @@ def test_instances_are_exactly_hermitian_ndarrays():
 
 
 def _passes_at_h0(trial, args):
-    """The orders of every ``derivs`` pass of the shared bump f that ``trial``
-    makes at the points of H0's spectrum (its index values), and for each
-    point the number of passes that evaluate it.  ``value`` and ``deriv``
-    are views of ``derivs``, so every evaluation of f is one pass.  The
-    trace-formula check integrates f^(n) against its kernel from f at the
-    kernel's breaks, H0's eigenvalues among them: an independent route, so
-    its passes are not counted."""
+    """Every ``derivs`` pass, by any function object, that ``trial`` makes at
+    a point of H0's spectrum (its index values), as (object, orders), and for
+    each point the number of passes that evaluate it.  ``value`` and
+    ``deriv`` are views of ``derivs``, so every evaluation is one pass.
+
+    Known exception: the shift trial's ``shift.trace_formula_check``
+    evaluates f at its kernel's breaks, H0's eigenvalues among them, after
+    D0's table of f already holds them.  The count pauses inside that check,
+    so for the shift trial this asserts one pass outside it, not one pass in
+    all (ROADMAP item 8 keeps the second evaluation open)."""
     cfg, dim, order = args[0], args[1], 2 if trial is cli._shift_trial else args[2]
-    f = cfg.function()
     lam = operator_core.decompose(
         cli.make_instance(cfg, dim, order, args[-1])[0]).index_values()
     hits, passes, paused = np.zeros(lam.size, dtype=int), [], []
-    derivs, check = type(f).derivs, shift.trace_formula_check
+    derivs, check = type(cfg.function()).derivs, shift.trace_formula_check
 
     def counted(self, orders, x):
         at = np.isin(lam, x)
-        if self is f and not paused and at.any():
+        if not paused and at.any():
             hits[at] += 1
-            passes.append(tuple(orders))
+            passes.append((self, tuple(orders)))
         return derivs(self, orders, x)
 
     def uncounted(*a):
@@ -479,7 +481,7 @@ def _passes_at_h0(trial, args):
             paused.pop()
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(type(f), "derivs", counted)
+        mp.setattr(type(cfg.function()), "derivs", counted)
         mp.setattr(shift, "trace_formula_check", uncounted)
         trial(args)
     return passes, hits.tolist()
@@ -497,7 +499,7 @@ def test_sweep_trial_evaluates_f_once(monkeypatch):
     for order in (1, 2, 3):
         sizes.clear()
         passes, hits = _passes_at_h0(cli._sweep_trial, (cfg, 4, order, 0))
-        assert passes == [tuple(range(order + 1))] and hits == [1] * 4
+        assert passes == [(f, tuple(range(order + 1)))] and hits == [1] * 4
         assert sizes == [4 * len(cfg.epsilons)]
 
 
@@ -508,17 +510,22 @@ def test_certify_trial_evaluates_f_once_at_the_spectrum_of_h0():
     cfg = cli.ExperimentConfig()
     for order in (1, 2, 3):
         passes, hits = _passes_at_h0(cli._certify_trial, (cfg, 4, order, 0))
-        assert passes == [tuple(range(order + 1))] and hits == [1] * 4
+        assert passes == [(cfg.function(), tuple(range(order + 1)))]
+        assert hits == [1] * 4
 
 
-@pytest.mark.parametrize("trial, args", [
-    (cli._expand_trial, (4, 3, 0)), (cli._expand_trial, (8, 1, 2)),
-    (cli._shift_trial, (4, 0)), (cli._shift_trial, (8, 1))],
+@pytest.mark.parametrize("trial, args, order", [
+    (cli._expand_trial, (4, 3, 0), 3), (cli._expand_trial, (8, 1, 2), 1),
+    (cli._shift_trial, (4, 0), 2), (cli._shift_trial, (8, 1), 2)],
     ids=["expand-dim4-n3", "expand-dim8-n1", "shift-dim4", "shift-dim8"])
-def test_expand_and_shift_trials_evaluate_f_once_at_the_spectrum_of_h0(trial, args):
+def test_expand_and_shift_trials_evaluate_f_once_at_the_spectrum_of_h0(
+        trial, args, order):
+    # the shift trial is counted outside its trace-formula check only; see
+    # the known exception in _passes_at_h0
     cfg = cli.ExperimentConfig()
     passes, hits = _passes_at_h0(trial, (cfg, *args))
-    assert len(passes) == 1 and hits == [1] * args[0]
+    assert passes == [(cfg.function(), tuple(range(order + 1)))]
+    assert hits == [1] * args[0]
 
 
 def test_runs_import_neither_multiprocessing_nor_numpy_ma(tmp_path):

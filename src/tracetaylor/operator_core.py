@@ -47,6 +47,8 @@ class HermitianOperator:
         m = np.asarray(self.mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise HermitianValidationError("matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise HermitianValidationError("matrix entries must be finite")
         scale = float(np.max(np.abs(m))) if m.size else 0.0
         dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
         if dev > 1e-12 * max(scale, 1.0):
@@ -107,6 +109,18 @@ class SpectralDecomposition:
         if len(table) <= p:
             table.extend(f.derivs(range(len(table), p + 1), self.index_values()))
         return table[:p + 1]
+
+
+def _traces(f, Ds):
+    """Tr f(H) for the matrix H of each decomposition in Ds (all of one
+    dimension): the sum of f over ``D.index_values()``, each cluster value
+    once per eigenvector.  One ``f.value`` pass covers every spectrum and
+    forms no matrix; a D with no table of f starts one with its row."""
+    fvals = np.asarray(f.value(np.concatenate([D.index_values() for D in Ds])),
+                       dtype=float).reshape(len(Ds), -1)
+    for D, row in zip(Ds, fvals):
+        D._tables.setdefault(f, [row])
+    return fvals.sum(axis=1).tolist()
 
 
 CLUSTER_TOL = 1e-8

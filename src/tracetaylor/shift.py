@@ -31,22 +31,21 @@ def _horner(coef, h):
 
 @dataclass
 class Kernel:
-    """Piecewise polynomial: sum_j coef[k, j] (x - lo[k])^j on the piece
-    [lo[k], hi[k]), zero outside every piece.  The pieces ascend and do not
-    overlap; the order n = degree + 1 is the number of columns of coef."""
+    """Piecewise polynomial: sum_j coef[k, j] (x - breaks[k])^j on the piece
+    [breaks[k], breaks[k + 1]), zero outside the breaks, which ascend; the
+    order n = degree + 1 is the number of columns of coef."""
 
-    lo: np.ndarray
-    hi: np.ndarray
+    breaks: np.ndarray
     coef: np.ndarray
 
     def __call__(self, x):
         scalar = np.isscalar(x)
         x = np.atleast_1d(np.asarray(x, float))
-        k = np.searchsorted(self.lo, x, side="right") - 1
-        inside = (k >= 0) & (x < self.hi[k])
+        k = np.searchsorted(self.breaks, x, side="right") - 1
+        inside = (k >= 0) & (k < len(self.coef))
         out = np.zeros_like(x)
         k = k[inside]
-        out[inside] = _horner(self.coef[k], x[inside] - self.lo[k])
+        out[inside] = _horner(self.coef[k], x[inside] - self.breaks[k])
         return float(out[0]) if scalar else out
 
     def l1_norm(self):
@@ -54,7 +53,7 @@ class Kernel:
         a piece whose ends differ in sign splits at its root."""
         if self.coef.shape[1] > 2:
             raise NotImplementedError("exact L1 norm only for degree <= 1")
-        width = self.hi - self.lo
+        width = np.diff(self.breaks)
         total = 0.0
         for h, v0, v1, slope in zip(width.tolist(), self.coef[:, 0].tolist(),
                                     _horner(self.coef, width).tolist(),
@@ -89,8 +88,7 @@ def xi(D0, D1, window):
     breaks = _sorted_unique([w0, w1])
     vals = (np.searchsorted(w0, breaks, side="right")
             - np.searchsorted(w1, breaks, side="right"))
-    return Kernel(breaks, np.append(breaks[1:], window.hi),
-                  vals.astype(float)[:, None])
+    return Kernel(np.append(breaks, window.hi), vals.astype(float)[:, None])
 
 
 def mu_measure(D0, V, window):
@@ -112,12 +110,11 @@ def eta(step, atoms, window):
     the running integral a cumulative sum over earlier pieces."""
     locs = np.array([t for t, _ in atoms], dtype=float)
     mass = np.cumsum([0.0] + [w for _, w in atoms])
-    hi = _sorted_unique([step.lo, locs, [window.hi]])
-    lo = np.concatenate([[window.lo], hi[:-1]])
-    xival = step(lo)
-    running = np.concatenate([[0.0], np.cumsum(xival * (hi - lo))[:-1]])
-    intercept = mass[np.searchsorted(locs, lo, side="right")] - running
-    return Kernel(lo, hi, np.column_stack([intercept, -xival]))
+    breaks = np.concatenate([[window.lo], _sorted_unique([step.breaks, locs])])
+    xival = step(breaks[:-1])
+    running = np.concatenate([[0.0], np.cumsum(xival * np.diff(breaks))[:-1]])
+    intercept = mass[np.searchsorted(locs, breaks[:-1], side="right")] - running
+    return Kernel(breaks, np.column_stack([intercept, -xival]))
 
 
 @dataclass
@@ -143,8 +140,8 @@ def trace_formula_check(f, kernel, window, remainder):
     """Residual of ``remainder``, the order-n remainder trace of f at (H0, V),
     against int f^(n) kernel, n the kernel's order, in closed form: on a
     piece (lo, hi), n integrations by parts give the sum over j of
-    (-1)^j [f^(n-1-j) kernel^(j)] from lo to hi.  Order n >= 2 needs a
-    C^(n+1) function; order 1 reads only f."""
+    (-1)^j [f^(n-1-j) kernel^(j)] from lo to hi, from one pass of f over the
+    breaks.  Order n >= 2 needs a C^(n+1) function; order 1 reads only f."""
     n = kernel.coef.shape[1]
     if n > 1 and f.max_order < n + 1:
         raise DerivativeOrderError(f"the order-{n} check needs a C^{n + 1} "
@@ -153,11 +150,11 @@ def trace_formula_check(f, kernel, window, remainder):
     if not (window.lo < a and b < window.hi):
         raise WindowError(f"supp f [{a:.6g}, {b:.6g}] must lie inside the "
                           f"window ({window.lo:.6g}, {window.hi:.6g})")
-    lo, hi, p = kernel.lo, kernel.hi, kernel.coef
-    d_lo, d_hi = np.split(f.derivs(range(n), np.concatenate([lo, hi])), 2, 1)
-    terms = np.zeros(lo.size)
+    p, d = kernel.coef, f.derivs(range(n), kernel.breaks)
+    d_lo, d_hi, width = d[:, :-1], d[:, 1:], np.diff(kernel.breaks)
+    terms = np.zeros(len(p))
     for j in range(n - 1):  # p holds the coefficients of kernel^(j)
-        terms += (-1) ** j * (d_hi[n - 1 - j] * _horner(p, hi - lo)
+        terms += (-1) ** j * (d_hi[n - 1 - j] * _horner(p, width)
                               - d_lo[n - 1 - j] * p[:, 0])
         p = p[:, 1:] * np.arange(1, p.shape[1])
     # kernel^(n-1) is constant on each piece; for xi the sum telescopes
@@ -187,12 +184,12 @@ def eta_l1_bound_check(D0, v_norm, data):
 def shift_data_json(data):
     """Serializable bundle: counting-difference breakpoints/values, density
     pieces, and the first-order atoms."""
+    breaks = data.eta.breaks.tolist()
     return {
-        "breakpoints": data.xi.lo.tolist(),
+        "breakpoints": data.xi.breaks[:-1].tolist(),
         "xi_values": data.xi.coef[:, 0].tolist(),
         "eta_pieces": [{"lo": lo, "hi": hi, "slope": s, "intercept": c}
-                       for lo, hi, (c, s) in zip(data.eta.lo.tolist(),
-                                                 data.eta.hi.tolist(),
+                       for lo, hi, (c, s) in zip(breaks[:-1], breaks[1:],
                                                  data.eta.coef.tolist())],
         "atoms": [{"location": t, "weight": w} for t, w in data.mu],
     }

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moi import evaluate_moi, trace_derivative_first, trace_derivative_higher
-from .operator_core import _function_of, as_matrix, decompose, schatten_norm
+from .operator_core import (_function_of, _traces, as_matrix, decompose,
+                            schatten_norm)
 from .scalar_functions import DerivativeOrderError
 
 
@@ -65,16 +66,6 @@ def _remainder_trace(f, D0, D1, V, n):
     return remainder_sweep(f, D0, [D1], V, n, [1.0])[0]
 
 
-def _traces(f, Ds):
-    """Tr f(H) for the matrix H of each decomposition in Ds (all of one
-    dimension): the sum of f over ``D.index_values()``, where each cluster
-    value stands once per eigenvector, so with its multiplicity.  f is
-    evaluated once, over all the spectra together; no matrix is formed."""
-    fvals = np.asarray(f.value(np.concatenate([D.index_values() for D in Ds])),
-                       dtype=float).reshape(len(Ds), -1)
-    return fvals.sum(axis=1).tolist()
-
-
 def _expansion(f, D0, Ds, V, n):
     """The terms tau_1..tau_{n-1}, Tr f(H0), and Tr f(H) for the matrix H
     of each decomposition in Ds.  The terms fill D0's table of f in one pass
@@ -92,9 +83,9 @@ def operator_remainder(f, H0, V, p):
 
 def _operator_remainder(f, D0, D1, V, p):
     """``operator_remainder`` from the decompositions D0 of H0 and D1 of
-    H0+V; D0's table of f is filled to order p - 1 in one pass first."""
+    H0+V; D0's table of f is filled to order p - 1 in one pass, D1's to 0."""
     D0.derivative_table(f, p - 1)
-    R = _function_of(D1, f.value(D1.index_values()))
+    R = _function_of(D1, D1.derivative_table(f, 0)[0])
     for k in range(p):
         R -= evaluate_moi(f, D0, [V] * k)
     return R

@@ -449,20 +449,22 @@ def test_instances_are_exactly_hermitian_ndarrays():
             assert np.array_equal(A, A.conj().T)
 
 
-def _passes_at_h0(trial, args):
+def _passes_at(trial, args, perturbed=False):
     """Every ``derivs`` pass, by any function object, that ``trial`` makes at
-    a point of H0's spectrum (its index values), as (object, orders), and for
-    each point the number of passes that evaluate it.  ``value`` and
-    ``deriv`` are views of ``derivs``, so every evaluation is one pass.
+    a point of one spectrum (its index values), as (object, orders), and for
+    each point the number of passes that evaluate it: the spectrum of H0, or
+    of H0 + V when ``perturbed``.  ``value`` and ``deriv`` are views of
+    ``derivs``, so every evaluation is one pass.
 
     Known exception: the shift trial's ``shift.trace_formula_check``
-    evaluates f at its kernel's breaks, H0's eigenvalues among them, after
-    D0's table of f already holds them.  The count pauses inside that check,
-    so for the shift trial this asserts one pass outside it, not one pass in
-    all (ROADMAP item 8 keeps the second evaluation open)."""
+    evaluates f at its kernel's breaks, among them the eigenvalues of H0 and
+    of H0 + V, once per break, though D0's table of f already holds H0's.
+    The count pauses inside that check, so for the shift trial this asserts
+    one pass outside it, not one pass in all (ROADMAP item 8 keeps the
+    evaluation at H0's eigenvalues inside the check open)."""
     cfg, dim, order = args[0], args[1], 2 if trial is cli._shift_trial else args[2]
-    lam = operator_core.decompose(
-        cli.make_instance(cfg, dim, order, args[-1])[0]).index_values()
+    H0, V = cli.make_instance(cfg, dim, order, args[-1])
+    lam = operator_core.decompose(H0 + V if perturbed else H0).index_values()
     hits, passes, paused = np.zeros(lam.size, dtype=int), [], []
     derivs, check = type(cfg.function()).derivs, shift.trace_formula_check
 
@@ -498,7 +500,7 @@ def test_sweep_trial_evaluates_f_once(monkeypatch):
         self is f and sizes.append(np.size(x))) or value(self, x))
     for order in (1, 2, 3):
         sizes.clear()
-        passes, hits = _passes_at_h0(cli._sweep_trial, (cfg, 4, order, 0))
+        passes, hits = _passes_at(cli._sweep_trial, (cfg, 4, order, 0))
         assert passes == [(f, tuple(range(order + 1)))] and hits == [1] * 4
         assert sizes == [4 * len(cfg.epsilons)]
 
@@ -509,22 +511,36 @@ def test_certify_trial_evaluates_f_once_at_the_spectrum_of_h0():
     # derivatives at the index values of H0, filled in one pass
     cfg = cli.ExperimentConfig()
     for order in (1, 2, 3):
-        passes, hits = _passes_at_h0(cli._certify_trial, (cfg, 4, order, 0))
+        passes, hits = _passes_at(cli._certify_trial, (cfg, 4, order, 0))
         assert passes == [(cfg.function(), tuple(range(order + 1)))]
         assert hits == [1] * 4
 
 
-@pytest.mark.parametrize("trial, args, order", [
+EXPAND_AND_SHIFT_TRIALS = pytest.mark.parametrize("trial, args, order", [
     (cli._expand_trial, (4, 3, 0), 3), (cli._expand_trial, (8, 1, 2), 1),
     (cli._shift_trial, (4, 0), 2), (cli._shift_trial, (8, 1), 2)],
     ids=["expand-dim4-n3", "expand-dim8-n1", "shift-dim4", "shift-dim8"])
+
+
+@EXPAND_AND_SHIFT_TRIALS
 def test_expand_and_shift_trials_evaluate_f_once_at_the_spectrum_of_h0(
         trial, args, order):
     # the shift trial is counted outside its trace-formula check only; see
-    # the known exception in _passes_at_h0
+    # the known exception in _passes_at
     cfg = cli.ExperimentConfig()
-    passes, hits = _passes_at_h0(trial, (cfg, *args))
+    passes, hits = _passes_at(trial, (cfg, *args))
     assert passes == [(cfg.function(), tuple(range(order + 1)))]
+    assert hits == [1] * args[0]
+
+
+@EXPAND_AND_SHIFT_TRIALS
+def test_expand_and_shift_trials_evaluate_f_once_at_the_spectrum_of_h0_plus_v(
+        trial, args, order):
+    # Tr f(H0 + V) and, in expand, the operator remainder's f(H0 + V) read
+    # one value pass; the shift trial is counted outside its checks only
+    cfg = cli.ExperimentConfig()
+    passes, hits = _passes_at(trial, (cfg, *args), perturbed=True)
+    assert passes == [(cfg.function(), (0,))]
     assert hits == [1] * args[0]
 
 

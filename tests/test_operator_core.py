@@ -24,6 +24,19 @@ def test_hermitian_validation():
     assert H.mat.shape == (2, 2)
 
 
+@pytest.mark.parametrize("entries", [
+    [[np.nan]], [[1.0, np.inf], [np.inf, 1.0]], [[-np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, complex(0.0, np.nan)], [complex(0.0, np.nan), 1.0]]],
+    ids=["nan", "inf-pair", "-inf-diagonal", "nan-imaginary"])
+def test_hermitian_validation_rejects_non_finite_entries(entries):
+    # a NaN deviation compares False against the tolerance, and inf - inf
+    # is NaN: without its own check a non-finite matrix passed validation
+    with pytest.raises(HermitianValidationError, match="finite"):
+        HermitianOperator(np.array(entries))
+    with pytest.raises(HermitianValidationError, match="finite"):
+        HermitianOperator(np.eye(len(entries))) + np.array(entries)
+
+
 def test_symmetrized_is_the_operator_class_bit_for_bit():
     # the library symmetrizes with _symmetrized and builds no
     # HermitianOperator: both must give the same bits

@@ -143,11 +143,12 @@ def test_eta_jumps_by_the_atoms_and_vanishes_at_the_window_ends():
         data = data_of(*rand_instance(600 + seed, 2 + seed % 7))[3]
         density = data.eta
         c, s = density.coef.T
-        left = c + s * (density.hi - density.lo)  # left limit at each hi
-        weight = [sum(w for t, w in data.mu if t == x) for x in density.lo[1:]]
+        left = c + s * np.diff(density.breaks)  # left limit at each piece's end
+        weight = [sum(w for t, w in data.mu if t == x)
+                  for x in density.breaks[1:-1]]
         assert np.max(np.abs(c[1:] - left[:-1] - weight)) < 1e-12
         assert np.all(density.coef[0] == 0.0)
-        assert density.hi[-1] == data.window.hi and abs(left[-1]) < 1e-12
+        assert density.breaks[-1] == data.window.hi and abs(left[-1]) < 1e-12
 
 
 def test_second_order_density():
@@ -185,15 +186,37 @@ def test_trace_formula_check_integrates_by_parts(order):
     f = make_poly_bump(0.0, 1.0, 12)
     rng = np.random.default_rng(order)
     breaks = np.sort(np.concatenate([rng.uniform(-1.5, 1.5, 7), [-1.0, 1.0]]))
-    kernel = Kernel(breaks[:-1], breaks[1:],
-                    rng.standard_normal((breaks.size - 1, order)))
+    kernel = Kernel(breaks, rng.standard_normal((breaks.size - 1, order)))
     nodes, weights = np.polynomial.legendre.leggauss(16)
     integral = 0.0
-    for lo, hi in zip(kernel.lo, kernel.hi):
+    for lo, hi in zip(kernel.breaks[:-1], kernel.breaks[1:]):
         x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         integral += 0.5 * (hi - lo) * np.sum(
             weights * f.deriv(order, x) * kernel(x))
     assert trace_formula_check(f, kernel, Interval(-2.0, 2.0), integral) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_trace_formula_check_evaluates_f_once_per_break(monkeypatch, dim):
+    # one derivs pass per check, over the kernel's distinct breaks: each
+    # interior break ends one piece and starts the next, and is read once
+    f = make_poly_bump(0.0, 1.0, 12)
+    H, V = rand_instance(13 + dim, dim)
+    data = data_of(H, V)[3]
+    rems = [remainder_trace(f, H, V, order) for order in (1, 2)]
+    derivs, passes = type(f).derivs, []
+
+    def counted(self, orders, x):
+        passes.append((self, tuple(orders), np.size(x)))
+        return derivs(self, orders, x)
+
+    monkeypatch.setattr(type(f), "derivs", counted)
+    for kernel, rem in zip((data.xi, data.eta), rems):
+        passes.clear()
+        assert trace_formula_check(f, kernel, data.window, rem) < 1e-8
+        n = kernel.coef.shape[1]
+        assert np.all(np.diff(kernel.breaks) > 0.0)
+        assert passes == [(f, tuple(range(n)), kernel.breaks.size)]
 
 
 def test_eta_l1_bound():

@@ -11,23 +11,13 @@ from .scalar_functions import (DerivativeOrderError, dyadic_root, product_with_u
                                product_with_u2, weight_u)
 
 
-def _merged_nodes(nodes):
-    """Sorted nodes with every gap-chained cluster (``operator_core._cluster``)
-    collapsed onto its mean, so eigenvalues arriving with solver noise hit
-    the exact derivative branch of the recursion instead of a catastrophic
-    quotient; also returns the largest cluster size."""
-    vals = np.sort(np.asarray(nodes, dtype=float))
-    if vals.size == 0:
-        raise ValueError("need at least one node")
-    runs, means = _cluster(vals)
-    sizes = [len(r) for r in runs]
-    return np.repeat(means, sizes), max(sizes)
-
-
 def _divided_difference_rows(table, lam, idx):
     """The triangular recursion d[i][j] = f^[j-i](x_i..x_j) run over every
     row x = lam[idx[r]] of the index array ``idx`` (shape (m, p+1), each
-    row's values ascending) at once; returns f^[p] of each row.
+    row's values ascending) at once.  Yields the triangle one width at a
+    time: at width w = 0..p, the list over i of the arrays of
+    f^[w](x_i..x_{i+w}) over the rows; a caller that keeps only the last
+    width frees each one as the next is built.
 
     ``table`` holds f^(0), f^(1), .. at the values ``lam``, from one
     evaluation pass, and each order is gathered from it by index.  Unequal
@@ -36,35 +26,52 @@ def _divided_difference_rows(table, lam, idx):
     needs every order r for which some row has r+1 equal nodes.
     """
     p = idx.shape[1] - 1
-    # d[i] holds d[i][i+w-1] before width w is processed, d[i][i+w] after
     d = [table[0][idx[:, i]] for i in range(p + 1)]
+    yield d
     for w in range(1, p + 1):
+        prev, d = d, []
         for i in range(p + 1 - w):
             lo, hi = lam[idx[:, i]], lam[idx[:, i + w]]
             same = hi == lo
-            q = np.divide(d[i + 1] - d[i], hi - lo, where=~same,
+            q = np.divide(prev[i + 1] - prev[i], hi - lo, where=~same,
                           out=np.empty_like(lo))
             if same.any():
                 q[same] = table[w][idx[same, i]] / math.factorial(w)
-            d[i] = q
-    return d[0]
+            d.append(q)
+        yield d
+
+
+def _node_triangle(f, nodes):
+    """The nodes sorted, each gap-chained cluster (``operator_core._cluster``)
+    collapsed onto its mean so that solver noise takes the exact derivative
+    branch, and the lookup dd(a, b) = f^[b-a](x_a..x_b) into their triangle,
+    from one ``f.derivs`` pass of the orders the largest cluster needs.  A
+    slice of the merged nodes merges to itself, so each entry is the slice's
+    own divided difference."""
+    vals = np.sort(np.asarray(nodes, dtype=float))
+    if vals.size == 0:
+        raise ValueError("need at least one node")
+    runs, means = _cluster(vals)
+    sizes = [len(r) for r in runs]
+    vals, conf = np.repeat(means, sizes), max(sizes)
+    if f.max_order < conf - 1:
+        raise DerivativeOrderError(
+            f"confluent group of size {conf} needs derivatives "
+            f"up to order {conf - 1}")
+    tri = list(_divided_difference_rows(f.derivs(range(conf), vals), vals,
+                                        np.arange(vals.size)[None, :]))
+    return vals, lambda a, b: float(tri[b - a][a][0])
 
 
 def divided_difference(f, nodes):
     """The recursively defined divided difference f^[p] over p+1 nodes.
 
     Nodes are sorted and gap-chained clusters merged first, so the result is
-    deterministic; symmetry of f^[p] covers reorderings.  One row of
-    ``_divided_difference_rows``, over one pass of the orders that the
-    largest cluster needs.
+    deterministic; symmetry of f^[p] covers reorderings.  The whole-row
+    entry of ``_node_triangle``.
     """
-    vals, conf = _merged_nodes(nodes)
-    if f.max_order < conf - 1:
-        raise DerivativeOrderError(
-            f"confluent group of size {conf} needs derivatives "
-            f"up to order {conf - 1}")
-    rows = np.arange(vals.size)[None, :]
-    return float(_divided_difference_rows(f.derivs(range(conf), vals), vals, rows)[0])
+    vals, dd = _node_triangle(f, nodes)
+    return dd(0, vals.size - 1)
 
 
 def divided_difference_tensor(table, lam):
@@ -85,7 +92,9 @@ def divided_difference_tensor(table, lam):
     idx = np.fromiter(chain.from_iterable(
         combinations_with_replacement(range(n), p + 1)), dtype=np.intp)
     idx = idx.reshape(-1, p + 1)
-    vals = _divided_difference_rows(table, lam, idx)
+    for d in _divided_difference_rows(table, lam, idx):
+        pass  # only the last width, f^[p] of each row, is kept
+    vals = d[0]
     F = np.empty((n,) * (p + 1))
     for perm in permutations(range(p + 1)):
         F[tuple(idx[:, k] for k in perm)] = vals
@@ -110,40 +119,35 @@ class DividedDifferenceCache:
 
 def sqrt_split_residual(f, nodes):
     """Residual of the square-root splitting of f^[n] into products of
-    divided differences of sqrt(f) over contiguous node slices."""
-    g = dyadic_root(f, 1)
-    lam, _ = _merged_nodes(nodes)
+    divided differences of sqrt(f) over contiguous node slices, all read
+    from one triangle of sqrt(f)."""
+    lam, dg = _node_triangle(dyadic_root(f, 1), nodes)
     n = lam.size - 1
-    dg = DividedDifferenceCache(g)
     rhs = 0.0
     for k in range((n - 1) // 2 + 1):
-        rhs += dg(*lam[: k + 1]) * dg(*lam[k:])
-        rhs += dg(*lam[: n - k + 1]) * dg(*lam[n - k:])
+        rhs += dg(0, k) * dg(k, n)
+        rhs += dg(0, n - k) * dg(n - k, n)
     if n % 2 == 0:
         h = n // 2
-        rhs += dg(*lam[: h + 1]) * dg(*lam[h:])
+        rhs += dg(0, h) * dg(h, n)
     lhs = divided_difference(f, nodes)
     return abs(lhs - rhs)
 
 
 def u_conjugation_residual(f, nodes):
     """Residual of the two-sided u-weighting identity
-    u(l0) f^[n](l) u(ln) = (f u^2)^[n] - psi1 - psi2 + psi3."""
-    u = weight_u()
-    fu = product_with_u(f)
-    fu2 = product_with_u2(f)
-    lam, _ = _merged_nodes(nodes)
+    u(l0) f^[n](l) u(ln) = (f u^2)^[n] - psi1 - psi2 + psi3, from one
+    triangle each of f, u, fu and fu^2."""
+    (lam, df), (_, du), (_, dfu), (_, dfu2) = (
+        _node_triangle(h, nodes)
+        for h in (f, weight_u(), product_with_u(f), product_with_u2(f)))
     n = lam.size - 1
-    df, du, dfu, dfu2 = (DividedDifferenceCache(h) for h in (f, u, fu, fu2))
-    psi1 = sum(dfu(*lam[: n - k + 1]) * du(*lam[n - k:]) for k in range(1, n + 1))
-    psi2 = sum(du(*lam[: k + 1]) * dfu(*lam[k:]) for k in range(1, n + 1))
+    psi1 = sum(dfu(0, n - k) * du(n - k, n) for k in range(1, n + 1))
+    psi2 = sum(du(0, k) * dfu(k, n) for k in range(1, n + 1))
     psi3 = 0.0
     for k in range(1, n):
-        inner = sum(df(*lam[k: n - j + 1]) * du(*lam[n - j:])
-                    for j in range(1, n - k + 1))
-        psi3 += du(*lam[: k + 1]) * inner
-    u0 = u.value(lam[0])
-    un = u.value(lam[-1])
-    lhs = u0 * df(*lam) * un
-    rhs = dfu2(*lam) - psi1 - psi2 + psi3
+        inner = sum(df(k, n - j) * du(n - j, n) for j in range(1, n - k + 1))
+        psi3 += du(0, k) * inner
+    lhs = du(0, 0) * df(0, n) * du(n, n)
+    rhs = dfu2(0, n) - psi1 - psi2 + psi3
     return abs(lhs - rhs)

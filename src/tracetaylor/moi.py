@@ -121,16 +121,16 @@ def edge_multiplier_check(psi1, f, psi2, D, perturbations):
     """Residual of absorbing the edge multipliers into the outer
     perturbations: T_{psi1 f^[p] psi2}(V_1,..,V_p) equals
     T_{f^[p]}(psi1(H)V_1,..,V_p psi2(H)), with psi1(lambda_0) and
-    psi2(lambda_p) broadcast onto the symbol tensor."""
+    psi2(lambda_p) broadcast onto the symbol tensor.  Every function is read
+    from D's tables."""
     p = len(perturbations)
     if not p:
         raise ValueError("needs at least one perturbation")
-    lam = D.index_values()
-    F = divided_difference_tensor(D.derivative_table(f, p), lam)
-    weighted = _glue(_glue(psi1.value(lam), F), psi2.value(lam))
-    lhs = evaluate_symbol_moi(weighted, D, perturbations)
+    F = divided_difference_tensor(D.derivative_table(f, p), D.index_values())
+    v1, v2 = (D.derivative_table(psi, 0)[0] for psi in (psi1, psi2))
+    lhs = evaluate_symbol_moi(_glue(_glue(v1, F), v2), D, perturbations)
     mod = list(perturbations)
-    mod[0] = _function_of(D, psi1.value(lam)) @ mod[0]
-    mod[-1] = mod[-1] @ _function_of(D, psi2.value(lam))
+    mod[0] = _function_of(D, v1) @ mod[0]
+    mod[-1] = mod[-1] @ _function_of(D, v2)
     rhs = evaluate_symbol_moi(F, D, mod)
     return schatten_norm(lhs - rhs, 2)

@@ -72,37 +72,28 @@ def _smoothstep(s):
 
 def _stack_terms(term_dicts):
     """Evaluation plan for the term dicts ``{k: c_k}`` of one piece, one per
-    row: the series of power u^k of every row are the columns of one matrix
-    ``stacks[k]``, zero-padded at the high end.  Returns the stacks, and for
-    each row its (k, column) pairs in the row's own term order."""
-    series, rows = {}, []
-    for terms in term_dicts:
-        rows.append([])
+    row: the powers k of u on the piece, descending, and one array
+    ``C[j, i, row]`` of the coefficients j of power ks[i] in each row,
+    zero-padded at the high end and where a row lacks the power."""
+    ks = sorted({k for terms in term_dicts for k in terms}, reverse=True)
+    C = np.zeros((max((c.size for terms in term_dicts for c in terms.values()),
+                      default=1), len(ks), len(term_dicts)))
+    for row, terms in enumerate(term_dicts):
         for k, c in terms.items():
-            rows[-1].append((k, len(series.setdefault(k, []))))
-            series[k].append(c)
-    stacks = {}
-    for k, cs in series.items():
-        stacks[k] = np.zeros((max(c.size for c in cs), len(cs)))
-        for col, c in enumerate(cs):
-            stacks[k][:c.size, col] = c
-    return stacks, rows
+            C[:c.size, ks.index(k), row] = c
+    return ks, C
 
 
 def _eval_stacked(plan, domain, x):
     """Rows sum_k P_k(x) u(x)^k of a ``_stack_terms`` plan at the points x of
-    a piece of that ``_domain``, one series evaluation per stack; each term is
-    formed and summed as ``P(x) * u(x)**k`` would be, in the row's order."""
-    stacks, rows = plan
-    t = pu.mapdomain(x, domain, _WINDOW)
-    vals = {}
-    for k, C in stacks.items():
-        v = cheb.chebval(t, C)
-        vals[k] = v * (1.0 + x * x) ** (0.5 * k) if k else v
-    out = np.zeros((len(rows), x.size))
-    for r, row in enumerate(rows):
-        for k, col in row:
-            out[r] += vals[k][col]
+    a piece of that ``_domain``, from one series evaluation; each power's
+    block, times u(x)**k, is added to the rows in descending k, the order of
+    every term dict the library builds."""
+    ks, C = plan
+    v = cheb.chebval(pu.mapdomain(x, domain, _WINDOW), C)
+    out = np.zeros(v.shape[1:])
+    for k, block in zip(ks, v):
+        out += block * (1.0 + x * x) ** (0.5 * k) if k else block
     return out
 
 
@@ -183,11 +174,11 @@ class SmoothCompactFunction:
         """Exact f^(j) at the points x for every j in ``orders``, as the rows
         of one array, from one pass over the pieces.
 
-        On each piece, the Chebyshev coefficients of every order that share a
-        power u^k stand as the columns of one matrix, zero-padded at the high
-        end, and one Clenshaw recursion evaluates them all.  Zero padding
-        leaves the recursion's state bitwise unchanged, so each row equals
-        the evaluation of its order's series alone.
+        On each piece, the Chebyshev coefficients of every order and power
+        u^k stand in one array, zero-padded at the high end, and one Clenshaw
+        recursion evaluates them all.  Zero padding leaves the recursion's
+        state bitwise unchanged and a padded power adds +0.0, so each row
+        equals the evaluation of its order's series alone.
         """
         orders = tuple(orders)
         for j in orders:
@@ -573,10 +564,10 @@ def _norm_sum(f, p, panels):
     return sum(f._constants["l2_norm", j, panels] for j in orders)
 
 
-def gp_seminorm(f, p, panels=_PANELS):
+def gp_seminorm(f, p):
     """sqrt(2)/p! * (||f^(p)||_2 + ||f^(p+1)||_2), by composite Gauss-Legendre
-    on ``panels`` panels."""
-    return math.sqrt(2.0) / math.factorial(p) * _norm_sum(f, p, panels)
+    on ``_PANELS`` panels."""
+    return math.sqrt(2.0) / math.factorial(p) * _norm_sum(f, p, _PANELS)
 
 
 def quadrature_error(f, p):
@@ -586,7 +577,10 @@ def quadrature_error(f, p):
     return math.sqrt(2.0) / math.factorial(p) * abs(fine - coarse)
 
 
-def fourier_l1_norm(f, p, grid=2**14):
+_FOURIER_GRID = 2**14  # samples of f^(p) before the 16-fold zero padding
+
+
+def fourier_l1_norm(f, p):
     """L1 norm of the Fourier transform of f^(p) over [-span, span], span =
     200 / (half the support width).
 
@@ -594,8 +588,8 @@ def fourier_l1_norm(f, p, grid=2**14):
     ||fhat^(p)||_1 / p! <= ||f||_{G_p} holds.  The transform is computed by
     sampling the exact derivative on a uniform grid, zero-padding to 16 times
     its length, and an FFT; truncation/aliasing are controlled by the grid
-    size and the span (the integrand decays polynomially for the bump
-    family).
+    size ``_FOURIER_GRID`` and the span (the integrand decays polynomially
+    for the bump family).
     """
     if p > f.max_order:
         raise DerivativeOrderError("derivative order unavailable")
@@ -605,10 +599,10 @@ def fourier_l1_norm(f, p, grid=2**14):
     if hi <= lo:
         return 0.0
     span = 200.0 / (0.5 * (hi - lo))
-    x = np.linspace(lo, hi, grid, endpoint=False)
-    dx = (hi - lo) / grid
+    x = np.linspace(lo, hi, _FOURIER_GRID, endpoint=False)
+    dx = (hi - lo) / _FOURIER_GRID
     g = f.deriv(p, x)
-    npad = 16 * grid
+    npad = 16 * _FOURIER_GRID
     F = np.fft.fft(g, n=npad)
     s = 2.0 * np.pi * np.fft.fftfreq(npad, d=dx)
     mag = (dx / (2.0 * np.pi)) * np.abs(F)

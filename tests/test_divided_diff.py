@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 import oracles
 from oracles import (PolynomialProbe, divided_difference_loop,
                      mean_value_bound_check, permutation_symmetry_residual)
-from tracetaylor.divided_diff import (DividedDifferenceCache, divided_difference,
+from tracetaylor.divided_diff import (DividedDifferenceCache,
+                                      _divided_difference_rows, _node_triangle,
+                                      divided_difference,
                                       divided_difference_tensor,
                                       sqrt_split_residual,
                                       u_conjugation_residual)
 from tracetaylor.moi import _trace_derivative, evaluate_moi
 from tracetaylor.operator_core import CLUSTER_TOL, decompose, random_hermitian
-from tracetaylor.scalar_functions import (DerivativeOrderError, dyadic_root,
-                                          make_poly_bump)
+from tracetaylor.scalar_functions import (DerivativeOrderError,
+                                          SmoothCompactFunction, dyadic_root,
+                                          make_poly_bump, product_with_u,
+                                          product_with_u2, weight_u)
 
 
 def test_polynomial_probe_values():
@@ -111,6 +115,55 @@ def test_u_conjugation_identity():
     assert u_conjugation_residual(f, (0.0, 0.0, 0.0)) < 1e-10
     rng = np.random.default_rng(2)
     assert u_conjugation_residual(f, rng.uniform(-0.9, 0.9, 4)) < 1e-9
+
+
+@pytest.mark.parametrize("nodes", [(0.4, -0.1, 0.25, 0.7), (0.3, 0.3, -0.2),
+                                   (0.5, 0.5 + 1e-12, -0.6, 0.1, 0.5)])
+def test_scalar_identities_make_one_pass_per_function(monkeypatch, nodes):
+    # each identity reads every divided difference of a function over the
+    # node slices from one triangle, so it evaluates that function once, at
+    # the merged nodes
+    f = make_poly_bump(0.0, 1.0, 10)
+    g, fu, fu2 = dyadic_root(f, 1), product_with_u(f), product_with_u2(f)
+    calls = []
+    derivs = SmoothCompactFunction.derivs
+    monkeypatch.setattr(SmoothCompactFunction, "derivs", lambda self, orders, x: (
+        calls.append((self, np.size(x))) or derivs(self, orders, x)))
+    for residual, functions in ((sqrt_split_residual, (g, f)),
+                                (u_conjugation_residual, (f, weight_u(), fu, fu2))):
+        calls.clear()
+        assert residual(f, nodes) < 1e-9
+        assert sorted(calls, key=lambda c: id(c[0])) == sorted(
+            ((h, len(nodes)) for h in functions), key=lambda c: id(c[0]))
+
+
+# node multisets on a 1/20 grid inside the bump support: exact repeats, and
+# no two distinct values within the clustering tolerance
+node_sets = st.lists(st.integers(-18, 18), min_size=1, max_size=6).map(
+    lambda ks: np.array(ks, dtype=float) / 20.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nodes=node_sets, rows=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_triangle_entries_equal_the_scalar_loop_of_their_slice(nodes, rows, seed):
+    # entry [w][i] of the triangle is f^[w](x_i..x_{i+w}) of each row, with
+    # the bits of the scalar recursion over that slice alone; so is the
+    # slice lookup of a node set
+    f = make_poly_bump(0.0, 1.0, 12)
+    lam = np.sort(nodes)
+    p = lam.size - 1
+    rng = np.random.default_rng(seed)
+    idx = np.sort(rng.integers(0, lam.size, size=(rows, p + 1)), axis=1)
+    tri = list(_divided_difference_rows(f.derivs(range(p + 1), lam), lam, idx))
+    assert [len(row) for row in tri] == list(range(p + 1, 0, -1))
+    vals, dd = _node_triangle(f, nodes)
+    assert np.array_equal(vals, lam)
+    for w in range(p + 1):
+        for i in range(p + 1 - w):
+            assert dd(i, i + w) == divided_difference_loop(f, lam[i:i + w + 1])
+            for r in range(rows):
+                assert tri[w][i][r] == divided_difference_loop(
+                    f, lam[idx[r, i:i + w + 1]])
 
 
 def test_mean_value_bound():

@@ -181,6 +181,23 @@ def test_edge_multiplier_check_fails_with_the_multipliers_swapped(monkeypatch):
     assert len(swaps) == 2
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_edge_multiplier_check_reads_the_tables(monkeypatch, p):
+    # the multipliers psi1(lambda_0) and psi2(lambda_p) come from D's tables,
+    # so each function is evaluated once at the spectrum: f to order p for
+    # the tensor, and g to order 0
+    f, g, D, V, W = algebra_instance()
+    calls = []
+    derivs = SmoothCompactFunction.derivs
+    monkeypatch.setattr(SmoothCompactFunction, "derivs", lambda self, orders, x: (
+        calls.append((self, tuple(orders))) or derivs(self, orders, x)))
+    assert edge_multiplier_check(g, f, f, D, [V, W, V][:p]) < 1e-9
+    assert calls == [(f, tuple(range(p + 1))), (g, (0,))]
+    calls.clear()
+    assert edge_multiplier_check(g, f, f, D, [V, W, V][:p]) < 1e-9
+    assert calls == []
+
+
 def test_schatten_bound():
     f = make_poly_bump(0.0, 1.0, 8)
     H, D, V = rand_instance(13, 6)

@@ -125,9 +125,9 @@ def _signed_root_constants(f, n):
 
 
 def inv_resolvent_trace(D0):
-    """Tr (1 + H0^2)^-1 over the eigenvalues of D0: the instance factor of
-    both remainder bounds and of the density L1 bound."""
-    lam = D0.eigenvalues
+    """Tr (1 + H0^2)^-1 as a sum over the index values of D0: the instance
+    factor of both remainder bounds and of the density L1 bound."""
+    lam = D0.index_values()
     return float((1.0 / (1.0 + lam * lam)).sum())
 
 

@@ -318,10 +318,11 @@ def _shift_trial(args):
     D0, D1, V = _trial_spectra(cfg, dim, 2, trial)
     v_norm = operator_norm(V)
     data = shift.shift_data(D0, D1, V, shift.default_window(D0, D1, v_norm))
-    # Tr R_1 and Tr R_2 = Tr R_1 - tau_1 from one pass over each spectrum
+    D1.derivative_table(f, 1)  # read by Tr f(H0 + V) and both checks
     [tau_1], base, [pert] = taylor._expansion(f, D0, [D1], V, 2)
-    r1 = shift.trace_formula_check(f, data.xi, data.window, pert - base)
-    r2 = shift.trace_formula_check(f, data.eta, data.window, pert - base - tau_1)
+    rem = pert - base  # Tr R_1, and Tr R_2 = Tr R_1 - tau_1
+    r1 = shift.trace_formula_check(f, D0, D1, data.xi, data.window, rem)
+    r2 = shift.trace_formula_check(f, D0, D1, data.eta, data.window, rem - tau_1)
     cert = shift.eta_l1_bound_check(D0, v_norm, data)
     return (dim, trial, r1, r2, cert, shift.shift_data_json(data))
 

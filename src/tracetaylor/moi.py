@@ -39,11 +39,8 @@ def evaluate_symbol_moi(F, D, perturbations):
 def evaluate_moi(f, D, perturbations):
     """T over the divided difference f^[p] of a scalar function f, read from
     D's table of f (f(H) itself when p = 0)."""
-    p = len(perturbations)
-    table = D.derivative_table(f, p)
-    if p == 0:
-        return _function_of(D, table[0])
-    F = divided_difference_tensor(table, D.index_values())
+    F = divided_difference_tensor(D.derivative_table(f, len(perturbations)),
+                                  D.index_values())
     return evaluate_symbol_moi(F, D, perturbations)
 
 

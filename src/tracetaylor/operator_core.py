@@ -71,8 +71,8 @@ def as_matrix(A):
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Ascending eigenvalues, orthonormal eigenvectors (the columns) and
-    multiplicity clusters: every spectral sum reads these in the eigenbasis,
-    with no projector matrices.
+    multiplicity clusters: every spectral quantity reads the spectrum as
+    ``index_values()``, in the eigenbasis, with no projector matrices.
 
     A decomposition also keeps, per scalar function f, the table
     [f, f', ..] at its index values, so that every spectral sum over f at
@@ -112,15 +112,15 @@ class SpectralDecomposition:
 
 
 def _traces(f, Ds):
-    """Tr f(H) for the matrix H of each decomposition in Ds (all of one
-    dimension): the sum of f over ``D.index_values()``, each cluster value
-    once per eigenvector.  One ``f.value`` pass covers every spectrum and
-    forms no matrix; a D with no table of f starts one with its row."""
-    fvals = np.asarray(f.value(np.concatenate([D.index_values() for D in Ds])),
-                       dtype=float).reshape(len(Ds), -1)
-    for D, row in zip(Ds, fvals):
-        D._tables.setdefault(f, [row])
-    return fvals.sum(axis=1).tolist()
+    """Tr f(H) for the matrix H of each D in Ds, with no matrix: the sum of
+    row 0 of D's table of f.  The Ds that hold no table of f (all of one
+    dimension) start one from a single ``f.value`` pass."""
+    bare = [D for D in Ds if not D._tables.get(f)]
+    if bare:
+        fvals = f.value(np.concatenate([D.index_values() for D in bare]))
+        for D, row in zip(bare, fvals.reshape(len(bare), -1)):
+            D._tables[f] = [row]
+    return [float(np.sum(D._tables[f][0])) for D in Ds]
 
 
 CLUSTER_TOL = 1e-8
@@ -163,8 +163,8 @@ def decompose(H):
 
 
 def apply_function(f, D):
-    """Functional calculus sum f(lambda_c) P_c, assembled in the eigenbasis."""
-    return HermitianOperator(_function_of(D, f.value(D.index_values())))
+    """Functional calculus f(H), assembled from row 0 of D's table of f."""
+    return HermitianOperator(_function_of(D, D.derivative_table(f, 0)[0]))
 
 
 def _function_of(D, fv):
@@ -190,9 +190,9 @@ def operator_norm(A):
 
 
 def counting_trace(D, interval):
-    """Number of eigenvalues (with multiplicity) in the interval; equals the
-    trace of the corresponding spectral projection."""
-    return int(np.count_nonzero(interval.contains(D.eigenvalues)))
+    """Number of index values (eigenvalues with multiplicity) in the
+    interval; equals the trace of the corresponding spectral projection."""
+    return int(np.count_nonzero(interval.contains(D.index_values())))
 
 
 def random_hermitian(rng, n, norm=None):

@@ -2,9 +2,10 @@
 Tr R_n(f) = int f^(n) eta_n, with eta_n a polynomial of degree n - 1 between
 consecutive points of spec(H0) and spec(H0 + V): eta_1 is the counting
 difference xi and eta_2 Koplienko's density.  Both are a ``Kernel``, and
-``trace_formula_check`` tests either.  Everything here reads the
-decompositions D0 of H0 and D1 of H0 + V, and numbers; only the first-order
-atoms read V as a matrix.  ``shift_data`` builds the three objects once."""
+``trace_formula_check`` tests either.  Everything here reads the index
+values of the decompositions D0 of H0 and D1 of H0 + V, and numbers; only
+the first-order atoms read V as a matrix.  ``shift_data`` builds the three
+objects once."""
 
 from dataclasses import dataclass
 
@@ -38,16 +39,6 @@ class Kernel:
     breaks: np.ndarray
     coef: np.ndarray
 
-    def __call__(self, x):
-        scalar = np.isscalar(x)
-        x = np.atleast_1d(np.asarray(x, float))
-        k = np.searchsorted(self.breaks, x, side="right") - 1
-        inside = (k >= 0) & (k < len(self.coef))
-        out = np.zeros_like(x)
-        k = k[inside]
-        out[inside] = _horner(self.coef[k], x[inside] - self.breaks[k])
-        return float(out[0]) if scalar else out
-
     def l1_norm(self):
         """Exact integral of |kernel| for degree <= 1, summed piece by piece:
         a piece whose ends differ in sign splits at its root."""
@@ -67,19 +58,19 @@ class Kernel:
 
 
 def default_window(D0, D1, v_norm):
-    """Window (a, b) capturing both spectra: a = min eigenvalue - 1 - v_norm,
+    """Window (a, b) capturing both spectra: a = min index value - 1 - v_norm,
     b symmetric on the other side, with v_norm = ||V||."""
-    w0, w1 = D0.eigenvalues, D1.eigenvalues
+    w0, w1 = D0.index_values(), D1.index_values()
     lo = float(min(w0[0], w1[0])) - 1.0 - v_norm
     hi = float(max(w0[-1], w1[-1])) + 1.0 + v_norm
     return Interval(lo, hi)
 
 
 def xi(D0, D1, window):
-    """Counting difference, the order-1 kernel: eigenvalues of H0 in (a, x]
-    minus eigenvalues of H0 + V in (a, x], constant from each point of the
-    merged spectra to the next; the last piece ends at b."""
-    w0, w1 = D0.eigenvalues, D1.eigenvalues
+    """Counting difference, the order-1 kernel: index values of D0 in (a, x]
+    minus index values of D1 in (a, x], constant from each distinct index
+    value of either to the next; the last piece ends at b."""
+    w0, w1 = D0.index_values(), D1.index_values()
     for label, eigs in (("unperturbed", w0), ("perturbed", w1)):
         for t in eigs:
             if not (window.lo < t < window.hi):
@@ -104,14 +95,14 @@ def mu_measure(D0, V, window):
 
 def eta(step, atoms, window):
     """Second-order density, the order-2 kernel: mu((a, x)) for mu the
-    ``atoms``, minus the running integral of the counting difference
-    ``step``.  On each piece (lo, hi) between consecutive breakpoints, xi is
-    its value at lo, mu((a, x)) the mass of the atoms at or left of lo, and
-    the running integral a cumulative sum over earlier pieces."""
+    ``atoms``, which lie on the breaks of the counting difference ``step``
+    (both read D0's index values), minus the running integral of step.  Its
+    breaks are a and step's; on a piece (lo, hi), mu((a, x)) is the mass of
+    the atoms at or left of lo, and the running integral a cumulative sum."""
     locs = np.array([t for t, _ in atoms], dtype=float)
     mass = np.cumsum([0.0] + [w for _, w in atoms])
-    breaks = np.concatenate([[window.lo], _sorted_unique([step.breaks, locs])])
-    xival = step(breaks[:-1])
+    breaks = np.concatenate([[window.lo], step.breaks])
+    xival = np.concatenate([[0.0], step.coef[:, 0]])
     running = np.concatenate([[0.0], np.cumsum(xival * np.diff(breaks))[:-1]])
     intercept = mass[np.searchsorted(locs, breaks[:-1], side="right")] - running
     return Kernel(breaks, np.column_stack([intercept, -xival]))
@@ -136,12 +127,14 @@ def shift_data(D0, D1, V, window):
     return ShiftData(window=window, xi=step, mu=mu, eta=eta(step, mu, window))
 
 
-def trace_formula_check(f, kernel, window, remainder):
+def trace_formula_check(f, D0, D1, kernel, window, remainder):
     """Residual of ``remainder``, the order-n remainder trace of f at (H0, V),
     against int f^(n) kernel, n the kernel's order, in closed form: on a
     piece (lo, hi), n integrations by parts give the sum over j of
-    (-1)^j [f^(n-1-j) kernel^(j)] from lo to hi, from one pass of f over the
-    breaks.  Order n >= 2 needs a C^(n+1) function; order 1 reads only f."""
+    (-1)^j [f^(n-1-j) kernel^(j)] from lo to hi.  f..f^(n-1) at a break come
+    from the tables of f on D0 and D1 at an index value and are zero at a
+    window end, outside supp f; any other break raises ``ValueError``.
+    Order n >= 2 needs a C^(n+1) function; order 1 reads only f."""
     n = kernel.coef.shape[1]
     if n > 1 and f.max_order < n + 1:
         raise DerivativeOrderError(f"the order-{n} check needs a C^{n + 1} "
@@ -150,7 +143,15 @@ def trace_formula_check(f, kernel, window, remainder):
     if not (window.lo < a and b < window.hi):
         raise WindowError(f"supp f [{a:.6g}, {b:.6g}] must lie inside the "
                           f"window ({window.lo:.6g}, {window.hi:.6g})")
-    p, d = kernel.coef, f.derivs(range(n), kernel.breaks)
+    nodes = np.concatenate([D0.index_values(), D1.index_values(),
+                            [window.lo, window.hi]])
+    table = np.hstack([D0.derivative_table(f, n - 1),
+                       D1.derivative_table(f, n - 1), np.zeros((n, 2))])
+    cols, breaks = dict(zip(nodes.tolist(), table.T)), kernel.breaks.tolist()
+    if not cols.keys() >= set(breaks):
+        raise ValueError("a kernel break is neither a window end nor an index "
+                         "value of D0 or D1")
+    p, d = kernel.coef, np.column_stack([cols[x] for x in breaks])
     d_lo, d_hi, width = d[:, :-1], d[:, 1:], np.diff(kernel.breaks)
     terms = np.zeros(len(p))
     for j in range(n - 1):  # p holds the coefficients of kernel^(j)

@@ -68,11 +68,11 @@ def _remainder_trace(f, D0, D1, V, n):
 
 def _expansion(f, D0, Ds, V, n):
     """The terms tau_1..tau_{n-1}, Tr f(H0), and Tr f(H) for the matrix H
-    of each decomposition in Ds.  The terms fill D0's table of f in one pass
-    and Tr f(H0) is the sum of its row 0, so H0's spectrum is evaluated
-    once; the perturbed spectra are evaluated together by ``_traces``."""
+    of each decomposition in Ds: the terms fill D0's table of f in one pass,
+    and ``_traces`` reads Tr f(H0) from its row 0."""
     taus = expansion_terms(f, D0, V, n)
-    return taus, float(np.sum(D0.derivative_table(f, 0)[0])), _traces(f, Ds)
+    base, *perts = _traces(f, [D0, *Ds])
+    return taus, base, perts
 
 
 def operator_remainder(f, H0, V, p):

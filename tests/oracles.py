@@ -4,7 +4,8 @@ Each one takes an independent route to a quantity the library computes or
 bounds: exact polynomial derivatives, the per-order evaluation of a
 function's derivatives, the scalar divided-difference loop,
 explicit loops over eigenvector index tuples, the trace of f(H) formed as a
-matrix, finite differences of the functional calculus, a sampled
+matrix, the value of a trace-formula kernel summed term by term at each
+point, finite differences of the functional calculus, a sampled
 supremum of eigenvalue counts, and the resolvent expansion of the traces of
 a Lorentzian.
 
@@ -179,6 +180,20 @@ def trace_by_matrix(f, D):
     U = D.eigenvectors
     F = (U * f.value(D.index_values())) @ U.conj().T
     return float(np.trace(0.5 * (F + F.conj().T)).real)
+
+
+def kernel_at(kernel, x):
+    """A ``shift.Kernel`` at the points x (a float at a scalar x): on the
+    piece [breaks[k], breaks[k + 1]) that holds a point t, the sum over j of
+    coef[k, j] (t - breaks[k])^j, term by term; zero outside the breaks."""
+    ts = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros(ts.shape)
+    for i, t in enumerate(ts):
+        k = int(np.searchsorted(kernel.breaks, t, side="right")) - 1
+        if 0 <= k < len(kernel.coef):
+            out[i] = sum(c * (t - kernel.breaks[k]) ** j
+                         for j, c in enumerate(kernel.coef[k]))
+    return float(out[0]) if np.isscalar(x) else out
 
 
 def finite_difference_derivative(f, H, V, p, h=None):

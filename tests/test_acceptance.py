@@ -13,8 +13,9 @@ import pytest
 
 from oracles import (finite_difference_derivative,
                      hilbert_schmidt_bound_check, integral_remainder_check,
-                     projection_inequality_check, resolvent_inequality_check,
-                     schatten_bound_check, trace_class_bound_check)
+                     kernel_at, projection_inequality_check,
+                     resolvent_inequality_check, schatten_bound_check,
+                     trace_class_bound_check)
 from tracetaylor import bounds, cli, divided_diff, moi, shift, taylor
 from tracetaylor.operator_core import (HermitianOperator, decompose,
                                        operator_norm, random_hermitian,
@@ -152,9 +153,9 @@ def test_criterion_07_first_order_trace_formula():
     for trial in range(50):
         dim = 2 + trial % 7
         H, V = instance(7000 + trial, dim, vnorm=0.25)
-        data = shift_instance(H, V)[2]
+        D0, D1, data = shift_instance(H, V)
         rem = taylor.remainder_trace(F12, H, V, 1)
-        if not shift.trace_formula_check(F12, data.xi, data.window,
+        if not shift.trace_formula_check(F12, D0, D1, data.xi, data.window,
                                          rem) <= 1e-10:
             ok = False
     verdict(7, "first-order trace formula against the counting-difference "
@@ -166,9 +167,9 @@ def test_criterion_08_second_order_density():
     for trial in range(50):
         dim = 2 + trial % 7
         H, V = instance(8000 + trial, dim, vnorm=0.2)
-        D0, _, data = shift_instance(H, V)
+        D0, D1, data = shift_instance(H, V)
         rem = taylor.remainder_trace(F12, H, V, 2)
-        if not shift.trace_formula_check(F12, data.eta, data.window,
+        if not shift.trace_formula_check(F12, D0, D1, data.eta, data.window,
                                          rem) <= 1e-8:
             ok = False
         if not shift.eta_l1_bound_check(D0, operator_norm(V), data).passed:
@@ -177,7 +178,7 @@ def test_criterion_08_second_order_density():
     V1 = np.array([[0.3]], dtype=complex)
     density = shift_instance(H1.mat, V1)[2].eta
     ts = np.linspace(0.01, 0.29, 29)
-    closed_form = np.max(np.abs(density(ts) - (0.3 - ts))) <= 1e-12
+    closed_form = np.max(np.abs(kernel_at(density, ts) - (0.3 - ts))) <= 1e-12
     verdict(8, "second-order remainder equals the integral of f'' against "
                "the shift density; L1 certificate; 1x1 closed form", ok and closed_form)
 

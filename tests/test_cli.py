@@ -454,37 +454,22 @@ def _passes_at(trial, args, perturbed=False):
     a point of one spectrum (its index values), as (object, orders), and for
     each point the number of passes that evaluate it: the spectrum of H0, or
     of H0 + V when ``perturbed``.  ``value`` and ``deriv`` are views of
-    ``derivs``, so every evaluation is one pass.
-
-    Known exception: the shift trial's ``shift.trace_formula_check``
-    evaluates f at its kernel's breaks, among them the eigenvalues of H0 and
-    of H0 + V, once per break, though D0's table of f already holds H0's.
-    The count pauses inside that check, so for the shift trial this asserts
-    one pass outside it, not one pass in all (ROADMAP item 8 keeps the
-    evaluation at H0's eigenvalues inside the check open)."""
+    ``derivs``, so every evaluation is one pass."""
     cfg, dim, order = args[0], args[1], 2 if trial is cli._shift_trial else args[2]
     H0, V = cli.make_instance(cfg, dim, order, args[-1])
     lam = operator_core.decompose(H0 + V if perturbed else H0).index_values()
-    hits, passes, paused = np.zeros(lam.size, dtype=int), [], []
-    derivs, check = type(cfg.function()).derivs, shift.trace_formula_check
+    hits, passes = np.zeros(lam.size, dtype=int), []
+    derivs = type(cfg.function()).derivs
 
     def counted(self, orders, x):
         at = np.isin(lam, x)
-        if not paused and at.any():
+        if at.any():
             hits[at] += 1
             passes.append((self, tuple(orders)))
         return derivs(self, orders, x)
 
-    def uncounted(*a):
-        paused.append(True)
-        try:
-            return check(*a)
-        finally:
-            paused.pop()
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(type(cfg.function()), "derivs", counted)
-        mp.setattr(shift, "trace_formula_check", uncounted)
         trial(args)
     return passes, hits.tolist()
 
@@ -525,8 +510,7 @@ EXPAND_AND_SHIFT_TRIALS = pytest.mark.parametrize("trial, args, order", [
 @EXPAND_AND_SHIFT_TRIALS
 def test_expand_and_shift_trials_evaluate_f_once_at_the_spectrum_of_h0(
         trial, args, order):
-    # the shift trial is counted outside its trace-formula check only; see
-    # the known exception in _passes_at
+    # in shift, both trace-formula checks read H0's values from this table
     cfg = cli.ExperimentConfig()
     passes, hits = _passes_at(trial, (cfg, *args))
     assert passes == [(cfg.function(), tuple(range(order + 1)))]
@@ -537,10 +521,12 @@ def test_expand_and_shift_trials_evaluate_f_once_at_the_spectrum_of_h0(
 def test_expand_and_shift_trials_evaluate_f_once_at_the_spectrum_of_h0_plus_v(
         trial, args, order):
     # Tr f(H0 + V) and, in expand, the operator remainder's f(H0 + V) read
-    # one value pass; the shift trial is counted outside its checks only
+    # one value pass; in shift, one pass of orders 0 and 1 serves the trace
+    # and both trace-formula checks
     cfg = cli.ExperimentConfig()
     passes, hits = _passes_at(trial, (cfg, *args), perturbed=True)
-    assert passes == [(cfg.function(), (0,))]
+    orders = (0, 1) if trial is cli._shift_trial else (0,)
+    assert passes == [(cfg.function(), orders)]
     assert hits == [1] * args[0]
 
 

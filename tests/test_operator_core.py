@@ -5,7 +5,8 @@ from oracles import (projection_inequality_check, psd_leq,
                      resolvent_inequality_check, spectral_projection, trace,
                      trace_class_bound_check)
 from tracetaylor.operator_core import (HermitianOperator,
-                                       _cluster, _symmetrized,
+                                       _cluster, _function_of, _symmetrized,
+                                       _traces,
                                        HermitianValidationError, Interval,
                                        apply_function, counting_trace,
                                        decompose, operator_norm,
@@ -122,6 +123,26 @@ def test_apply_function_multiplicative():
     rhs = apply_function(f, D).mat @ apply_function(g, D).mat
     scale = max(1.0, float(np.max(np.abs(rhs))))
     assert np.max(np.abs(lhs - rhs)) < 1e-9 * scale
+
+
+def test_apply_function_reads_the_row_that_traces_leave(monkeypatch):
+    # _traces leaves f at the index values on D's table, and f(H) is formed
+    # from that row with no further pass, bit for bit the matrix of its own
+    # value pass
+    rng = np.random.default_rng(4)
+    H = random_hermitian_in_window(rng, 6, -0.8, 0.8)
+    f = make_poly_bump(0.0, 1.0, 6)
+    D = decompose(H)
+    expect = HermitianOperator(_function_of(D, f.value(D.index_values()))).mat
+    _traces(f, [D])
+    derivs, passes = type(f).derivs, []
+
+    def counted(self, orders, x):
+        passes.append(tuple(orders))
+        return derivs(self, orders, x)
+
+    monkeypatch.setattr(type(f), "derivs", counted)
+    assert np.array_equal(apply_function(f, D).mat, expect) and passes == []
 
 
 def test_trace_examples():

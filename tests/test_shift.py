@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import kernel_at
 from tracetaylor.moi import trace_derivative_first
 from tracetaylor.operator_core import (HermitianOperator, Interval, as_matrix,
                                        decompose, operator_norm,
@@ -47,12 +48,14 @@ def data_of(H, V, window=None):
 
 
 def first_order(f, H, V, window):
-    return trace_formula_check(f, data_of(H, V, window)[3].xi, window,
+    D0, D1, _, data = data_of(H, V, window)
+    return trace_formula_check(f, D0, D1, data.xi, window,
                                remainder_trace(f, H, V, 1))
 
 
 def second_order(f, H, V, window):
-    return trace_formula_check(f, data_of(H, V, window)[3].eta, window,
+    D0, D1, _, data = data_of(H, V, window)
+    return trace_formula_check(f, D0, D1, data.eta, window,
                                remainder_trace(f, H, V, 2))
 
 
@@ -62,16 +65,16 @@ def test_xi_zero_perturbation():
     w = default_window(D0, D1, 0.0)
     step = xi(D0, D1, w)
     xs = np.linspace(w.lo + 1e-6, w.hi - 1e-6, 50)
-    assert np.max(np.abs(step(xs))) == 0.0
+    assert np.max(np.abs(kernel_at(step, xs))) == 0.0
 
 
 def test_xi_scalar_counting():
     H, V = scalar_pair(0.0, 1.0)
     D0, D1, _ = spectra(H, V)
     step = xi(D0, D1, default_window(D0, D1, 1.0))
-    assert step(0.5) == pytest.approx(1.0)
-    assert step(-0.5) == pytest.approx(0.0)
-    assert step(1.5) == pytest.approx(0.0)
+    assert kernel_at(step, 0.5) == pytest.approx(1.0)
+    assert kernel_at(step, -0.5) == pytest.approx(0.0)
+    assert kernel_at(step, 1.5) == pytest.approx(0.0)
     assert step.l1_norm() == 1.0
 
 
@@ -81,7 +84,7 @@ def test_xi_jumps_balance():
     w = default_window(D0, D1, operator_norm(Vm))
     step = xi(D0, D1, w)
     # same total eigenvalue count: xi vanishes beyond the perturbed spectra
-    assert step(w.hi - 1e-9) == pytest.approx(0.0)
+    assert kernel_at(step, w.hi - 1e-9) == pytest.approx(0.0)
 
 
 def test_xi_window_guard():
@@ -122,9 +125,9 @@ def test_eta_scalar_closed_form():
     w = default_window(D0, D1, v)
     density = eta(xi(D0, D1, w), mu_measure(D0, Vm, w), w)
     ts = np.linspace(0.01, v - 0.01, 9)
-    assert np.max(np.abs(density(ts) - (v - ts))) < 1e-12
-    assert density(-0.2) == pytest.approx(0.0, abs=1e-12)
-    assert density(v + 0.1) == pytest.approx(0.0, abs=1e-12)
+    assert np.max(np.abs(kernel_at(density, ts) - (v - ts))) < 1e-12
+    assert kernel_at(density, -0.2) == pytest.approx(0.0, abs=1e-12)
+    assert kernel_at(density, v + 0.1) == pytest.approx(0.0, abs=1e-12)
     assert density.l1_norm() == pytest.approx(v * v / 2, abs=1e-12)
 
 
@@ -133,7 +136,7 @@ def test_eta_zero_perturbation():
     data = data_of(H, np.zeros((4, 4)))[3]
     density, w = data.eta, data.window
     xs = np.linspace(w.lo + 1e-6, w.hi - 1e-6, 60)
-    assert np.max(np.abs(density(xs))) < 1e-13
+    assert np.max(np.abs(kernel_at(density, xs))) < 1e-13
 
 
 def test_eta_jumps_by_the_atoms_and_vanishes_at_the_window_ends():
@@ -170,40 +173,61 @@ def test_trace_formula_check_fails_on_a_negated_kernel(order):
     f = make_poly_bump(0.0, 1.0, 12)
     for seed in (7, 8):
         H, V = rand_instance(seed, 8)
-        data = data_of(H, V)[3]
+        D0, D1, _, data = data_of(H, V)
         kernel = data.xi if order == 1 else data.eta
         rem = remainder_trace(f, H, V, order)
-        assert trace_formula_check(f, kernel, data.window, rem) < 1e-8
+        assert trace_formula_check(f, D0, D1, kernel, data.window, rem) < 1e-8
         kernel.coef[:, -1] *= -1.0
-        assert trace_formula_check(f, kernel, data.window, rem) > 1e-6
+        assert trace_formula_check(f, D0, D1, kernel, data.window, rem) > 1e-6
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_trace_formula_check_integrates_by_parts(order):
     # a random kernel of every order against Gauss-Legendre quadrature of
     # f^(n) kernel, exact here: each piece lies on one side of the support
-    # edges +-1 of f, where f^(n) is one polynomial of degree < 24
+    # edges +-1 of f, where f^(n) is one polynomial of degree < 24.  The
+    # breaks are the index values of a diagonal matrix, so the check reads
+    # f at them from its table
     f = make_poly_bump(0.0, 1.0, 12)
     rng = np.random.default_rng(order)
     breaks = np.sort(np.concatenate([rng.uniform(-1.5, 1.5, 7), [-1.0, 1.0]]))
     kernel = Kernel(breaks, rng.standard_normal((breaks.size - 1, order)))
+    D = decompose(np.diag(breaks).astype(complex))
     nodes, weights = np.polynomial.legendre.leggauss(16)
     integral = 0.0
     for lo, hi in zip(kernel.breaks[:-1], kernel.breaks[1:]):
         x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         integral += 0.5 * (hi - lo) * np.sum(
-            weights * f.deriv(order, x) * kernel(x))
-    assert trace_formula_check(f, kernel, Interval(-2.0, 2.0), integral) < 1e-12
+            weights * f.deriv(order, x) * kernel_at(kernel, x))
+    assert trace_formula_check(f, D, D, kernel, Interval(-2.0, 2.0),
+                               integral) < 1e-12
+
+
+def test_trace_formula_check_refuses_a_break_off_the_spectra():
+    # f at a break is read from the tables at the index values of D0 and
+    # D1, or is zero at a window end; a break that is neither has no value
+    f = make_poly_bump(0.0, 1.0, 12)
+    H, V = rand_instance(14, 4)
+    D0, D1, Vm, data = data_of(H, V)
+    rem = remainder_trace(f, H, V, 2)
+    assert trace_formula_check(f, D0, D1, data.eta, data.window, rem) < 1e-8
+    breaks = data.eta.breaks.copy()
+    breaks[2] = 0.5 * (breaks[2] + breaks[3])
+    with pytest.raises(ValueError, match="neither a window end"):
+        trace_formula_check(f, D0, D1, Kernel(breaks, data.eta.coef),
+                            data.window, rem)
 
 
 @pytest.mark.parametrize("dim", [4, 8])
-def test_trace_formula_check_evaluates_f_once_per_break(monkeypatch, dim):
-    # one derivs pass per check, over the kernel's distinct breaks: each
-    # interior break ends one piece and starts the next, and is read once
+def test_trace_formula_check_reads_full_tables_with_no_pass(monkeypatch, dim):
+    # every break of xi and eta is a window end or an index value of D0 or
+    # D1: with both tables of f filled to order 1, neither check evaluates f
     f = make_poly_bump(0.0, 1.0, 12)
     H, V = rand_instance(13 + dim, dim)
-    data = data_of(H, V)[3]
+    D0, D1, _, data = data_of(H, V)
     rems = [remainder_trace(f, H, V, order) for order in (1, 2)]
+    for D in (D0, D1):
+        D.derivative_table(f, 1)
     derivs, passes = type(f).derivs, []
 
     def counted(self, orders, x):
@@ -212,11 +236,35 @@ def test_trace_formula_check_evaluates_f_once_per_break(monkeypatch, dim):
 
     monkeypatch.setattr(type(f), "derivs", counted)
     for kernel, rem in zip((data.xi, data.eta), rems):
-        passes.clear()
-        assert trace_formula_check(f, kernel, data.window, rem) < 1e-8
-        n = kernel.coef.shape[1]
-        assert np.all(np.diff(kernel.breaks) > 0.0)
-        assert passes == [(f, tuple(range(n)), kernel.breaks.size)]
+        assert trace_formula_check(f, D0, D1, kernel, data.window, rem) < 1e-8
+    assert passes == []
+
+
+def test_shift_on_an_exactly_repeated_eigenvalue():
+    # H0 holds 0.2 three times in a Haar-random basis, so eigh returns it
+    # with a spread of rounding size; decompose clusters it onto one index
+    # value.  xi's breaks are the distinct index values of D0 and D1 and the
+    # window's upper end, eta's the lower end and xi's, and both trace
+    # formulas hold to their command gates
+    rng = np.random.default_rng(2718)
+    Z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    Q, R = np.linalg.qr(Z)
+    U = Q * (np.diag(R) / np.abs(np.diag(R)))
+    H = U @ np.diag([-0.5, 0.2, 0.2, 0.2, 0.4, 0.6]) @ U.conj().T
+    H = 0.5 * (H + H.conj().T)
+    V = random_hermitian(rng, 6, norm=0.2)
+    D0, D1, Vm, data = data_of(H, V)
+    assert 0.0 < np.ptp(D0.eigenvalues[1:4]) < 1e-14
+    assert len(D0.clusters) == 4
+    spectra = np.unique(np.concatenate([D0.index_values(), D1.index_values()]))
+    assert data.xi.breaks.tolist() == spectra.tolist() + [data.window.hi]
+    assert (data.eta.breaks.tolist()
+            == [data.window.lo] + data.xi.breaks.tolist())
+    f = make_poly_bump(0.0, 1.0, 20)
+    r1, r2 = (trace_formula_check(f, D0, D1, kernel, data.window,
+                                  remainder_trace(f, H, V, order))
+              for order, kernel in ((1, data.xi), (2, data.eta)))
+    assert r1 <= 1e-10 and r2 <= 1e-8
 
 
 def test_eta_l1_bound():

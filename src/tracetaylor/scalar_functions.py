@@ -161,9 +161,6 @@ class SmoothCompactFunction:
     def value(self, x):
         return self.deriv(0, x)
 
-    def __call__(self, x):
-        return self.deriv(0, x)
-
     def deriv(self, j, x):
         """Exact j-th derivative at x (scalar or array): one row of ``derivs``."""
         scalar = np.isscalar(x)
@@ -344,9 +341,6 @@ class FractionalPower:
         return False
 
     def value(self, x):
-        return self.deriv(0, x)
-
-    def __call__(self, x):
         return self.deriv(0, x)
 
     def deriv(self, j, x):

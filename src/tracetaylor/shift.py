@@ -10,6 +10,7 @@ objects once."""
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .bounds import BoundCertificate, inv_resolvent_trace
 from .operator_core import Interval
@@ -22,14 +23,6 @@ class WindowError(ValueError):
     pass
 
 
-def _horner(coef, h):
-    """Row by row, sum_j coef[:, j] h^j."""
-    acc = coef[:, -1]
-    for j in range(coef.shape[1] - 2, -1, -1):
-        acc = acc * h + coef[:, j]
-    return acc
-
-
 @dataclass
 class Kernel:
     """Piecewise polynomial: sum_j coef[k, j] (x - breaks[k])^j on the piece
@@ -40,21 +33,17 @@ class Kernel:
     coef: np.ndarray
 
     def l1_norm(self):
-        """Exact integral of |kernel| for degree <= 1, summed piece by piece:
-        a piece whose ends differ in sign splits at its root."""
+        """Exact integral of |kernel| for degree <= 1, summed piece by piece
+        from the left: a piece whose ends differ in sign splits at its root."""
         if self.coef.shape[1] > 2:
             raise NotImplementedError("exact L1 norm only for degree <= 1")
-        width = np.diff(self.breaks)
-        total = 0.0
-        for h, v0, v1, slope in zip(width.tolist(), self.coef[:, 0].tolist(),
-                                    _horner(self.coef, width).tolist(),
-                                    self.coef[:, -1].tolist()):
-            if v0 * v1 >= 0:
-                total += 0.5 * abs(v0 + v1) * h
-            else:
-                x0 = -v0 / slope  # sign change: the piece is affine
-                total += 0.5 * abs(v0) * x0 + 0.5 * abs(v1) * (h - x0)
-        return total
+        h, v0, slope = np.diff(self.breaks), self.coef[:, 0], self.coef[:, -1]
+        v1 = polyval(h, self.coef.T, tensor=False)
+        same = v0 * v1 >= 0
+        x0 = -v0 / np.where(same, 1.0, slope)  # where the ends differ: affine
+        terms = np.where(same, 0.5 * abs(v0 + v1) * h,
+                         0.5 * abs(v0) * x0 + 0.5 * abs(v1) * (h - x0))
+        return float(np.cumsum(np.append(0.0, terms))[-1])
 
 
 def default_window(D0, D1, v_norm):
@@ -95,11 +84,13 @@ def mu_measure(D0, V, window):
 
 def eta(step, atoms, window):
     """Second-order density, the order-2 kernel: mu((a, x)) for mu the
-    ``atoms``, which lie on the breaks of the counting difference ``step``
-    (both read D0's index values), minus the running integral of step.  Its
-    breaks are a and step's; on a piece (lo, hi), mu((a, x)) is the mass of
-    the atoms at or left of lo, and the running integral a cumulative sum."""
+    ``atoms`` minus the running integral of the counting difference ``step``.
+    Its breaks are a and step's; on a piece (lo, hi), mu((a, x)) is the mass
+    of the atoms at or left of lo, and the running integral a cumulative sum.
+    An atom must lie on a break of step, as D0's cluster values do."""
     locs = np.array([t for t, _ in atoms], dtype=float)
+    if not set(locs.tolist()) <= set(step.breaks.tolist()):
+        raise ValueError("an atom lies off the counting difference's breaks")
     mass = np.cumsum([0.0] + [w for _, w in atoms])
     breaks = np.concatenate([[window.lo], step.breaks])
     xival = np.concatenate([[0.0], step.coef[:, 0]])
@@ -155,9 +146,10 @@ def trace_formula_check(f, D0, D1, kernel, window, remainder):
     d_lo, d_hi, width = d[:, :-1], d[:, 1:], np.diff(kernel.breaks)
     terms = np.zeros(len(p))
     for j in range(n - 1):  # p holds the coefficients of kernel^(j)
-        terms += (-1) ** j * (d_hi[n - 1 - j] * _horner(p, width)
+        p_hi = polyval(width, p.T, tensor=False)
+        terms += (-1) ** j * (d_hi[n - 1 - j] * p_hi
                               - d_lo[n - 1 - j] * p[:, 0])
-        p = p[:, 1:] * np.arange(1, p.shape[1])
+        p = polyder(p, axis=1)
     # kernel^(n-1) is constant on each piece; for xi the sum telescopes
     terms += (-1) ** (n - 1) * (p[:, 0] * (d_hi[0] - d_lo[0]))
     return abs(remainder - float(np.sum(terms)))

@@ -5,7 +5,8 @@ bounds: exact polynomial derivatives, the per-order evaluation of a
 function's derivatives, the scalar divided-difference loop,
 explicit loops over eigenvector index tuples, the trace of f(H) formed as a
 matrix, the value of a trace-formula kernel summed term by term at each
-point, finite differences of the functional calculus, a sampled
+point, Horner's rule and a per-piece loop for a kernel's piece ends and
+L1 norm, finite differences of the functional calculus, a sampled
 supremum of eigenvalue counts, and the resolvent expansion of the traces of
 a Lorentzian.
 
@@ -194,6 +195,32 @@ def kernel_at(kernel, x):
             out[i] = sum(c * (t - kernel.breaks[k]) ** j
                          for j, c in enumerate(kernel.coef[k]))
     return float(out[0]) if np.isscalar(x) else out
+
+
+def kernel_piece_ends(coef, width):
+    """Row by row, sum_j coef[:, j] width^j by Horner's rule from the top
+    coefficient: each piece of a kernel at its right end."""
+    acc = coef[:, -1]
+    for j in range(coef.shape[1] - 2, -1, -1):
+        acc = acc * width + coef[:, j]
+    return acc
+
+
+def kernel_l1_loop(kernel):
+    """Integral of |kernel| for degree <= 1, one piece at a time in Python
+    floats: half the sum of the end values times the width, or, where the
+    ends differ in sign, the two triangles on either side of the root."""
+    width = np.diff(kernel.breaks)
+    total = 0.0
+    for h, v0, v1, slope in zip(width.tolist(), kernel.coef[:, 0].tolist(),
+                                kernel_piece_ends(kernel.coef, width).tolist(),
+                                kernel.coef[:, -1].tolist()):
+        if v0 * v1 >= 0:
+            total += 0.5 * abs(v0 + v1) * h
+        else:
+            x0 = -v0 / slope
+            total += 0.5 * abs(v0) * x0 + 0.5 * abs(v1) * (h - x0)
+    return total
 
 
 def finite_difference_derivative(f, H, V, p, h=None):

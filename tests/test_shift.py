@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from oracles import kernel_at
+from numpy.polynomial.polynomial import polyder, polyval
+from oracles import kernel_at, kernel_l1_loop, kernel_piece_ends
 from tracetaylor.moi import trace_derivative_first
 from tracetaylor.operator_core import (HermitianOperator, Interval, as_matrix,
                                        decompose, operator_norm,
@@ -152,6 +153,70 @@ def test_eta_jumps_by_the_atoms_and_vanishes_at_the_window_ends():
         assert np.max(np.abs(c[1:] - left[:-1] - weight)) < 1e-12
         assert np.all(density.coef[0] == 0.0)
         assert density.breaks[-1] == data.window.hi and abs(left[-1]) < 1e-12
+
+
+def test_eta_refuses_an_atom_off_the_breaks():
+    # eta's pieces start at step's breaks, so an atom between two breaks
+    # would be booked from the next break on: at 0.75 the density would
+    # read -0.75 where mu((a, x)) - int xi = 2 - 0.75 = 1.25
+    step = Kernel(np.array([0.0, 1.0, 2.0]), np.array([[1.0], [0.0]]))
+    window = Interval(-1.0, 3.0)
+    with pytest.raises(ValueError, match="atom lies off"):
+        eta(step, [(0.5, 2.0)], window)
+    density = eta(step, [(1.0, 2.0)], window)
+    assert kernel_at(density, 0.75) == -0.75  # mu((a, x)) = 0 before 1
+    assert kernel_at(density, 1.5) == 1.0  # mu((a, x)) = 2, int xi = 1
+
+
+def random_kernel(rng, order):
+    """A kernel of 1-30 pieces whose coefficients mix Gaussian values, which
+    change sign inside many pieces, small integers on breaks a quarter apart,
+    which make exact zeros at piece ends, and +0.0 and -0.0."""
+    pieces = int(rng.integers(1, 31))
+    if rng.random() < 0.5:
+        breaks = np.sort(rng.uniform(-3.0, 3.0, pieces + 1))
+    else:
+        breaks = np.cumsum(rng.choice([0.25, 0.5, 1.0, 2.0], pieces + 1))
+    shape = (pieces, order)
+    pool = [rng.standard_normal(shape), rng.integers(-2, 3, shape) * 1.0,
+            np.zeros(shape), np.full(shape, -0.0)]
+    return Kernel(breaks, np.choose(rng.integers(0, 4, shape), pool))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_l1_norm_equals_the_piece_loop_bitwise(order):
+    rng = np.random.default_rng(40 + order)
+    changes = 0
+    for _ in range(400):
+        kernel = random_kernel(rng, order)
+        assert kernel.l1_norm().hex() == kernel_l1_loop(kernel).hex()
+        ends = kernel_piece_ends(kernel.coef, np.diff(kernel.breaks))
+        changes += np.count_nonzero(kernel.coef[:, 0] * ends < 0)
+    assert changes > 0 or order == 1  # a constant piece keeps its sign
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_piece_ends_equal_horner_up_to_the_sign_of_a_zero(order):
+    # numpy's polyval starts from c[-1] + 0 * x where Horner's rule starts
+    # from c[-1], so every value is equal and only the sign of an exact
+    # zero may differ, which the kernel routines read through abs, a sum or
+    # a >= 0 test.  polyder equals the slice-and-scale derivative bitwise
+    rng = np.random.default_rng(50 + order)
+    signed_zeros = 0
+    for _ in range(400):
+        kernel = random_kernel(rng, order)
+        width = np.diff(kernel.breaks)
+        got = polyval(width, kernel.coef.T, tensor=False)
+        want = kernel_piece_ends(kernel.coef, width)
+        assert np.array_equal(got, want)
+        bits_differ = got.view(np.int64) != want.view(np.int64)
+        assert np.all(got[bits_differ] == 0.0)
+        signed_zeros += np.count_nonzero(bits_differ)
+        if order > 1:
+            slice_scale = kernel.coef[:, 1:] * np.arange(1, order)
+            assert (polyder(kernel.coef, axis=1).tobytes()
+                    == slice_scale.tobytes())
+    assert signed_zeros > 0
 
 
 def test_second_order_density():

@@ -8,6 +8,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .moi import evaluate_moi
 from .operator_core import Interval, counting_trace, schatten_norm
 # unused here, kept because bench/tests/test_tracer.py checks its rebinding
@@ -83,17 +85,16 @@ def _per_function(constant):
 @_per_function
 def _root_constants(f, n):
     """max_k sup|f^(2^-k)| and max over roots/orders of max(1, G_d seminorm),
-    for k = 1..j_n and d = 1..n."""
-    sup_max, g_max = 0.0, 1.0
+    for k = 1..j_n and d = 1..n, by np.max, which keeps a NaN."""
+    sups, gs = [], [1.0]
     # one root at a time, so a root's tables are freed before the next one's
     for k in range(1, j_of(n) + 1):
         r = fractional_root(f, k, max_order=n + 1)
-        sup_max = max(sup_max, sup_norm(r))
+        sups.append(sup_norm(r))
         # highest order first: a FractionalPower then finds every order on a
         # grid from one pass of its base's table
-        for d in range(n, 0, -1):
-            g_max = max(g_max, gp_seminorm(r, d))
-    return sup_max, g_max
+        gs += [gp_seminorm(r, d) for d in range(n, 0, -1)]
+    return float(np.max(sups)), float(np.max(gs))
 
 
 def compact_trace_norm_bound(f, D, V, v_norm, n):
@@ -162,10 +163,11 @@ def hs_constant(f, n):
         return gp_seminorm(fu2, 1) + 2.0 * sup_norm(fu2)
     fu = product_with_u(f)
     u = weight_u()
-    m1 = max([sup_norm(f), sup_norm(fu)]
-             + [gp_seminorm(f, k) for k in range(1, n + 1)]
-             + [gp_seminorm(fu, k) for k in range(1, n + 1)])
-    m2 = max(gp_seminorm(u, l) for l in range(2, n + 1))
+    # np.max keeps a NaN, where builtin max may drop it
+    m1 = float(np.max([sup_norm(f), sup_norm(fu)]
+                      + [gp_seminorm(f, k) for k in range(1, n + 1)]
+                      + [gp_seminorm(fu, k) for k in range(1, n + 1)]))
+    m2 = float(np.max([gp_seminorm(u, l) for l in range(2, n + 1)]))
     return (gp_seminorm(fu2, n)
             + 0.5 * n * (n + 3) * m1 * m2 * m2)
 

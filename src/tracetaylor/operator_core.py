@@ -113,12 +113,13 @@ class SpectralDecomposition:
 
 def _traces(f, Ds):
     """Tr f(H) for the matrix H of each D in Ds, with no matrix: the sum of
-    row 0 of D's table of f.  The Ds that hold no table of f (all of one
-    dimension) start one from a single ``f.value`` pass."""
+    row 0 of D's table of f.  The Ds that hold no table of f start one from
+    a single ``f.value`` pass, split at their sizes."""
     bare = [D for D in Ds if not D._tables.get(f)]
     if bare:
         fvals = f.value(np.concatenate([D.index_values() for D in bare]))
-        for D, row in zip(bare, fvals.reshape(len(bare), -1)):
+        ends = np.cumsum([D.dim for D in bare])
+        for D, row in zip(bare, np.split(fvals, ends)):
             D._tables[f] = [row]
     return [float(np.sum(D._tables[f][0])) for D in Ds]
 

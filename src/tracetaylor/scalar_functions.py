@@ -131,9 +131,9 @@ class SmoothCompactFunction:
 
     Every value that depends only on the function lives in its one
     ``_constants`` table, keyed by name and arguments: its derivative
-    objects, roots, u-weighted products, sup and L2 norms, derivative tables
-    on sampling grids and the (f, n) constants of ``bounds``.  They live and
-    die with the function.
+    objects, roots, u-weighted products, sup and L2 norms, sampling grids
+    and derivative tables on them, and the (f, n) constants of ``bounds``.
+    They live and die with the function.
     """
 
     def __init__(self, breaks, piece_terms, max_order, power=None):
@@ -237,8 +237,8 @@ class SmoothCompactFunction:
 
     def _grid_derivs(self, orders, grid):
         """f^(j) for every j in ``orders`` at the points of f's sampling grid
-        ``grid`` (``_grid_points``), from one pass."""
-        return self.derivs(orders, _grid_points(self, grid))
+        ``grid`` (``_grid``), from one pass."""
+        return self.derivs(orders, _grid(self, grid)[0])
 
     def _grid_table(self, grid, j):
         """[f, f', .., f^(j)] on f's sampling grid ``grid``, kept per grid in
@@ -247,7 +247,7 @@ class SmoothCompactFunction:
         table = self._constants.setdefault(("grid_table", grid), [])
         if len(table) <= j:
             table.extend(self.derivs(range(len(table), j + 1),
-                                     _grid_points(self, grid)))
+                                     _grid(self, grid)[0]))
         return table
 
     # -- algebra ---------------------------------------------------------
@@ -379,8 +379,8 @@ class FractionalPower:
         return h
 
     def _grid_derivs(self, orders, grid):
-        """h^(j) for every j in ``orders`` on the sampling grid ``grid`` (the
-        base's: same support and breaks), found afresh from the base's table
+        """h^(j) for every j in ``orders`` on the sampling grid ``grid``,
+        which is the base's (``_grid``), found afresh from the base's table
         for that grid, which the base keeps."""
         top = max(orders)
         h = self._orders(self.base._grid_table(grid, top)[:top + 1])
@@ -499,42 +499,32 @@ def _gauss_legendre(n):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _quad_edges(f, panels):
-    lo, hi = (-100.0, 100.0) if f.unbounded else f.support
-    edges = np.linspace(lo, hi, panels + 1)
-    br = f.breaks[(f.breaks > lo) & (f.breaks < hi)]
-    return _sorted_unique([edges, br])
-
-
-def _quad_rule(f, panels):
-    """Nodes and weights, each of shape (m, 16), of the composite 16-point
-    Gauss-Legendre rule on f's ``panels`` panels (split at f's breaks)."""
-    edges = _quad_edges(f, panels)
-    x0, w0 = _gauss_legendre(16)
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
-    X = 0.5 * (b - a) * x0[None, :] + 0.5 * (a + b)
-    W = 0.5 * (b - a) * w0[None, :]
-    return X, W
-
-
 _SUP_GRID = "sup"
 _PANELS = 128  # the seminorms' quadrature grid
 
 
-def _grid_points(f, grid):
-    """The points of f's sampling grid ``grid``, memoized on f: the flattened
-    quadrature nodes for ``grid`` panels, or for ``_SUP_GRID`` the sup
+def _grid(f, grid):
+    """f's sampling grid ``grid``, memoized on f, or on the base of a
+    ``FractionalPower`` (which shares its breaks and support).  For ``grid``
+    panels (split at f's breaks; [-100, 100] for a whole-line function):
+    the flattened nodes of the composite 16-point Gauss-Legendre rule and
+    the half-width of each panel, shape (m, 1).  For ``_SUP_GRID``: the sup
     sample of f's compact support, 4001 equispaced points and the breaks
-    (empty for an empty support)."""
+    (empty for an empty support), and None."""
+    f = getattr(f, "base", f)
+
     def compute():
-        if grid != _SUP_GRID:
-            return _quad_rule(f, grid)[0].ravel()
-        lo, hi = f.support
-        if hi <= lo:
-            return np.empty(0)
-        return _sorted_unique([np.linspace(lo, hi, 4001), f.breaks])
-    return _memoized(f, ("grid_points", grid), compute)
+        if grid == _SUP_GRID:
+            lo, hi = f.support
+            return (_sorted_unique([np.linspace(lo, hi, 4001), f.breaks])
+                    if hi > lo else np.empty(0)), None
+        lo, hi = (-100.0, 100.0) if f.unbounded else f.support
+        edges = _sorted_unique([np.linspace(lo, hi, grid + 1),
+                                f.breaks[(f.breaks > lo) & (f.breaks < hi)]])
+        a, b = edges[:-1, None], edges[1:, None]
+        half = 0.5 * (b - a)
+        return (half * _gauss_legendre(16)[0] + 0.5 * (a + b)).ravel(), half
+    return _memoized(f, ("grid", grid), compute)
 
 
 def _norm_sum(f, p, panels):
@@ -551,10 +541,10 @@ def _norm_sum(f, p, panels):
     orders = (p, p + 1)
     missing = [j for j in orders if ("l2_norm", j, panels) not in f._constants]
     if missing:
-        X, W = _quad_rule(f, panels)
+        W = _grid(f, panels)[1] * _gauss_legendre(16)[1]
         for j, vals in zip(missing, f._grid_derivs(missing, panels)):
             f._constants["l2_norm", j, panels] = math.sqrt(
-                max(float(np.sum((vals ** 2).reshape(X.shape) * W)), 0.0))
+                max(float(np.sum((vals ** 2).reshape(W.shape) * W)), 0.0))
     return sum(f._constants["l2_norm", j, panels] for j in orders)
 
 
@@ -612,12 +602,11 @@ def sup_norm(f):
     on f; a whole-line function has no sample that bounds it."""
     if f.unbounded:
         raise ValueError("sup norm defined for compact support only")
-    return _memoized(f, "sup_norm",
-                     lambda: _max_abs(f._grid_derivs((0,), _SUP_GRID)[0]))
 
-
-def _max_abs(values):
-    return float(np.max(np.abs(values))) if values.size else 0.0
+    def compute():
+        values = f._grid_derivs((0,), _SUP_GRID)[0]
+        return float(np.max(np.abs(values))) if values.size else 0.0
+    return _memoized(f, "sup_norm", compute)
 
 
 def decompose_signed(f, n):

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import time
 import weakref
 from collections import Counter
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import counting_trace_sup
-from tracetaylor import bounds
+from tracetaylor import bounds, cli
 from tracetaylor.bounds import (BoundCertificate, Check, a_sequence,
                                 compact_trace_norm_bound, hs_constant, j_of, remainder_bound_compact,
                                 remainder_bound_hs)
@@ -168,6 +169,33 @@ def test_remainder_bound_hs():
         for n in (1, 2, 3):
             assert remainder_bound_hs(f, decompose(H), operator_norm(V), n,
                                       remainder_trace(f, H, V, n)).passed
+
+
+@pytest.mark.parametrize("name", ["sup_norm", "gp_seminorm"])
+def test_a_nan_constant_fails_every_certificate(monkeypatch, name):
+    # builtin max drops a NaN that is not its first argument: here every sup
+    # (or seminorm) that a certificate reads after its first one is NaN, and
+    # each of the three certificates must fail on it
+    H0, V = cli.make_instance(cli.ExperimentConfig(), 4, 2, 0)
+    D0, v_norm = decompose(H0), operator_norm(V)
+    rem = remainder_trace(make_poly_bump(0.0, 1.0, 20), H0, V, 2)
+    certificates = [
+        lambda f: compact_trace_norm_bound(f, D0, V, v_norm, 2),
+        lambda f: remainder_bound_compact(f, D0, v_norm, 2, rem),
+        lambda f: remainder_bound_hs(f, D0, v_norm, 2, rem)]
+    real = getattr(bounds, name)
+    for certify in certificates:
+        assert certify(make_poly_bump(0.0, 1.0, 20)).passed
+        calls = []
+
+        def first_only(*args):
+            calls.append(args)
+            return real(*args) if len(calls) == 1 else math.nan
+
+        monkeypatch.setattr(bounds, name, first_only)
+        # a fresh f: the constants are memoized on the function
+        assert not certify(make_poly_bump(0.0, 1.0, 20)).passed
+        monkeypatch.setattr(bounds, name, real)
 
 
 def test_certificate_serialization():

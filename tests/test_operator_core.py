@@ -145,6 +145,18 @@ def test_apply_function_reads_the_row_that_traces_leave(monkeypatch):
     assert np.array_equal(apply_function(f, D).mat, expect) and passes == []
 
 
+def test_traces_split_one_pass_at_each_decomposition_size():
+    # decompositions of different dimensions share one value pass, and each
+    # keeps its own values: the sum of f over its index values
+    rng = np.random.default_rng(5)
+    f = make_poly_bump(0.0, 1.0, 6)
+    Ds = [decompose(random_hermitian_in_window(rng, n, -0.8, 0.8)) for n in (2, 4, 3)]
+    got = _traces(f, Ds)
+    for D, tr in zip(Ds, got):
+        assert tr == float(np.sum(f.value(D.index_values())))
+        assert [row.size for row in D._tables[f]] == [D.dim]
+
+
 def test_trace_examples():
     assert trace(np.eye(3)) == 3
     assert trace(np.zeros((2, 2))) == 0

@@ -12,7 +12,7 @@ from tracetaylor import scalar_functions as sf
 from tracetaylor.scalar_functions import (_SUP_GRID, DerivativeOrderError,
                                           FractionalPower,
                                           UnsupportedFamilyError,
-                                          _grid_points, _weight_u2,
+                                          _grid, _weight_u2,
                                           decompose_signed, dyadic_root,
                                           fourier_l1_norm, fractional_root,
                                           gp_seminorm, make_plateau_bump,
@@ -287,8 +287,10 @@ def test_u_and_u2_are_one_piece_on_the_real_line():
 def test_sampling_grids_of_u_are_finite():
     u = weight_u()
     for grid in (64, 128):
-        points = _grid_points(u, grid)
+        points, half = _grid(u, grid)
         assert points.size and np.all(np.isfinite(points))
+        # the panels tile the truncation interval [-100, 100]
+        assert np.all(half > 0) and 2.0 * half.sum() == pytest.approx(200.0)
 
 
 def test_gp_seminorm_basics():
@@ -316,13 +318,19 @@ def test_gp_seminorm_order_guard():
 
 
 def test_constants_read_one_quadrature_grid(monkeypatch):
-    # every (f, n) constant reads the seminorms on the 128-panel grid alone:
-    # the 64-panel pass feeds only the error estimate, which keeps its bits
+    # every (f, n) constant reads the seminorms on the 128-panel grid alone
+    # (the sup samples aside): the 64-panel pass feeds only the error
+    # estimate, which keeps its bits
     f = make_poly_bump(0.1, 0.8, 10)
     panels = []
-    rule = sf._quad_rule
-    monkeypatch.setattr(sf, "_quad_rule", lambda g, m: (
-        panels.append(m) or rule(g, m)))
+    grid = sf._grid
+
+    def spy(g, m):
+        if m != _SUP_GRID:
+            panels.append(m)
+        return grid(g, m)
+
+    monkeypatch.setattr(sf, "_grid", spy)
     for n in (1, 2, 3):
         bounds._root_constants(f, n)
         bounds._signed_root_constants(f, n)
@@ -338,6 +346,37 @@ def test_constants_read_one_quadrature_grid(monkeypatch):
         (weight_u(), 3): ("0x1.881a63244da88p-1", "0x1.2a1d2fa50b6b8p-23")}
     for (g, p), bits in expect.items():
         assert (gp_seminorm(g, p).hex(), quadrature_error(g, p).hex()) == bits
+
+
+def test_constants_build_each_grid_once(monkeypatch):
+    # the constants of orders 1-3 sample every function on each of its grids
+    # from one build; a FractionalPower root reads its base's, so no grid is
+    # keyed on a root
+    builds = []
+    memoized = sf._memoized
+
+    def spy(g, key, compute):
+        def counted():
+            if key[0] == "grid":
+                builds.append((g, key[1]))  # keeps ids unique while counting
+            return compute()
+        return memoized(g, key, counted)
+
+    monkeypatch.setattr(sf, "_memoized", spy)
+    # a weight u of its own: the shared one keeps the grids earlier tests built
+    u = weight_u.__wrapped__()
+    monkeypatch.setattr(bounds, "weight_u", lambda: u)
+    f = make_poly_bump(0.0, 1.0, 20)
+    for n in (1, 2, 3):
+        bounds._root_constants(f, n)
+        bounds._signed_root_constants(f, n)
+        bounds.hs_constant(f, n)
+    keys = [(id(g), grid) for g, grid in builds]
+    assert len(set(keys)) == len(keys)
+    assert not any(isinstance(g, FractionalPower) for g, _ in builds)
+    grids = [grid for _, grid in builds]
+    assert (grids.count(sf._PANELS), grids.count(_SUP_GRID)) == (14, 13)
+    assert len(grids) == 27
 
 
 def test_fourier_l1_basics(monkeypatch):
@@ -397,8 +436,9 @@ def test_fractional_power_grid_pass_equals_deriv():
     base = decompose_signed(f, 3)[0]
     roots = [FractionalPower(base, 2.0 ** -k, 4) for k in (1, 2)]
     for grid in (64, 128, _SUP_GRID):
-        x = _grid_points(base, grid)
-        assert np.array_equal(x, _grid_points(roots[0], grid))
+        x = _grid(base, grid)[0]
+        # a root samples on its base's grid: the very same array
+        assert all(_grid(r, grid)[0] is x for r in roots)
         assert np.any(x < base.breaks[1]) and np.any(x > base.breaks[-2])
         for r in roots:
             for j in (2, 0, 4, 1, 3):
@@ -418,7 +458,7 @@ def test_roots_share_one_base_evaluation(monkeypatch):
         calls.append((self, tuple(orders), x)) or derivs(self, orders, x)))
     bounds._root_constants(base, 3)
     assert all(obj is base for obj, _, _ in calls)
-    grids = [_grid_points(base, grid) for grid in (128, _SUP_GRID)]
+    grids = [_grid(base, grid)[0] for grid in (128, _SUP_GRID)]
     assert sorted((orders, [x is g for g in grids].index(True))
                   for _, orders, x in calls) == [((0,), 1), ((0, 1, 2, 3, 4), 0)]
 

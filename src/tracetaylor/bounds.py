@@ -91,8 +91,9 @@ def _root_constants(f, n):
     for k in range(1, j_of(n) + 1):
         r = fractional_root(f, k, max_order=n + 1)
         sups.append(sup_norm(r))
-        # highest order first: a FractionalPower then finds every order on a
-        # grid from one pass of its base's table
+        # highest order first: its miss evaluates every lower order too, in
+        # the one pass (of the base, for a FractionalPower) that the root
+        # makes on the grid
         gs += [gp_seminorm(r, d) for d in range(n, 0, -1)]
     return float(np.max(sups)), float(np.max(gs))
 

@@ -68,8 +68,6 @@ class ExperimentConfig:
             raise ConfigError("epsilons must lie in (0, 1]")
         if not self.bump_radius > 0.0:
             raise ConfigError("bump radius must be > 0")
-        if self.bump_m < 2:
-            raise ConfigError("bump exponent m must be >= 2")
         if max(self.orders) > self.bump_m - 1:
             raise ConfigError(f"orders must be <= bump_m - 1 = {self.bump_m - 1}, "
                               "the number of derivatives of the bump")

@@ -7,8 +7,8 @@ from itertools import chain, combinations_with_replacement, permutations
 import numpy as np
 
 from .operator_core import _cluster
-from .scalar_functions import (DerivativeOrderError, dyadic_root, product_with_u,
-                               product_with_u2, weight_u)
+from .scalar_functions import (dyadic_root, product_with_u, product_with_u2,
+                               weight_u)
 
 
 def _divided_difference_rows(table, lam, idx):
@@ -54,10 +54,6 @@ def _node_triangle(f, nodes):
     runs, means = _cluster(vals)
     sizes = [len(r) for r in runs]
     vals, conf = np.repeat(means, sizes), max(sizes)
-    if f.max_order < conf - 1:
-        raise DerivativeOrderError(
-            f"confluent group of size {conf} needs derivatives "
-            f"up to order {conf - 1}")
     tri = list(_divided_difference_rows(f.derivs(range(conf), vals), vals,
                                         np.arange(vals.size)[None, :]))
     return vals, lambda a, b: float(tri[b - a][a][0])

@@ -131,8 +131,8 @@ class SmoothCompactFunction:
 
     Every value that depends only on the function lives in its one
     ``_constants`` table, keyed by name and arguments: its derivative
-    objects, roots, u-weighted products, sup and L2 norms, sampling grids
-    and derivative tables on them, and the (f, n) constants of ``bounds``.
+    objects, roots, u-weighted products, sup and L2 norms, sampling grids,
+    and the (f, n) constants of ``bounds``.
     They live and die with the function.
     """
 
@@ -235,21 +235,6 @@ class SmoothCompactFunction:
                 max(prev.max_order - 1, 0))
         return _memoized(self, ("derivative", j), compute)
 
-    def _grid_derivs(self, orders, grid):
-        """f^(j) for every j in ``orders`` at the points of f's sampling grid
-        ``grid`` (``_grid``), from one pass."""
-        return self.derivs(orders, _grid(self, grid)[0])
-
-    def _grid_table(self, grid, j):
-        """[f, f', .., f^(j)] on f's sampling grid ``grid``, kept per grid in
-        ``_constants`` and extended by the missing orders in one pass: every
-        fractional power of f reads it."""
-        table = self._constants.setdefault(("grid_table", grid), [])
-        if len(table) <= j:
-            table.extend(self.derivs(range(len(table), j + 1),
-                                     _grid(self, grid)[0]))
-        return table
-
     # -- algebra ---------------------------------------------------------
 
     def _pieces_on(self, lo, hi):
@@ -328,7 +313,8 @@ class FractionalPower:
                 "fractional power defined only for polynomial pieces")
         self.base = base
         self.alpha = float(alpha)
-        self.max_order = max_order
+        # no more derivatives than the base has
+        self.max_order = min(max_order, base.max_order)
         self.breaks = base.breaks
         self._constants = {}
 
@@ -377,14 +363,6 @@ class FractionalPower:
                 acc += math.comb(r - 1, i) * h[i] * (self.alpha * l[r - i])
             h.append(np.where(safe, acc, 0.0))
         return h
-
-    def _grid_derivs(self, orders, grid):
-        """h^(j) for every j in ``orders`` on the sampling grid ``grid``,
-        which is the base's (``_grid``), found afresh from the base's table
-        for that grid, which the base keeps."""
-        top = max(orders)
-        h = self._orders(self.base._grid_table(grid, top)[:top + 1])
-        return [h[j] for j in orders]
 
 
 def zero_function():
@@ -529,23 +507,27 @@ def _grid(f, grid):
 
 def _norm_sum(f, p, panels):
     """||f^(p)||_2 + ||f^(p+1)||_2 by the quadrature rule on ``panels``
-    panels, each norm memoized on f per order and grid; the orders not yet
-    known are evaluated in one pass.  For the whole-line weight the
-    integrals are truncated to [-100, 100] (derivatives of order >= 2 decay
-    at least like |x|^-3, so the tail is far below the quadrature error)."""
+    panels, each norm memoized on f per order and grid.  A miss evaluates
+    every order not yet known in one ``f.derivs`` pass, from min(p, 1) (2
+    for the whole-line weight, which has no G_1) to p+1, so the lower
+    seminorms of f read no pass of their own.  For the whole-line
+    weight the integrals are truncated to [-100, 100] (derivatives of order
+    >= 2 decay at least like |x|^-3, so the tail is far below the
+    quadrature error)."""
     if f.unbounded and p < 2:
         raise DerivativeOrderError("whole-line weight is in G_p only for p >= 2")
     if p + 1 > f.max_order:
         raise DerivativeOrderError(
             f"G_{p} needs derivatives up to order {p + 1}; have {f.max_order}")
-    orders = (p, p + 1)
-    missing = [j for j in orders if ("l2_norm", j, panels) not in f._constants]
+    missing = [j for j in range(2 if f.unbounded else min(p, 1), p + 2)
+               if ("l2_norm", j, panels) not in f._constants]
     if missing:
-        W = _grid(f, panels)[1] * _gauss_legendre(16)[1]
-        for j, vals in zip(missing, f._grid_derivs(missing, panels)):
+        x, half = _grid(f, panels)
+        W = half * _gauss_legendre(16)[1]
+        for j, vals in zip(missing, f.derivs(missing, x)):
             f._constants["l2_norm", j, panels] = math.sqrt(
                 max(float(np.sum((vals ** 2).reshape(W.shape) * W)), 0.0))
-    return sum(f._constants["l2_norm", j, panels] for j in orders)
+    return sum(f._constants["l2_norm", j, panels] for j in (p, p + 1))
 
 
 def gp_seminorm(f, p):
@@ -575,8 +557,6 @@ def fourier_l1_norm(f, p):
     size ``_FOURIER_GRID`` and the span (the integrand decays polynomially
     for the bump family).
     """
-    if p > f.max_order:
-        raise DerivativeOrderError("derivative order unavailable")
     if f.unbounded:
         raise ValueError("Fourier L1 norm defined for compact support only")
     lo, hi = f.support
@@ -604,7 +584,7 @@ def sup_norm(f):
         raise ValueError("sup norm defined for compact support only")
 
     def compute():
-        values = f._grid_derivs((0,), _SUP_GRID)[0]
+        values = f.derivs((0,), _grid(f, _SUP_GRID)[0])[0]
         return float(np.max(np.abs(values))) if values.size else 0.0
     return _memoized(f, "sup_norm", compute)
 

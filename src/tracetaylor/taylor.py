@@ -10,7 +10,6 @@ import numpy as np
 from .moi import evaluate_moi, trace_derivative_first, trace_derivative_higher
 from .operator_core import (_function_of, _traces, as_matrix, decompose,
                             schatten_norm)
-from .scalar_functions import DerivativeOrderError
 
 
 class InsufficientDataError(RuntimeError):
@@ -40,9 +39,6 @@ def expansion_terms(f, D0, V, n):
     D0's table of f is filled to order n in one pass: the terms read
     f'..f^(n-1), and the operator remainder and the order-n operator
     integral of the same trial read f..f^(n) from it."""
-    if f.max_order < n:
-        raise DerivativeOrderError(
-            f"need derivatives up to order {n}; have {f.max_order}")
     D0.derivative_table(f, n)
     out = []
     for p in range(1, n):

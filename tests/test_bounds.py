@@ -251,7 +251,8 @@ def test_constants_evaluate_each_function_order_and_grid_once(monkeypatch):
     # the dyadic roots and u-weighted products are memoized on f, and every
     # function keeps its L2 norms per (order, grid) and its sup, so building
     # the constants of orders 1-3 evaluates no derivative twice at the same
-    # points, in any pass
+    # points, in any pass, but on the positive half f1 of the signed split:
+    # each of its j_n FractionalPower roots evaluates it afresh
     calls = Counter()
     seen = []
     derivs = SmoothCompactFunction.derivs
@@ -262,9 +263,22 @@ def test_constants_evaluate_each_function_order_and_grid_once(monkeypatch):
             calls[id(self), j, np.asarray(x, float).tobytes()] += 1
         return derivs(self, orders, x)
 
+    halves, passes = [], {}  # id of each f1: its number of roots
+
+    def split(f, n):
+        f1, f2 = decompose_signed(f, n)
+        halves.append(f1)  # keeps ids unique
+        passes[id(f1)] = j_of(n)
+        return f1, f2
+
     monkeypatch.setattr(SmoothCompactFunction, "derivs", counted)
+    monkeypatch.setattr(bounds, "decompose_signed", split)
     _all_constants(make_poly_bump(0.0, 1.0, 20), (1, 2, 3))
-    assert calls and max(calls.values()) == 1
+    assert calls and set(calls.values()) == {1, 2}
+    for (key, _, _), count in calls.items():
+        assert count == passes.get(key, 1)
+    # the lower seminorm orders of a function share its first pass on a grid
+    assert len(seen) <= 44
 
 
 @pytest.mark.parametrize("m", [20, 10])

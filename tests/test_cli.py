@@ -88,6 +88,8 @@ def test_exit_code_on_config_error(tmp_path):
     "bump_radius = 0",
     "bump_radius = -1",
     "bump_m = 4\norders = 1,2,3,4",
+    "bump_m = 1",
+    "bump_m = 0",
     "jobs = 0",
     "perturbation_scale = nan",
     "perturbation_scale = inf",
@@ -579,27 +581,34 @@ def test_map_starts_no_more_workers_than_work_or_cores(monkeypatch, jobs,
     assert sizes == ([] if size is None else [size])
 
 
-@pytest.mark.parametrize("command, config", [
-    ("certify", "bump_m = 4\norders = 1,2,3\ndims = 4\ntrials = 2\n"),
-    ("sweep", "bump_m = 4\norders = 1,2,3\ndims = 4\ntrials = 2\n"),
-    ("shift", "bump_m = 3\norders = 1,2\ndims = 4\ntrials = 2\n"),
-    ("certify", "bump_m = 2\norders = 1\ndims = 4\ntrials = 1\n"),
-    ("shift", "bump_m = 2\norders = 1\ndims = 4\ntrials = 1\n"),
+@pytest.mark.parametrize("command, m, config, reason", [
+    ("certify", 4, "orders = 1,2,3\ndims = 4\ntrials = 2\n",
+     "G_1 needs derivatives up to order 2; have 1"),
+    ("sweep", 4, "orders = 1,2,3\ndims = 4\ntrials = 2\n",
+     "G_3 needs derivatives up to order 4; have 3"),
+    ("shift", 3, "orders = 1,2\ndims = 4\ntrials = 2\n",
+     "the order-2 check needs a C^3 function; f is C^2"),
+    ("certify", 2, "orders = 1\ndims = 4\ntrials = 1\n",
+     "a bump of exponent 1 has no derivative"),
+    ("shift", 2, "orders = 1\ndims = 4\ntrials = 1\n",
+     "derivative order 2 exceeds guaranteed order 1"),
 ], ids=["certify", "sweep", "shift", "certify-bump_m_2", "shift-bump_m_2"])
 def test_too_few_derivatives_for_the_command_exits_2(tmp_path, capsys, command,
-                                                     config):
+                                                     m, config, reason):
     # validate accepts these (every order is at most bump_m - 1), but the
     # dyadic roots (certify, sweep) or the second-order check (shift) need
-    # more derivatives than the bump has; at bump_m = 2 the expansion terms
-    # of shift need f'', and certify's square root of the bump has exponent
-    # 1 and no derivative
-    cfg = write_cfg(tmp_path, config, "smooth.txt")
+    # more derivatives than the bump has: at bump_m = 4 certify's square
+    # root of the bump is C^1, and sweep's roots of order 3 have no more
+    # derivatives than the positive half of the signed split, which is C^3;
+    # at bump_m = 2 the expansion terms of shift need f'', and certify's
+    # square root of the bump has exponent 1 and no derivative
+    cfg = write_cfg(tmp_path, f"bump_m = {m}\n" + config, "smooth.txt")
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
-    assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith(f"config error: {command} needs more derivatives")
+    assert captured.err == (f"config error: {command} needs more derivatives "
+                            f"than bump_m = {m} gives ({reason})\n")
 
 
 @pytest.mark.parametrize("command", ["expand", "certify", "shift"])

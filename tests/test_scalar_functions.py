@@ -429,9 +429,8 @@ def test_decompose_signed():
 
 def test_fractional_power_grid_pass_equals_deriv():
     # the positive half of a signed split has breaks at the plateau joints
-    # and at the support edges of f, and no exact dyadic root; its roots read
-    # one table of base derivatives per grid, in whatever order the orders
-    # are asked for, and must agree bitwise with deriv at the same points
+    # and at the support edges of f, and no exact dyadic root; its roots
+    # sample on its grids, which reach the pieces beyond those breaks
     f = make_poly_bump(0.1, 0.8, 10)
     base = decompose_signed(f, 3)[0]
     roots = [FractionalPower(base, 2.0 ** -k, 4) for k in (1, 2)]
@@ -440,16 +439,12 @@ def test_fractional_power_grid_pass_equals_deriv():
         # a root samples on its base's grid: the very same array
         assert all(_grid(r, grid)[0] is x for r in roots)
         assert np.any(x < base.breaks[1]) and np.any(x > base.breaks[-2])
-        for r in roots:
-            for j in (2, 0, 4, 1, 3):
-                assert np.array_equal(r._grid_derivs((j,), grid)[0],
-                                      r.deriv(j, x))
 
 
 def test_roots_share_one_base_evaluation(monkeypatch):
-    # the roots of a base without exact roots read one table of base
-    # derivatives per sampling grid, filled in one pass: orders 0..4 on the
-    # quadrature grid of the seminorms, the values on the sup grid
+    # each root of a base without exact roots makes one pass of the base per
+    # sampling grid: orders 0..4 on the quadrature grid of the seminorms,
+    # the values on the sup grid
     f = make_poly_bump(0.1, 0.8, 10)
     base = decompose_signed(f, 3)[0]
     calls = []
@@ -459,8 +454,37 @@ def test_roots_share_one_base_evaluation(monkeypatch):
     bounds._root_constants(base, 3)
     assert all(obj is base for obj, _, _ in calls)
     grids = [_grid(base, grid)[0] for grid in (128, _SUP_GRID)]
+    per_root = [((0,), 1), ((0, 1, 2, 3, 4), 0)]
     assert sorted((orders, [x is g for g in grids].index(True))
-                  for _, orders, x in calls) == [((0,), 1), ((0, 1, 2, 3, 4), 0)]
+                  for _, orders, x in calls) == sorted(per_root * bounds.j_of(3))
+
+
+def test_the_first_seminorm_evaluates_the_lower_orders(monkeypatch):
+    # a miss evaluates every order 1..p+1 in one pass, so the lower
+    # seminorms of the function read no pass of their own
+    f = make_poly_bump(0.0, 1.0, 20)
+    calls = []
+    derivs = type(f).derivs
+    monkeypatch.setattr(type(f), "derivs", lambda self, orders, x: (
+        calls.append(tuple(orders)) or derivs(self, orders, x)))
+    sf._norm_sum(f, 3, sf._PANELS)
+    assert calls == [(1, 2, 3, 4)]
+    gp_seminorm(f, 2)
+    gp_seminorm(f, 1)
+    assert calls == [(1, 2, 3, 4)]
+    assert gp_seminorm(f, 0) > 0.0
+    # the whole-line weight has no G_1, so its pass starts at order 2
+    sf._norm_sum(weight_u.__wrapped__(), 3, sf._PANELS)
+    assert calls == [(1, 2, 3, 4), (0,), (2, 3, 4)]
+
+
+def test_a_root_has_no_more_derivatives_than_its_base():
+    base = make_poly_bump(0.0, 1.0, 4).add(make_poly_bump(0.2, 0.5, 8))  # C^3
+    root = fractional_root(base, 1, max_order=4)
+    assert root.max_order == 3
+    with pytest.raises(DerivativeOrderError, match="G_3 needs derivatives up "
+                       "to order 4; have 3"):
+        gp_seminorm(root, 3)
 
 
 @functools.cache

@@ -66,6 +66,9 @@ class ExperimentConfig:
             raise ConfigError("epsilon grid must be nonempty")
         if any(not (0.0 < e <= 1.0) for e in self.epsilons):
             raise ConfigError("epsilons must lie in (0, 1]")
+        if len(set(self.epsilons)) < len(self.epsilons):
+            # a repeat adds no abscissa to sweep's slope fits
+            raise ConfigError("epsilons must be distinct")
         if not self.bump_radius > 0.0:
             raise ConfigError("bump radius must be > 0")
         if max(self.orders) > self.bump_m - 1:

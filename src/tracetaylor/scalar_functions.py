@@ -185,16 +185,19 @@ class SmoothCompactFunction:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         plans = _memoized(self, ("derivs", orders), lambda: self._stack_plans(orders))
         out = np.zeros((len(orders), x.size))
-        idx = np.searchsorted(self.breaks, x, side="right") - 1
-        # close the right endpoint of the support
-        idx[x == self.breaks[-1]] = len(self.piece_terms) - 1
-        inside = (idx >= 0) & (idx <= len(self.piece_terms) - 1) & (x <= self.breaks[-1])
+        idx, inside = self._locate(x)
         for i, plan in enumerate(plans):
             mask = inside & (idx == i)
             if np.any(mask):
                 domain = _domain(*self.breaks[i:i + 2])
                 out[:, mask] = _eval_stacked(plan, domain, x[mask])
         return out
+
+    def _locate(self, x):
+        """The piece that holds each x, the right-hand one on an interior
+        break, and whether x lies in [breaks[0], breaks[-1]] (False for NaN)."""
+        return (np.searchsorted(self.breaks[1:-1], x, side="right"),
+                (x >= self.breaks[0]) & (x <= self.breaks[-1]))
 
     def _stack_plans(self, orders):
         """The ``_stack_terms`` plan of every piece over the derivatives of
@@ -207,7 +210,8 @@ class SmoothCompactFunction:
 
     @staticmethod
     def _diff_terms(terms, domain):
-        # d/dx (P u^k) = P' u^k + k x P u^(k-2), in the piece's variable
+        # d/dx (P u^k) = P' u^k + k x P u^(k-2), in the piece's variable; a
+        # series with no nonzero coefficient (chebder of a constant) is dropped
         scl = pu.mapparms(domain, _WINDOW)[1]
         x = cheb.chebline(*pu.mapparms(_WINDOW, domain))
 
@@ -216,7 +220,7 @@ class SmoothCompactFunction:
                 yield k, cheb.chebder(c, 1, scl)
                 if k != 0:
                     yield k - 2, cheb.chebmul(cheb.chebmul(k, x), c)
-        return _collect(pairs())
+        return {k: c for k, c in _collect(pairs()).items() if np.any(c)}
 
     def derivative(self):
         return self._derivative_obj(1)
@@ -240,11 +244,9 @@ class SmoothCompactFunction:
     def _pieces_on(self, lo, hi):
         """Term dict valid on the open interval (lo, hi), every series
         rebased onto it."""
-        mid = 0.5 * (lo + hi)
-        if mid < self.breaks[0] or mid > self.breaks[-1]:
+        i, inside = self._locate(0.5 * (lo + hi))
+        if not inside:
             return {}
-        i = int(np.searchsorted(self.breaks, mid, side="right") - 1)
-        i = min(i, len(self.piece_terms) - 1)
         domain = _domain(*self.breaks[i:i + 2])
         if domain == (lo, hi):
             return self.piece_terms[i]
@@ -318,21 +320,12 @@ class FractionalPower:
         self.breaks = base.breaks
         self._constants = {}
 
-    @property
-    def support(self):
-        return self.base.support
-
-    @property
-    def unbounded(self):
-        return False
-
-    def value(self, x):
-        return self.deriv(0, x)
-
-    def deriv(self, j, x):
-        scalar = np.isscalar(x)
-        out = self.derivs((j,), x)[0]
-        return float(out[0]) if scalar else out
+    # the evaluation surface of SmoothCompactFunction, which reads only
+    # ``breaks`` and ``derivs``
+    support = SmoothCompactFunction.support
+    unbounded = SmoothCompactFunction.unbounded
+    value = SmoothCompactFunction.value
+    deriv = SmoothCompactFunction.deriv
 
     def derivs(self, orders, x):
         """h^(j) at the points x for every j in ``orders``, as the rows of one
@@ -567,12 +560,11 @@ def fourier_l1_norm(f, p):
     dx = (hi - lo) / _FOURIER_GRID
     g = f.deriv(p, x)
     npad = 16 * _FOURIER_GRID
-    F = np.fft.fft(g, n=npad)
-    s = 2.0 * np.pi * np.fft.fftfreq(npad, d=dx)
+    # the trapezoid rule needs s ascending: fftshift starts both at the most
+    # negative frequency
+    F = np.fft.fftshift(np.fft.fft(g, n=npad))
+    s = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(npad, d=dx))
     mag = (dx / (2.0 * np.pi)) * np.abs(F)
-    order = np.argsort(s)
-    s = s[order]
-    mag = mag[order]
     band = np.abs(s) <= span
     return float(np.trapezoid(mag[band], s[band]))
 

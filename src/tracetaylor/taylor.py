@@ -105,13 +105,14 @@ NOISE_FLOOR = 1e-13  # remainders at or below it are rounding noise
 def scaling_exponent(eps_grid, remainders):
     """Least-squares slope of log|remainder| against log eps (the output of
     ``remainder_sweep`` over ``eps_grid``), skipping points at or below
-    ``NOISE_FLOOR``."""
+    ``NOISE_FLOOR``; at least 3 distinct eps must remain."""
     eps = np.asarray(eps_grid, float)
     rem = np.abs(np.asarray(remainders))
     keep = rem > NOISE_FLOOR
-    if np.count_nonzero(keep) < 3:
+    distinct = len(set(eps[keep].tolist()))
+    if distinct < 3:
         raise InsufficientDataError(
-            f"only {np.count_nonzero(keep)} usable grid points above the noise floor")
+            f"only {distinct} distinct grid points above the noise floor")
     slope = np.polyfit(np.log(eps[keep]), np.log(rem[keep]), 1)[0]
     return float(slope)
 

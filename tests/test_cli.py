@@ -96,6 +96,8 @@ def test_exit_code_on_config_error(tmp_path):
     "bump_center = nan",
     "bump_radius = inf",
     "seed = -5",
+    # a repeat adds no abscissa: sweep fitted its slopes through one epsilon
+    "epsilons = 0.5, 0.5, 0.5",
     # float64 cannot resolve the spectrum window c +- 0.8 r
     "bump_center = 1e16",
     "bump_center = 1e20",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import derivs_per_order
+from oracles import _eval_terms, derivs_per_order
 from tracetaylor import bounds
 from tracetaylor import scalar_functions as sf
 from tracetaylor.scalar_functions import (_SUP_GRID, DerivativeOrderError,
@@ -282,6 +282,78 @@ def test_u_and_u2_are_one_piece_on_the_real_line():
                 a.add(b)
             with pytest.raises(ValueError):
                 a.mul(b)
+
+
+def test_derivative_objects_hold_only_live_series():
+    # d/dx of a constant series is a zero series; none is kept, so no
+    # evaluation stacks a power of u that adds nothing
+    plateau = make_plateau_bump(-0.5, 0.5, 0.25, 5)
+    fams = [weight_u()] + [product(f) for f in (make_poly_bump(0.1, 0.8, 10), plateau)
+                           for product in (product_with_u, product_with_u2)]
+    for g in fams:
+        for j in range(1, 5):
+            for terms in g._derivative_obj(j).piece_terms:
+                assert all(np.any(c) for c in terms.values()), (g, j, terms)
+    assert weight_u()._derivative_obj(3).piece_terms[0].keys() == {-3, -5}
+
+
+def test_derivatives_of_u_match_their_closed_forms():
+    # u' = x/u, u'' = u^-3 and u''' = -3x u^-5 on the 128-panel grid of u;
+    # the stored series sum terms bounded by 1 that cancel (u'' is kept as
+    # u^-1 - x^2 u^-3), so the error is counted in ulps of 1
+    x = _grid(weight_u(), 128)[0]
+    u = np.sqrt(1.0 + x * x)
+    closed = [x / u, u**-3, -3.0 * x * u**-5]
+    ulp = np.finfo(float).eps
+    assert np.max(np.abs(weight_u().derivs((1, 2, 3), x) - closed)) <= 4 * ulp
+    # on the flat piece of a plateau, f u and f u^2 are u and 1 + x^2
+    plateau = make_plateau_bump(-0.5, 0.5, 0.25, 5)
+    flat = np.abs(x) < 0.5
+    got = product_with_u(plateau).derivs((1, 2, 3), x[flat])
+    assert np.max(np.abs(got - [c[flat] for c in closed])) <= 4 * ulp
+    x = x[flat]
+    got = product_with_u2(plateau).derivs((1, 2, 3, 4), x)
+    assert np.array_equal(got, [2.0 * x, np.full_like(x, 2.0), 0.0 * x, 0.0 * x])
+
+
+def test_every_point_meets_one_piece_or_none():
+    # an interior break takes the piece on its right, each support end its
+    # own piece, and a point outside the support, +-inf and NaN included,
+    # the value 0; the whole-line u takes its one piece at +-inf, where the
+    # recursion of its one-coefficient series forms 0 * inf = NaN
+    plateau = make_plateau_bump(-0.5, 0.5, 0.25, 3)
+    # the signed split's f1: its plateau's joints are the support ends of
+    # the bump, and the second bump adds two breaks inside
+    bump = make_poly_bump(0.0, 1.0, 20)
+    f1 = decompose_signed(bump, 3)[0]
+    f1_sum = decompose_signed(bump.add(make_poly_bump(0.5, 0.25, 8)), 3)[0]
+    assert [len(f.piece_terms) for f in (plateau, f1, f1_sum)] == [3, 3, 5]
+    for f in (plateau, f1, f1_sum, weight_u()):
+        b = f.breaks
+        outside = [] if f.unbounded else [
+            np.nextafter(b[0], -np.inf), np.nextafter(b[-1], np.inf), -np.inf, np.inf]
+        x = np.array([*b, *outside, np.nan])
+        orders = range(min(f.max_order, 3) + 1)
+        last = len(f.piece_terms) - 1
+        with np.errstate(invalid="ignore"):
+            got = f.derivs(orders, x)
+            # the per-order oracle locates pieces by its own rule
+            for row, expect in zip(got, derivs_per_order(f, orders, x)):
+                assert row.tobytes() == expect.tobytes()
+            for i, t in enumerate(b):
+                piece = min(i, last)
+                lo, hi = b[piece:piece + 2]
+                expect = _eval_terms(f.piece_terms[piece], np.array([t]), lo, hi)
+                assert np.array_equal(got[0, i:i + 1], expect, equal_nan=True)
+        assert np.all(got[:, -1] == 0.0)
+        if f.unbounded:
+            assert np.all(np.isnan(got[:, :-1]))
+        else:
+            assert np.all(got[:, b.size:] == 0.0)
+            # the algebra's piece walk finds the same pieces
+            for i, terms in enumerate(f.piece_terms):
+                assert f._pieces_on(*b[i:i + 2]) is terms
+            assert f._pieces_on(b[-1], b[-1] + 1.0) == {}
 
 
 def test_sampling_grids_of_u_are_finite():

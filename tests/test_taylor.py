@@ -132,6 +132,19 @@ def test_scaling_exponent():
         scaling_exponent(EPS_GRID, zero)
 
 
+def test_scaling_exponent_needs_three_distinct_epsilons():
+    # repeats of one epsilon add no abscissa: a fit through fewer than 3
+    # distinct ones is no fit
+    for grid in ([0.5, 0.5, 0.5], [0.5, 0.5, 0.25, 0.25]):
+        with pytest.raises(InsufficientDataError, match=f"only {len(set(grid))} distinct"):
+            scaling_exponent(grid, [1e-3 * eps**2 for eps in grid])
+    grid = [0.5, 0.25, 0.25, 0.125]
+    assert scaling_exponent(grid, [1e-3 * eps**2 for eps in grid]) == pytest.approx(2.0)
+    # a repeat above the noise floor does not stand in for a point below it
+    with pytest.raises(InsufficientDataError, match="only 2 distinct"):
+        scaling_exponent([0.5, 0.5, 0.25, 0.125], [1e-3, 1e-3, 1e-4, 0.0])
+
+
 def test_remainder_sweep_matches_direct():
     f = make_poly_bump(0.0, 1.0, 12)
     H, V = rand_instance(8, 4)

@@ -2,13 +2,13 @@
 
 The working family is built from polynomial bumps ``(1 - ((x-c)/r)^2)^m``
 and plateau bumps with polynomial smoothstep edges.  Every member is stored
-piecewise as sums of terms ``P(x) * u(x)^k`` with ``P`` a polynomial,
-``u(x) = (1 + x^2)^(1/2)`` and ``k`` an integer, which keeps the family
-closed under differentiation, sums, products, and multiplication by ``u``
-and ``u^2``.  Derivatives are therefore exact (no finite differencing, no
-symbolic engine).  Each ``P`` is a 1-d float64 array of Chebyshev
-coefficients in its piece's own variable, worked on by the
-``numpy.polynomial.chebyshev`` functions.
+piecewise as one term ``P(x) * u(x)^k`` per piece, with ``P`` a
+polynomial, ``u(x) = (1 + x^2)^(1/2)`` and ``k`` an integer, which keeps
+the family closed under differentiation, products, sums of equal powers
+of u, and multiplication by ``u`` and ``u^2``.  Derivatives are therefore
+exact (no finite differencing, no symbolic engine).  Each ``P`` is a 1-d
+float64 array of Chebyshev coefficients in its piece's own variable,
+worked on by the ``numpy.polynomial.chebyshev`` functions.
 """
 
 import math
@@ -70,40 +70,16 @@ def _smoothstep(s):
     return coef
 
 
-def _stack_terms(term_dicts):
-    """Evaluation plan for the term dicts ``{k: c_k}`` of one piece, one per
-    row: the powers k of u on the piece, descending, and one array
-    ``C[j, i, row]`` of the coefficients j of power ks[i] in each row,
-    zero-padded at the high end and where a row lacks the power."""
-    ks = sorted({k for terms in term_dicts for k in terms}, reverse=True)
-    C = np.zeros((max((c.size for terms in term_dicts for c in terms.values()),
-                      default=1), len(ks), len(term_dicts)))
-    for row, terms in enumerate(term_dicts):
-        for k, c in terms.items():
-            C[:c.size, ks.index(k), row] = c
-    return ks, C
-
-
-def _eval_stacked(plan, domain, x):
-    """Rows sum_k P_k(x) u(x)^k of a ``_stack_terms`` plan at the points x of
-    a piece of that ``_domain``, from one series evaluation; each power's
-    block, times u(x)**k, is added to the rows in descending k, the order of
-    every term dict the library builds."""
-    ks, C = plan
+def _eval_stacked(plan, domain, x, rows):
+    """``rows`` rows at the points x of a piece of that ``_domain``, from one
+    series evaluation: P(x) u(x)^k for each live row of a ``_stack_plans``
+    plan, +0.0 for every other row."""
+    live, C = plan
     v = cheb.chebval(pu.mapdomain(x, domain, _WINDOW), C)
-    out = np.zeros(v.shape[1:])
-    for k, block in zip(ks, v):
-        out += block * (1.0 + x * x) ** (0.5 * k) if k else block
+    out = np.zeros((rows, x.size))
+    for (row, k, _), vals in zip(live, v):
+        out[row] += vals * (1.0 + x * x) ** (0.5 * k) if k else vals
     return out
-
-
-def _collect(pairs):
-    """Term dict ``{k: c}`` of the (k, c) pairs: the series of equal power k
-    summed in the order they come."""
-    terms = {}
-    for k, c in pairs:
-        terms[k] = cheb.chebadd(terms[k], c) if k in terms else c
-    return terms
 
 
 def _sorted_unique(parts):
@@ -120,14 +96,14 @@ def _sorted_unique(parts):
 
 
 class SmoothCompactFunction:
-    """Piecewise ``sum_k P_k(x) u(x)^k``: breaks plus one term dict per piece.
+    """Piecewise ``P(x) u(x)^k``: breaks plus one term per piece.
 
     ``breaks`` are the piece boundaries; ``piece_terms[i]`` holds the term
-    dictionary ``{k: c_k}`` valid on ``(breaks[i], breaks[i+1])``, each c_k
-    the Chebyshev coefficients of P_k in the piece's ``_domain`` variable.
-    The function is zero outside ``[breaks[0], breaks[-1]]``.  A whole-line
-    function (the weight ``u`` and the multiplier ``u^2``) is one piece on
-    breaks ``[-inf, inf]``.
+    ``(k, c)`` valid on ``(breaks[i], breaks[i+1])``, c the Chebyshev
+    coefficients of P in the piece's ``_domain`` variable, or None where the
+    function is zero, as it is outside ``[breaks[0], breaks[-1]]``.  A
+    whole-line function (the weight ``u`` and the multiplier ``u^2``) is one
+    piece on breaks ``[-inf, inf]``.
 
     Every value that depends only on the function lives in its one
     ``_constants`` table, keyed by name and arguments: its derivative
@@ -171,11 +147,11 @@ class SmoothCompactFunction:
         """Exact f^(j) at the points x for every j in ``orders``, as the rows
         of one array, from one pass over the pieces.
 
-        On each piece, the Chebyshev coefficients of every order and power
-        u^k stand in one array, zero-padded at the high end, and one Clenshaw
-        recursion evaluates them all.  Zero padding leaves the recursion's
-        state bitwise unchanged and a padded power adds +0.0, so each row
-        equals the evaluation of its order's series alone.
+        On each piece, the Chebyshev coefficients of every order stand in
+        one array, zero-padded at the high end, and one Clenshaw recursion
+        evaluates them all.  Zero padding leaves the recursion's state
+        bitwise unchanged, so each row equals the evaluation of its order's
+        series alone.
         """
         orders = tuple(orders)
         for j in orders:
@@ -188,9 +164,9 @@ class SmoothCompactFunction:
         idx, inside = self._locate(x)
         for i, plan in enumerate(plans):
             mask = inside & (idx == i)
-            if np.any(mask):
+            if plan[0] and np.any(mask):
                 domain = _domain(*self.breaks[i:i + 2])
-                out[:, mask] = _eval_stacked(plan, domain, x[mask])
+                out[:, mask] = _eval_stacked(plan, domain, x[mask], len(orders))
         return out
 
     def _locate(self, x):
@@ -200,27 +176,35 @@ class SmoothCompactFunction:
                 (x >= self.breaks[0]) & (x <= self.breaks[-1]))
 
     def _stack_plans(self, orders):
-        """The ``_stack_terms`` plan of every piece over the derivatives of
-        the given orders."""
-        gs = [self._derivative_obj(j) for j in orders]
-        return [_stack_terms([g.piece_terms[i] for g in gs])
-                for i in range(len(self.piece_terms))]
+        """Evaluation plan of every piece over the derivatives of the given
+        orders: (row, k, c) for each row whose term is live there, and one
+        array ``C[j, i]`` of the coefficients j of the i-th of them,
+        zero-padded at the high end."""
+        plans = []
+        for terms in zip(*(self._derivative_obj(j).piece_terms for j in orders)):
+            live = [(row, *t) for row, t in enumerate(terms) if t is not None]
+            C = np.zeros((max((c.size for *_, c in live), default=1), len(live)))
+            for i, (*_, c) in enumerate(live):
+                C[:c.size, i] = c
+            plans.append((live, C))
+        return plans
 
     # -- differentiation ------------------------------------------------
 
     @staticmethod
-    def _diff_terms(terms, domain):
-        # d/dx (P u^k) = P' u^k + k x P u^(k-2), in the piece's variable; a
-        # series with no nonzero coefficient (chebder of a constant) is dropped
-        scl = pu.mapparms(domain, _WINDOW)[1]
-        x = cheb.chebline(*pu.mapparms(_WINDOW, domain))
-
-        def pairs():
-            for k, c in terms.items():
-                yield k, cheb.chebder(c, 1, scl)
-                if k != 0:
-                    yield k - 2, cheb.chebmul(cheb.chebmul(k, x), c)
-        return {k: c for k, c in _collect(pairs()).items() if np.any(c)}
+    def _diff_terms(term, domain):
+        # d/dx (P u^k) = (P' u^2 + k x P) u^(k-2), in the piece's variable; a
+        # derivative with no nonzero coefficient (of a constant) is None
+        if term is None:
+            return None
+        k, c = term
+        dc = cheb.chebder(c, 1, pu.mapparms(domain, _WINDOW)[1])
+        if k != 0:
+            x = cheb.chebline(*pu.mapparms(_WINDOW, domain))
+            u2 = cheb.chebadd(1.0, cheb.chebmul(x, x))
+            dc, k = cheb.chebadd(cheb.chebmul(dc, u2),
+                                 cheb.chebmul(cheb.chebmul(k, x), c)), k - 2
+        return (k, dc) if np.any(dc) else None
 
     def derivative(self):
         return self._derivative_obj(1)
@@ -242,20 +226,19 @@ class SmoothCompactFunction:
     # -- algebra ---------------------------------------------------------
 
     def _pieces_on(self, lo, hi):
-        """Term dict valid on the open interval (lo, hi), every series
-        rebased onto it."""
+        """Term valid on the open interval (lo, hi), its series rebased
+        onto it; None where the function is zero."""
         i, inside = self._locate(0.5 * (lo + hi))
-        if not inside:
-            return {}
+        term = self.piece_terms[i] if inside else None
         domain = _domain(*self.breaks[i:i + 2])
-        if domain == (lo, hi):
-            return self.piece_terms[i]
-        return {k: _rebase(c, domain, lo, hi) for k, c in self.piece_terms[i].items()}
+        if term is None or domain == (lo, hi):
+            return term
+        return term[0], _rebase(term[1], domain, lo, hi)
 
     def _combine(self, other, lo, hi, join):
-        """The function on [lo, hi] whose term dict on each piece between
-        the merged breaks of both operands is ``join(s, o)``, with s and o
-        the operands' term dicts there."""
+        """The function on [lo, hi] whose term on each piece between the
+        merged breaks of both operands is ``join(s, o)``, with s and o the
+        operands' terms there."""
         pts = np.concatenate([self.breaks, other.breaks])
         breaks = _sorted_unique([pts[(pts >= lo) & (pts <= hi)], [lo, hi]])
         pieces = [join(self._pieces_on(a, b), other._pieces_on(a, b))
@@ -269,8 +252,7 @@ class SmoothCompactFunction:
             raise ValueError("sum of whole-line functions is not supported")
         return self._combine(
             other, min(self.breaks[0], other.breaks[0]),
-            max(self.breaks[-1], other.breaks[-1]),
-            lambda s, o: _collect([*s.items(), *o.items()]))
+            max(self.breaks[-1], other.breaks[-1]), _plus)
 
     def scale(self, c):
         """c times the function; an exact power stays one for c > 0 only."""
@@ -280,7 +262,7 @@ class SmoothCompactFunction:
             rebuild, m, coeff = self.power
             power = (rebuild, m, coeff * c)
         return SmoothCompactFunction(
-            self.breaks, [{k: cheb.chebmul(c, P) for k, P in t.items()}
+            self.breaks, [None if t is None else (t[0], cheb.chebmul(c, t[1]))
                           for t in self.piece_terms],
             self.max_order, power=power)
 
@@ -294,9 +276,17 @@ class SmoothCompactFunction:
         hi = min(self.breaks[-1], other.breaks[-1])
         if lo >= hi:
             return zero_function()
-        return self._combine(other, lo, hi, lambda s, o: _collect(
-            (k1 + k2, cheb.chebmul(P1, P2))
-            for k1, P1 in s.items() for k2, P2 in o.items()))
+        return self._combine(other, lo, hi, lambda s, o: s and o and (
+            s[0] + o[0], cheb.chebmul(s[1], o[1])))
+
+
+def _plus(s, o):
+    """The term s + o, None read as 0; it needs one power of u."""
+    if s is None or o is None:
+        return s or o
+    if s[0] != o[0]:
+        raise ValueError(f"sum of terms in u^{s[0]} and u^{o[0]} is not supported")
+    return s[0], cheb.chebadd(s[1], o[1])
 
 
 class FractionalPower:
@@ -310,7 +300,7 @@ class FractionalPower:
     def __init__(self, base, alpha, max_order):
         if base.unbounded:
             raise UnsupportedFamilyError("fractional power needs compact support")
-        if any(k != 0 for terms in base.piece_terms for k in terms):
+        if any(t is not None and t[0] != 0 for t in base.piece_terms):
             raise UnsupportedFamilyError(
                 "fractional power defined only for polynomial pieces")
         self.base = base
@@ -359,7 +349,7 @@ class FractionalPower:
 
 
 def zero_function():
-    return SmoothCompactFunction([0.0, 0.0], [{}], _UNLIMITED)
+    return SmoothCompactFunction([0.0, 0.0], [None], _UNLIMITED)
 
 
 def make_poly_bump(center, radius, m):
@@ -378,7 +368,7 @@ def make_poly_bump(center, radius, m):
     # expansion loses ~8 digits to binomial-scale cancellation at this degree.
     c = cheb.chebpow([0.5, 0.0, -0.5], m, maxpower=m)
     return SmoothCompactFunction(
-        [center - radius, center + radius], [{0: c}], m - 1,
+        [center - radius, center + radius], [(0, c)], m - 1,
         power=(partial(make_poly_bump, center, radius), int(m), 1.0))
 
 
@@ -388,6 +378,8 @@ def make_plateau_bump(inner_lo, inner_hi, pad, edge_order, exponent=1):
     junctions."""
     if pad <= 0 or inner_hi < inner_lo:
         raise ValueError("bad plateau geometry")
+    if exponent < 1:
+        raise ValueError(f"a plateau of exponent {exponent} < 1 is not smooth")
     lo, hi = inner_lo - pad, inner_hi + pad
     # S**exponent as a Chebyshev series in the rising edge's own variable,
     # and its mirror image on the falling edge; a global monomial expansion
@@ -395,7 +387,7 @@ def make_plateau_bump(inner_lo, inner_hi, pad, edge_order, exponent=1):
     # loses ~8 digits at moderate exponents.
     rise = cheb.chebpow(_smoothstep(edge_order), exponent, maxpower=exponent)
     fall = _rebase(rise, (inner_hi, hi), inner_hi, hi, window=(1.0, -1.0))
-    pieces = [{0: rise}, {0: np.array([1.0])}, {0: fall}]
+    pieces = [(0, rise), (0, np.array([1.0])), (0, fall)]
     return SmoothCompactFunction(
         [lo, inner_lo, inner_hi, hi], pieces, edge_order,
         power=(partial(make_plateau_bump, inner_lo, inner_hi, pad, edge_order),
@@ -436,21 +428,21 @@ def fractional_root(f, k, max_order):
         return FractionalPower(f, 2.0 ** -k, max_order)
 
 
-def _on_the_line(terms):
-    """``sum_k P_k(x) u(x)^k`` on the whole line: one piece on (-inf, inf)."""
-    return SmoothCompactFunction([-math.inf, math.inf], [terms], _UNLIMITED)
+def _on_the_line(k, c):
+    """``P(x) u(x)^k`` on the whole line: one piece on (-inf, inf)."""
+    return SmoothCompactFunction([-math.inf, math.inf], [(k, np.array(c))], _UNLIMITED)
 
 
 @lru_cache(maxsize=1)
 def weight_u():
     """The weight u(t) = (1 + t^2)^(1/2), with exact derivatives of all orders."""
-    return _on_the_line({1: np.array([1.0])})
+    return _on_the_line(1, [1.0])
 
 
 @lru_cache(maxsize=1)
 def _weight_u2():
     """The multiplier u(t)^2 = 1 + t^2, a polynomial on the whole line."""
-    return _on_the_line({0: np.array([1.5, 0.0, 0.5])})
+    return _on_the_line(0, [1.5, 0.0, 0.5])
 
 
 def product_with_u(f):

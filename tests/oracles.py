@@ -61,13 +61,14 @@ class PolynomialProbe:
         return np.array([self.deriv(j, x) for j in orders])
 
 
-def _eval_terms(terms, x, lo, hi):
-    """sum_k c_k(t) u(x)^k on one piece [lo, hi], term by term: each c_k a
-    Chebyshev series in the variable t that maps the piece onto [-1, 1], or
-    t = x itself (the identity map of [-1, 1]) on an infinite piece."""
-    span = (lo, hi) if np.isfinite(lo) and np.isfinite(hi) else (-1.0, 1.0)
+def _eval_terms(term, x, lo, hi):
+    """c(t) u(x)^k for the term (k, c) of one piece [lo, hi], or 0 for None:
+    c a Chebyshev series in the variable t that maps the piece onto [-1, 1],
+    or t = x itself (the identity map of [-1, 1]) on an infinite piece."""
     out = np.zeros_like(x)
-    for k, c in terms.items():
+    if term is not None:
+        k, c = term
+        span = (lo, hi) if np.isfinite(lo) and np.isfinite(hi) else (-1.0, 1.0)
         v = chebyshev.chebval(polyutils.mapdomain(x, span, (-1.0, 1.0)), c)
         out += v if k == 0 else v * (1.0 + x * x) ** (0.5 * k)
     return out

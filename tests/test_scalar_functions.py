@@ -1,5 +1,6 @@
 import functools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -59,6 +60,14 @@ def test_plateau_bump_shape():
     v = g.value(xs)
     assert np.all(np.diff(v) <= 1e-12)
     assert np.all((v >= -1e-15) & (v <= 1 + 1e-15))
+
+
+def test_plateau_exponents_below_one_are_refused():
+    # S^0 is the indicator of [lo, hi]: 1.0 at a support end and 0 just
+    # outside, so it has no derivative there, whatever its edge order
+    for exponent in (0, -1):
+        with pytest.raises(ValueError):
+            make_plateau_bump(-0.5, 0.5, 0.25, 2, exponent=exponent)
 
 
 def test_piecewise_algebra():
@@ -187,9 +196,10 @@ def test_every_piece_series_is_a_float64_coefficient_array(c, data):
           dyadic_root(root, 1), dyadic_root(root, 2), weight_u(), _weight_u2()]
     for h in fs:
         for j in range(min(h.max_order, 2) + 1):
-            for terms in h._derivative_obj(j).piece_terms:
-                for series in terms.values():
-                    assert type(series) is np.ndarray
+            for term in h._derivative_obj(j).piece_terms:
+                if term is not None:
+                    k, series = term
+                    assert type(k) is int and type(series) is np.ndarray
                     assert series.dtype == np.float64 and series.ndim == 1
 
 
@@ -285,27 +295,68 @@ def test_u_and_u2_are_one_piece_on_the_real_line():
 
 
 def test_derivative_objects_hold_only_live_series():
-    # d/dx of a constant series is a zero series; none is kept, so no
-    # evaluation stacks a power of u that adds nothing
+    # d/dx of a constant series is a zero series; a piece where a derivative
+    # vanishes holds None instead, so no evaluation stacks a row that adds
+    # nothing
     plateau = make_plateau_bump(-0.5, 0.5, 0.25, 5)
     fams = [weight_u()] + [product(f) for f in (make_poly_bump(0.1, 0.8, 10), plateau)
                            for product in (product_with_u, product_with_u2)]
     for g in fams:
         for j in range(1, 5):
-            for terms in g._derivative_obj(j).piece_terms:
-                assert all(np.any(c) for c in terms.values()), (g, j, terms)
-    assert weight_u()._derivative_obj(3).piece_terms[0].keys() == {-3, -5}
+            for term in g._derivative_obj(j).piece_terms:
+                assert term is None or np.any(term[1]), (g, j, term)
+    # on the plateau's flat piece f u^2 is 1 + x^2, whose third derivative
+    # is None there; so is u^2's on the line, and a None row reads +0.0
+    # everywhere, +-inf included
+    assert product_with_u2(plateau)._derivative_obj(3).piece_terms[1] is None
+    assert _weight_u2()._derivative_obj(3).piece_terms == [None]
+    got = _weight_u2().derivs((3, 4), [-np.inf, -1.0, 0.0, 1.0, np.inf])
+    assert np.all(got == 0.0) and not np.any(np.signbit(got))
+
+
+def test_derivatives_of_u_are_one_closed_form_term():
+    # d/dx (P u^k) = (P' (1 + x^2) + k x P) u^(k-2): the first four
+    # derivatives of u are x u^-1, u^-3, -3x u^-5 and (12x^2 - 3) u^-7,
+    # whose Chebyshev series in x are [0, 1], [1], [0, -3] and [3, 0, 6]
+    expect = [(-1, [0, 1]), (-3, [1]), (-5, [0, -3]), (-7, [3, 0, 6])]
+    for j, (k, c) in enumerate(expect, start=1):
+        [(got_k, got_c)] = weight_u()._derivative_obj(j).piece_terms
+        assert got_k == k and np.array_equal(got_c, c)
+
+
+def test_sums_need_one_power_of_u():
+    f = make_poly_bump(0.1, 0.8, 10)
+    with pytest.raises(ValueError):
+        product_with_u(f).add(f)
+    with pytest.raises(ValueError):
+        f.add(product_with_u(f))
+    # equal powers add, and a support that meets no piece of the other
+    # operand adds nothing there
+    fu = product_with_u(f)
+    x = np.linspace(-1.0, 1.0, 41)
+    assert np.allclose(fu.add(fu).value(x), 2.0 * fu.value(x), rtol=0.0, atol=1e-15)
+    assert np.array_equal(fu.add(make_poly_bump(5.0, 0.5, 4)).value(x), fu.value(x))
 
 
 def test_derivatives_of_u_match_their_closed_forms():
-    # u' = x/u, u'' = u^-3 and u''' = -3x u^-5 on the 128-panel grid of u;
-    # the stored series sum terms bounded by 1 that cancel (u'' is kept as
-    # u^-1 - x^2 u^-3), so the error is counted in ulps of 1
+    # u' = x/u, u'' = u^-3, u''' = -3x u^-5 and u'''' = (12x^2 - 3) u^-7 on
+    # the 128-panel grid of u, to 4 ulps relative; the closed forms are
+    # evaluated in 40-digit decimal arithmetic, since their float64
+    # evaluation is itself up to 5 ulps off at u^-7
     x = _grid(weight_u(), 128)[0]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = []
+        for t in map(Decimal, x.tolist()):
+            w = (1 + t * t).sqrt()
+            exact.append([t / w, w**-3, -3 * t / w**5, (12 * t * t - 3) / w**7])
+    exact = np.array(exact, dtype=float).T
+    ulp = np.finfo(float).eps
+    got = weight_u().derivs((1, 2, 3, 4), x)
+    assert np.max(np.abs(got - exact) / np.abs(exact)) <= 4 * ulp
     u = np.sqrt(1.0 + x * x)
     closed = [x / u, u**-3, -3.0 * x * u**-5]
-    ulp = np.finfo(float).eps
-    assert np.max(np.abs(weight_u().derivs((1, 2, 3), x) - closed)) <= 4 * ulp
+    assert np.max(np.abs(got[:3] - closed)) <= 4 * ulp
     # on the flat piece of a plateau, f u and f u^2 are u and 1 + x^2
     plateau = make_plateau_bump(-0.5, 0.5, 0.25, 5)
     flat = np.abs(x) < 0.5
@@ -351,9 +402,9 @@ def test_every_point_meets_one_piece_or_none():
         else:
             assert np.all(got[:, b.size:] == 0.0)
             # the algebra's piece walk finds the same pieces
-            for i, terms in enumerate(f.piece_terms):
-                assert f._pieces_on(*b[i:i + 2]) is terms
-            assert f._pieces_on(b[-1], b[-1] + 1.0) == {}
+            for i, term in enumerate(f.piece_terms):
+                assert f._pieces_on(*b[i:i + 2]) is term
+            assert f._pieces_on(b[-1], b[-1] + 1.0) is None
 
 
 def test_sampling_grids_of_u_are_finite():
@@ -414,7 +465,7 @@ def test_constants_read_one_quadrature_grid(monkeypatch):
         (root, 1): ("0x1.8944d3f902859p+6", "0x1.21189fc80a155p-32"),
         (root, 2): ("0x1.12129933bd0bep+10", "0x1.c3b4b25ebc90fp-15"),
         (root, 3): ("0x1.47756b1b323fap+13", "0x1.ad2e7a96ef30ep+2"),
-        (weight_u(), 2): ("0x1.82b7eb90fd305p+0", "0x1.8c7d4e51173f5p-28"),
+        (weight_u(), 2): ("0x1.82b7eb90fd305p+0", "0x1.8c7d4ce70d58fp-28"),
         (weight_u(), 3): ("0x1.881a63244da88p-1", "0x1.2a1d2fa50b6b8p-23")}
     for (g, p), bits in expect.items():
         assert (gp_seminorm(g, p).hex(), quadrature_error(g, p).hex()) == bits

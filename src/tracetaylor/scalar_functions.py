@@ -4,15 +4,16 @@ The working family is built from polynomial bumps ``(1 - ((x-c)/r)^2)^m``
 and plateau bumps with polynomial smoothstep edges.  Every member is stored
 piecewise as one term ``P(x) * u(x)^k`` per piece, with ``P`` a
 polynomial, ``u(x) = (1 + x^2)^(1/2)`` and ``k`` an integer, which keeps
-the family closed under differentiation, products, sums of equal powers
-of u, and multiplication by ``u`` and ``u^2``.  Derivatives are therefore
-exact (no finite differencing, no symbolic engine).  Each ``P`` is a 1-d
+the family closed under differentiation, scaling, sums of equal powers of
+u, and multiplication by ``u`` and ``u^2``: each but the sum maps one
+piece's term at a time.  Derivatives are therefore exact (no finite
+differencing, no symbolic engine).  Each ``P`` is a 1-d
 float64 array of Chebyshev coefficients in its piece's own variable,
 worked on by the ``numpy.polynomial.chebyshev`` functions.
 """
 
 import math
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial
@@ -102,8 +103,8 @@ class SmoothCompactFunction:
     ``(k, c)`` valid on ``(breaks[i], breaks[i+1])``, c the Chebyshev
     coefficients of P in the piece's ``_domain`` variable, or None where the
     function is zero, as it is outside ``[breaks[0], breaks[-1]]``.  A
-    whole-line function (the weight ``u`` and the multiplier ``u^2``) is one
-    piece on breaks ``[-inf, inf]``.
+    whole-line function (the weight ``u``) is one piece on breaks
+    ``[-inf, inf]``.
 
     Every value that depends only on the function lives in its one
     ``_constants`` table, keyed by name and arguments: its derivative
@@ -195,14 +196,11 @@ class SmoothCompactFunction:
     def _diff_terms(term, domain):
         # d/dx (P u^k) = (P' u^2 + k x P) u^(k-2), in the piece's variable; a
         # derivative with no nonzero coefficient (of a constant) is None
-        if term is None:
-            return None
         k, c = term
         dc = cheb.chebder(c, 1, pu.mapparms(domain, _WINDOW)[1])
         if k != 0:
             x = cheb.chebline(*pu.mapparms(_WINDOW, domain))
-            u2 = cheb.chebadd(1.0, cheb.chebmul(x, x))
-            dc, k = cheb.chebadd(cheb.chebmul(dc, u2),
+            dc, k = cheb.chebadd(cheb.chebmul(dc, _u2_series(domain)),
                                  cheb.chebmul(cheb.chebmul(k, x), c)), k - 2
         return (k, dc) if np.any(dc) else None
 
@@ -217,13 +215,19 @@ class SmoothCompactFunction:
 
         def compute():
             prev = self._derivative_obj(j - 1)
-            return SmoothCompactFunction(
-                prev.breaks, [self._diff_terms(t, _domain(*prev.breaks[i:i + 2]))
-                              for i, t in enumerate(prev.piece_terms)],
-                max(prev.max_order - 1, 0))
+            return prev._map(self._diff_terms, max(prev.max_order - 1, 0))
         return _memoized(self, ("derivative", j), compute)
 
     # -- algebra ---------------------------------------------------------
+
+    def _map(self, rule, max_order, power=None):
+        """The function on the same breaks whose term on each piece is
+        ``rule(term, domain)``, with domain the piece's ``_domain``; a piece
+        where the function is zero stays None."""
+        return SmoothCompactFunction(
+            self.breaks, [None if t is None else rule(t, _domain(*self.breaks[i:i + 2]))
+                          for i, t in enumerate(self.piece_terms)],
+            max_order, power=power)
 
     def _pieces_on(self, lo, hi):
         """Term valid on the open interval (lo, hi), its series rebased
@@ -235,24 +239,16 @@ class SmoothCompactFunction:
             return term
         return term[0], _rebase(term[1], domain, lo, hi)
 
-    def _combine(self, other, lo, hi, join):
-        """The function on [lo, hi] whose term on each piece between the
-        merged breaks of both operands is ``join(s, o)``, with s and o the
-        operands' terms there."""
-        pts = np.concatenate([self.breaks, other.breaks])
-        breaks = _sorted_unique([pts[(pts >= lo) & (pts <= hi)], [lo, hi]])
-        pieces = [join(self._pieces_on(a, b), other._pieces_on(a, b))
+    def add(self, other):
+        """Pointwise sum, on the merged breaks of both operands, which must
+        be compactly supported and have one power of u on each piece."""
+        if self.unbounded or other.unbounded:
+            raise ValueError("sum of whole-line functions is not supported")
+        breaks = _sorted_unique([self.breaks, other.breaks])
+        pieces = [_plus(self._pieces_on(a, b), other._pieces_on(a, b))
                   for a, b in zip(breaks[:-1], breaks[1:])]
         return SmoothCompactFunction(
             breaks, pieces, min(self.max_order, other.max_order))
-
-    def add(self, other):
-        """Pointwise sum; both operands must be compactly supported."""
-        if self.unbounded or other.unbounded:
-            raise ValueError("sum of whole-line functions is not supported")
-        return self._combine(
-            other, min(self.breaks[0], other.breaks[0]),
-            max(self.breaks[-1], other.breaks[-1]), _plus)
 
     def scale(self, c):
         """c times the function; an exact power stays one for c > 0 only."""
@@ -261,23 +257,8 @@ class SmoothCompactFunction:
         if self.power is not None and c > 0:
             rebuild, m, coeff = self.power
             power = (rebuild, m, coeff * c)
-        return SmoothCompactFunction(
-            self.breaks, [None if t is None else (t[0], cheb.chebmul(c, t[1]))
-                          for t in self.piece_terms],
-            self.max_order, power=power)
-
-    def mul(self, other):
-        """Pointwise product; at least one operand compactly supported."""
-        if self.unbounded and other.unbounded:
-            raise ValueError("product of whole-line functions is not supported")
-        if self.unbounded:
-            return other.mul(self)
-        lo = max(self.breaks[0], other.breaks[0])
-        hi = min(self.breaks[-1], other.breaks[-1])
-        if lo >= hi:
-            return zero_function()
-        return self._combine(other, lo, hi, lambda s, o: s and o and (
-            s[0] + o[0], cheb.chebmul(s[1], o[1])))
+        return self._map(lambda t, _: (t[0], cheb.chebmul(c, t[1])),
+                         self.max_order, power=power)
 
 
 def _plus(s, o):
@@ -287,6 +268,13 @@ def _plus(s, o):
     if s[0] != o[0]:
         raise ValueError(f"sum of terms in u^{s[0]} and u^{o[0]} is not supported")
     return s[0], cheb.chebadd(s[1], o[1])
+
+
+def _u2_series(domain):
+    """1 + x^2, u^2, as a Chebyshev series in the variable of a piece of
+    that ``_domain``."""
+    x = cheb.chebline(*pu.mapparms(_WINDOW, domain))
+    return cheb.chebadd(1.0, cheb.chebmul(x, x))
 
 
 class FractionalPower:
@@ -346,10 +334,6 @@ class FractionalPower:
                 acc += math.comb(r - 1, i) * h[i] * (self.alpha * l[r - i])
             h.append(np.where(safe, acc, 0.0))
         return h
-
-
-def zero_function():
-    return SmoothCompactFunction([0.0, 0.0], [None], _UNLIMITED)
 
 
 def make_poly_bump(center, radius, m):
@@ -428,31 +412,25 @@ def fractional_root(f, k, max_order):
         return FractionalPower(f, 2.0 ** -k, max_order)
 
 
-def _on_the_line(k, c):
-    """``P(x) u(x)^k`` on the whole line: one piece on (-inf, inf)."""
-    return SmoothCompactFunction([-math.inf, math.inf], [(k, np.array(c))], _UNLIMITED)
-
-
-@lru_cache(maxsize=1)
+@cache
 def weight_u():
-    """The weight u(t) = (1 + t^2)^(1/2), with exact derivatives of all orders."""
-    return _on_the_line(1, [1.0])
-
-
-@lru_cache(maxsize=1)
-def _weight_u2():
-    """The multiplier u(t)^2 = 1 + t^2, a polynomial on the whole line."""
-    return _on_the_line(0, [1.5, 0.0, 0.5])
+    """The weight u(t) = (1 + t^2)^(1/2), with exact derivatives of all
+    orders: one piece on the whole line."""
+    return SmoothCompactFunction([-math.inf, math.inf], [(1, np.array([1.0]))],
+                                 _UNLIMITED)
 
 
 def product_with_u(f):
-    """f(x) * u(x), memoized on f."""
-    return _memoized(f, "product_with_u", lambda: f.mul(weight_u()))
+    """f(x) * u(x), memoized on f: one more power of u on every piece."""
+    return _memoized(f, "product_with_u", lambda: f._map(
+        lambda t, _: (t[0] + 1, t[1]), f.max_order))
 
 
 def product_with_u2(f):
-    """f(x) * (1 + x^2), memoized on f; stays polynomial-piecewise."""
-    return _memoized(f, "product_with_u2", lambda: f.mul(_weight_u2()))
+    """f(x) * (1 + x^2), memoized on f: every piece's series times u^2's."""
+    return _memoized(f, "product_with_u2", lambda: f._map(
+        lambda t, domain: (t[0], cheb.chebmul(t[1], _u2_series(domain))),
+        f.max_order))
 
 
 # -- norms and seminorms -------------------------------------------------

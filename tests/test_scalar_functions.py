@@ -4,7 +4,9 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from numpy.polynomial import Chebyshev
+from numpy.polynomial import chebyshev as cheb
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import _eval_terms, derivs_per_order
@@ -12,14 +14,27 @@ from tracetaylor import bounds
 from tracetaylor import scalar_functions as sf
 from tracetaylor.scalar_functions import (_SUP_GRID, DerivativeOrderError,
                                           FractionalPower,
-                                          UnsupportedFamilyError,
-                                          _grid, _weight_u2,
+                                          SmoothCompactFunction,
+                                          UnsupportedFamilyError, _grid,
                                           decompose_signed, dyadic_root,
                                           fourier_l1_norm, fractional_root,
                                           gp_seminorm, make_plateau_bump,
                                           make_poly_bump, product_with_u,
                                           product_with_u2, quadrature_error,
-                                          sup_norm, weight_u, zero_function)
+                                          sup_norm, weight_u)
+
+
+def _empty():
+    """The function with an empty support, which the constructor can build."""
+    return SmoothCompactFunction([0.0, 0.0], [None], sf._UNLIMITED)
+
+
+def _u2_on_the_line():
+    """u^2 = 1 + x^2 on the whole line, as the product of the constant 1
+    there with u^2: one polynomial piece on (-inf, inf)."""
+    one = SmoothCompactFunction([-np.inf, np.inf], [(0, np.array([1.0]))],
+                                sf._UNLIMITED)
+    return product_with_u2(one)
 
 
 def fd_deriv(f, j, x, h=1e-5):
@@ -76,7 +91,9 @@ def test_piecewise_algebra():
     xs = np.linspace(-1.2, 1.7, 101)
     assert np.allclose(f.add(g).value(xs), f.value(xs) + g.value(xs))
     assert np.allclose(f.scale(-2.5).value(xs), -2.5 * f.value(xs))
-    assert np.allclose(f.mul(g).value(xs), f.value(xs) * g.value(xs))
+    u = np.sqrt(1.0 + xs * xs)
+    assert np.allclose(product_with_u(g).value(xs), g.value(xs) * u)
+    assert np.allclose(product_with_u2(g).value(xs), g.value(xs) * u * u)
 
 
 _SCALES = st.one_of(st.just(0.0), st.floats(0.1, 3.0), st.floats(-3.0, -0.1))
@@ -130,26 +147,19 @@ def _assert_close(got, expect, scale):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_sums_and_products_agree_pointwise(data):
+    # the sum on the merged breaks, and the u^2-weighted product of that
+    # sum, whose pieces are the sum's, by Leibniz with (u^2)' = 2x
     f, g = data.draw(_members()), data.draw(_members())
     top = min(2, f.max_order, g.max_order)
-    fg_sum, fg_prod = f.add(g), f.mul(g)
-    x = _probes(data.draw, f, g, fg_sum, fg_prod)
+    fg_sum = f.add(g)
+    fg_prod = product_with_u2(fg_sum)
+    x = _probes(data.draw, f, g, fg_sum)
     fd, gd = f.derivs(range(top + 1), x), g.derivs(range(top + 1), x)
+    wd = [1.0 + x * x, 2.0 * x, np.full_like(x, 2.0)]
     for j in range(top + 1):
         _assert_close(fg_sum.deriv(j, x), fd[j] + gd[j], _sups(fd)[j] + _sups(gd)[j])
-        _assert_close(fg_prod.deriv(j, x), _leibniz(fd, gd, j),
-                      _leibniz(_sups(fd), _sups(gd), j))
-
-
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_products_of_disjoint_supports_are_zero(data):
-    f = data.draw(_members())
-    g = data.draw(_atoms(lo=f.support[1] + data.draw(st.floats(0.0, 1.0))))
-    assume(g.support[0] >= f.support[1])
-    x = _probes(data.draw, f, g)
-    for h in (f.mul(g), g.mul(f)):
-        assert np.all(h.value(x) == 0.0)
+        _assert_close(fg_prod.deriv(j, x), _leibniz(fd + gd, wd, j),
+                      _leibniz(_sups(fd) + _sups(gd), np.abs(wd), j))
 
 
 @settings(max_examples=30, deadline=None)
@@ -192,8 +202,9 @@ def test_root_of_a_scaled_power_exists_exactly_for_positive_scales(k, m, c, data
 def test_every_piece_series_is_a_float64_coefficient_array(c, data):
     f, g = data.draw(_members()), data.draw(_members())
     root = data.draw(_atoms(exponent=8)).scale(c)
-    fs = [f, f.add(g), f.mul(g), product_with_u(f), product_with_u2(f),
-          dyadic_root(root, 1), dyadic_root(root, 2), weight_u(), _weight_u2()]
+    fs = [f, f.add(g), product_with_u(f), product_with_u2(f),
+          product_with_u2(product_with_u(f.add(g))),
+          dyadic_root(root, 1), dyadic_root(root, 2), weight_u(), _u2_on_the_line()]
     for h in fs:
         for j in range(min(h.max_order, 2) + 1):
             for term in h._derivative_obj(j).piece_terms:
@@ -234,9 +245,9 @@ def test_plateau_roots_keep_the_plateau_geometry_bitwise():
 
 def test_dyadic_root_exact():
     g = make_poly_bump(0.0, 1.0, 4)
-    f = g.mul(g)
-    with pytest.raises(UnsupportedFamilyError):
-        dyadic_root(f, 1)  # products leave the closed power family
+    for f in (product_with_u(g), product_with_u2(g), g.add(g)):
+        with pytest.raises(UnsupportedFamilyError):
+            dyadic_root(f, 1)  # products and sums leave the closed power family
     f8 = make_poly_bump(0.0, 1.0, 8)
     r = dyadic_root(f8, 1)
     xs = np.linspace(-0.99, 0.99, 50)
@@ -280,18 +291,22 @@ def test_weight_u():
 
 
 def test_u_and_u2_are_one_piece_on_the_real_line():
-    for g in (weight_u(), _weight_u2()):
+    # u, and u^2 both as u times u and as 1 times u^2; the u-weighting of a
+    # whole-line function maps its one piece like any other
+    u = weight_u()
+    u2s = [product_with_u(u), _u2_on_the_line()]
+    assert [g.piece_terms[0][0] for g in u2s] == [2, 0]
+    for g in (u, *u2s):
         assert tuple(g.breaks) == (-np.inf, np.inf) and len(g.piece_terms) == 1
         assert g.unbounded and g.support == (-np.inf, np.inf)
     xs = np.array([-1e6, 1e6])
-    assert np.max(np.abs(weight_u().value(xs) / np.sqrt(1.0 + xs * xs) - 1.0)) <= 1e-15
-    assert np.max(np.abs(_weight_u2().value(xs) / (1.0 + xs * xs) - 1.0)) <= 1e-15
-    for a in (weight_u(), _weight_u2()):
-        for b in (weight_u(), _weight_u2()):
+    assert np.max(np.abs(u.value(xs) / np.sqrt(1.0 + xs * xs) - 1.0)) <= 1e-15
+    for g in u2s:
+        assert np.max(np.abs(g.value(xs) / (1.0 + xs * xs) - 1.0)) <= 1e-15
+    for a in (u, *u2s):
+        for b in (u, *u2s):
             with pytest.raises(ValueError):
                 a.add(b)
-            with pytest.raises(ValueError):
-                a.mul(b)
 
 
 def test_derivative_objects_hold_only_live_series():
@@ -309,8 +324,9 @@ def test_derivative_objects_hold_only_live_series():
     # is None there; so is u^2's on the line, and a None row reads +0.0
     # everywhere, +-inf included
     assert product_with_u2(plateau)._derivative_obj(3).piece_terms[1] is None
-    assert _weight_u2()._derivative_obj(3).piece_terms == [None]
-    got = _weight_u2().derivs((3, 4), [-np.inf, -1.0, 0.0, 1.0, np.inf])
+    u2 = _u2_on_the_line()
+    assert u2._derivative_obj(3).piece_terms == [None]
+    got = u2.derivs((3, 4), [-np.inf, -1.0, 0.0, 1.0, np.inf])
     assert np.all(got == 0.0) and not np.any(np.signbit(got))
 
 
@@ -322,6 +338,47 @@ def test_derivatives_of_u_are_one_closed_form_term():
     for j, (k, c) in enumerate(expect, start=1):
         [(got_k, got_c)] = weight_u()._derivative_obj(j).piece_terms
         assert got_k == k and np.array_equal(got_c, c)
+
+
+def test_u_weighting_maps_each_piece():
+    # f u adds one power of u to each piece's term and keeps its series bit
+    # for bit; f u^2 multiplies each series by 1 + x^2 in that piece's own
+    # variable; a piece where f is zero, as in the gap between two disjoint
+    # bumps, stays None. Both keep f's breaks and derivative order, and
+    # neither is an exact power
+    bump = make_poly_bump(0.0, 1.0, 20)
+    gap = make_poly_bump(-1.0, 0.5, 4).add(make_poly_bump(1.0, 0.5, 4))
+    subjects = [bump, make_poly_bump(0.3, 0.7, 20),
+                make_plateau_bump(-0.5, 0.5, 0.25, 3), decompose_signed(bump, 3)[0], gap]
+    assert [len(f.piece_terms) for f in subjects] == [1, 1, 3, 3, 3]
+    assert gap.piece_terms[1] is None
+    for f in subjects:
+        fu, fu2 = product_with_u(f), product_with_u2(f)
+        for g in (fu, fu2):
+            assert np.array_equal(g.breaks, f.breaks) and len(g.piece_terms) == len(
+                f.piece_terms)
+            assert g.max_order == f.max_order and g.power is None
+        for i, term in enumerate(f.piece_terms):
+            if term is None:
+                assert fu.piece_terms[i] is None and fu2.piece_terms[i] is None
+                continue
+            k, c = term
+            lo, hi = f.breaks[i:i + 2]
+            x = Chebyshev.identity(domain=[lo, hi])
+            u2 = (1.0 + x * x).coef
+            t = np.linspace(lo, hi, 7)
+            assert np.allclose(cheb.chebval(np.linspace(-1.0, 1.0, 7), u2), 1.0 + t * t,
+                               rtol=1e-15, atol=0.0)
+            (ku, cu), (k2, c2) = fu.piece_terms[i], fu2.piece_terms[i]
+            assert ku == k + 1 and cu.dtype == c.dtype and cu.tobytes() == c.tobytes()
+            expect = cheb.chebmul(c, u2)
+            assert k2 == k and c2.dtype == expect.dtype
+            assert c2.tobytes() == expect.tobytes()
+    # on the default bump's piece [-1, 1] the variable is x itself
+    [(_, c)] = bump.piece_terms
+    u2 = np.array([1.5, 0.0, 0.5])
+    assert product_with_u2(bump).piece_terms[0][1].tobytes() == cheb.chebmul(
+        c, u2).tobytes()
 
 
 def test_sums_need_one_power_of_u():
@@ -417,7 +474,7 @@ def test_sampling_grids_of_u_are_finite():
 
 
 def test_gp_seminorm_basics():
-    z = zero_function()
+    z = _empty()
     assert gp_seminorm(z, 1) == 0.0
     f = make_poly_bump(0.0, 1.0, 6)
     r1 = gp_seminorm(f, 1)
@@ -503,7 +560,7 @@ def test_constants_build_each_grid_once(monkeypatch):
 
 
 def test_fourier_l1_basics(monkeypatch):
-    z = zero_function()
+    z = _empty()
     assert fourier_l1_norm(z, 1) == 0.0
     f = make_poly_bump(0.0, 1.0, 6)
     a = fourier_l1_norm(f, 1)
@@ -533,7 +590,7 @@ def test_sup_norm():
 
 def test_sup_norm_of_a_whole_line_function_raises():
     # no finite sample bounds u or u^2, so no sampled sup may stand for one
-    for g in (weight_u(), _weight_u2()):
+    for g in (weight_u(), _u2_on_the_line()):
         with pytest.raises(ValueError):
             sup_norm(g)
         assert "sup_norm" not in g._constants
@@ -546,7 +603,7 @@ def test_decompose_signed():
     assert np.max(np.abs(f1.value(xs) - f2.value(xs) - f.value(xs))) < 1e-12
     assert np.min(f1.value(xs)) >= -1e-12
     assert np.min(f2.value(xs)) >= -1e-12
-    z1, z2 = decompose_signed(zero_function(), 1)
+    z1, z2 = decompose_signed(_empty(), 1)
     assert np.max(np.abs(z1.value(xs) - z2.value(xs))) < 1e-15
 
 

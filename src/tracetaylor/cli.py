@@ -278,6 +278,7 @@ def _certify_trial(args):
     cfg, dim, order, trial = args
     f = cfg.function()
     D0, D1, V = _trial_spectra(cfg, dim, order, trial)
+    D0.derivative_table(f, order)  # read by the terms and the order-n integral
     rem = taylor._remainder_trace(f, D0, D1, V, order)
     v_norm = operator_norm(V)
     certs = {

@@ -119,13 +119,7 @@ def sqrt_split_residual(f, nodes):
     from one triangle of sqrt(f)."""
     lam, dg = _node_triangle(dyadic_root(f, 1), nodes)
     n = lam.size - 1
-    rhs = 0.0
-    for k in range((n - 1) // 2 + 1):
-        rhs += dg(0, k) * dg(k, n)
-        rhs += dg(0, n - k) * dg(n - k, n)
-    if n % 2 == 0:
-        h = n // 2
-        rhs += dg(0, h) * dg(h, n)
+    rhs = sum(dg(0, k) * dg(k, n) for k in range(n + 1))
     lhs = divided_difference(f, nodes)
     return abs(lhs - rhs)
 

@@ -36,10 +36,10 @@ def expansion_terms(f, D0, V, n):
     """Expansion terms tau_1..tau_{n-1}: tau_p is 1/p times the spectral sum
     of (f')^[p-1] against the cyclic traces Tr(E V .. E V).
 
-    D0's table of f is filled to order n in one pass: the terms read
-    f'..f^(n-1), and the operator remainder and the order-n operator
-    integral of the same trial read f..f^(n) from it."""
-    D0.derivative_table(f, n)
+    D0's table of f is filled to order n - 1 in one pass: Tr f(H0) reads f
+    from it, the terms read f'..f^(n-1), and the operator remainder of the
+    same trial reads f..f^(n-1)."""
+    D0.derivative_table(f, n - 1)
     out = []
     for p in range(1, n):
         if p == 1:

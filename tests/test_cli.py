@@ -138,8 +138,12 @@ def test_configs_just_inside_the_range_run(tmp_path, command, edge):
 
 def test_shipped_configs_validate():
     cli.ExperimentConfig().validate()
-    wide = Path(__file__).resolve().parents[1] / "bench" / "expand_wide.cfg"
-    assert max(cli.parse_config_file(wide).orders) == 4
+    root = Path(__file__).resolve().parents[1]
+    assert max(cli.parse_config_file(root / "bench" / "expand_wide.cfg").orders) == 4
+    shipped = sorted((root / "configs").glob("*.cfg"))
+    assert shipped
+    for path in shipped:
+        cli.parse_config_file(path)
 
 
 @pytest.mark.parametrize("command", ["expand", "certify", "shift", "sweep", "selftest"])
@@ -479,8 +483,8 @@ def _passes_at(trial, args, perturbed=False):
 
 
 def test_sweep_trial_evaluates_f_once(monkeypatch):
-    # the terms fill the table of f at H0 in one pass, and Tr f(H0) is read
-    # from it; one value pass covers the spectra of every H0 + eps V
+    # the terms fill the table of f..f^(n-1) at H0 in one pass, and Tr f(H0)
+    # is read from it; one value pass covers the spectra of every H0 + eps V
     cfg = cli.ExperimentConfig()
     f = cfg.function()
     sizes = []
@@ -490,7 +494,7 @@ def test_sweep_trial_evaluates_f_once(monkeypatch):
     for order in (1, 2, 3):
         sizes.clear()
         passes, hits = _passes_at(cli._sweep_trial, (cfg, 4, order, 0))
-        assert passes == [(f, tuple(range(order + 1)))] and hits == [1] * 4
+        assert passes == [(f, tuple(range(order)))] and hits == [1] * 4
         assert sizes == [4 * len(cfg.epsilons)]
 
 
@@ -514,10 +518,11 @@ EXPAND_AND_SHIFT_TRIALS = pytest.mark.parametrize("trial, args, order", [
 @EXPAND_AND_SHIFT_TRIALS
 def test_expand_and_shift_trials_evaluate_f_once_at_the_spectrum_of_h0(
         trial, args, order):
-    # in shift, both trace-formula checks read H0's values from this table
+    # the terms fill the table of f..f^(n-1) at H0 in one pass; in shift,
+    # both trace-formula checks read H0's values from this table
     cfg = cli.ExperimentConfig()
     passes, hits = _passes_at(trial, (cfg, *args))
-    assert passes == [(cfg.function(), tuple(range(order + 1)))]
+    assert passes == [(cfg.function(), tuple(range(order)))]
     assert hits == [1] * args[0]
 
 
@@ -593,7 +598,7 @@ def test_map_starts_no_more_workers_than_work_or_cores(monkeypatch, jobs,
     ("certify", 2, "orders = 1\ndims = 4\ntrials = 1\n",
      "a bump of exponent 1 has no derivative"),
     ("shift", 2, "orders = 1\ndims = 4\ntrials = 1\n",
-     "derivative order 2 exceeds guaranteed order 1"),
+     "the order-2 check needs a C^3 function; f is C^1"),
 ], ids=["certify", "sweep", "shift", "certify-bump_m_2", "shift-bump_m_2"])
 def test_too_few_derivatives_for_the_command_exits_2(tmp_path, capsys, command,
                                                      m, config, reason):
@@ -602,8 +607,9 @@ def test_too_few_derivatives_for_the_command_exits_2(tmp_path, capsys, command,
     # more derivatives than the bump has: at bump_m = 4 certify's square
     # root of the bump is C^1, and sweep's roots of order 3 have no more
     # derivatives than the positive half of the signed split, which is C^3;
-    # at bump_m = 2 the expansion terms of shift need f'', and certify's
-    # square root of the bump has exponent 1 and no derivative
+    # at bump_m = 2 the bump is C^1, short of the C^3 that shift's order-2
+    # check needs, and certify's square root of the bump has exponent 1 and
+    # no derivative
     cfg = write_cfg(tmp_path, f"bump_m = {m}\n" + config, "smooth.txt")
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2

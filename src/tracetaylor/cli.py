@@ -150,15 +150,15 @@ def make_instance(cfg, dim, order, trial):
     return H0, V
 
 
-def _trial_spectra(cfg, dim, order, trial):
-    """The seeded instance as the decompositions D0 of H0 and D1 of H0 + V,
-    and V: a trial solves each of its two matrices once."""
+def _trial_spectra(cfg, dim, order, trial, scales=(1.0,)):
+    """Decompositions of the seeded H0 and of H0 + s V per s in ``scales``, and V."""
     H0, V = make_instance(cfg, dim, order, trial)
-    return decompose(H0), decompose(H0 + V), V
+    return decompose(H0), [decompose(H0 + s * V) for s in scales], V
 
 
-def _fmt(x):
-    return format(float(x), ".17e")
+def _row(*vals):
+    """A CSV row: a Python int as is, any other number to 17 digits."""
+    return [str(v) if type(v) is int else format(float(v), ".17e") for v in vals]
 
 
 def _write_rows(path, header, rows):
@@ -184,6 +184,16 @@ def _map(cfg, fn, work=None):
     return [fn(a) for a in work]
 
 
+def _run(cfg, trial, work=None):
+    """``trial`` over ``work`` by ``_map``: the ``(where, Check)`` pairs and
+    the records of each ``(where, checks, records)`` it returns, in order."""
+    checks, records = [], []
+    for where, trial_checks, trial_records in _map(cfg, trial, work):
+        checks += [(where, c) for c in trial_checks]
+        records += trial_records
+    return checks, records
+
+
 def _conclude(command, summary, checks):
     """Print ``summary(verdict)``, then name each failing check of the
     ``(where, Check)`` pairs on stderr; the exit code."""
@@ -199,35 +209,28 @@ def _conclude(command, summary, checks):
 def _expand_trial(args):
     cfg, dim, order, trial = args
     f = cfg.function()
-    D0, D1, V = _trial_spectra(cfg, dim, order, trial)
+    D0, [D1], V = _trial_spectra(cfg, dim, order, trial)
     rep = taylor.expansion_report(f, D0, D1, V, order)
-    return (dim, order, trial, rep)
+    ident = rep.identity_residual()
+    # the trace norm of the operator remainder dominates |remainder trace|
+    slack = rep.operator_remainder_trace_norm - abs(rep.remainder_trace)
+    taus = list(rep.terms) + [0.0] * (max(cfg.orders) - order)
+    return (f"dim {dim}, n {order}, trial {trial}",
+            [Check("identity_residual", ident, "<=",
+                   1e-10 * (1.0 + abs(rep.perturbed_trace))),
+             Check("trace_norm_slack", slack, ">=", -1e-10)],
+            [_row(cfg.seed, dim, order, trial, rep.base_trace,
+                  rep.perturbed_trace, *taus, rep.remainder_trace,
+                  rep.operator_remainder_trace_norm, ident, slack)])
 
 
 def cmd_expand(cfg, out_dir):
-    results = _map(cfg, _expand_trial)
-    max_tau = max((len(r.terms) for *_, r in results), default=0)
-    header = (["seed", "dim", "n", "trial", "base_trace", "perturbed_trace"]
-              + [f"tau_{p}" for p in range(1, max_tau + 1)]
-              + ["remainder_trace", "operator_remainder_trace_norm",
-                 "identity_residual", "trace_norm_slack"])
-    rows, checks = [], []
-    for dim, order, trial, rep in results:
-        where = f"dim {dim}, n {order}, trial {trial}"
-        ident = rep.identity_residual()
-        # the trace norm of the operator remainder dominates |remainder trace|
-        slack = rep.operator_remainder_trace_norm - abs(rep.remainder_trace)
-        checks += [(where, Check("identity_residual", ident, "<=",
-                                 1e-10 * (1.0 + abs(rep.perturbed_trace)))),
-                   (where, Check("trace_norm_slack", slack, ">=", -1e-10))]
-        taus = list(rep.terms) + [0.0] * (max_tau - len(rep.terms))
-        rows.append([str(cfg.seed), str(dim), str(order), str(trial),
-                     _fmt(rep.base_trace), _fmt(rep.perturbed_trace)]
-                    + [_fmt(t) for t in taus]
-                    + [_fmt(rep.remainder_trace),
-                       _fmt(rep.operator_remainder_trace_norm),
-                       _fmt(ident), _fmt(slack)])
-    _write_rows(out_dir / "expand.csv", header, rows)
+    checks, rows = _run(cfg, _expand_trial)
+    _write_rows(out_dir / "expand.csv",
+                ["seed", "dim", "n", "trial", "base_trace", "perturbed_trace"]
+                + [f"tau_{p}" for p in range(1, max(cfg.orders))]
+                + ["remainder_trace", "operator_remainder_trace_norm",
+                   "identity_residual", "trace_norm_slack"], rows)
     return _conclude("expand", lambda verdict: (
         f"expand: {len(rows)} trials, identities {verdict}"), checks)
 
@@ -237,39 +240,33 @@ def cmd_expand(cfg, out_dir):
 def _sweep_trial(args):
     cfg, dim, order, trial = args
     f = cfg.function()
-    H0, V = make_instance(cfg, dim, order, trial)
-    D0 = decompose(H0)
-    Ds = [decompose(H0 + eps * V) for eps in cfg.epsilons]
+    D0, Ds, V = _trial_spectra(cfg, dim, order, trial, cfg.epsilons)
     rems = taylor.remainder_sweep(f, D0, Ds, V, order, cfg.epsilons)
     try:
         slope = taylor.scaling_exponent(cfg.epsilons, rems)
     except taylor.InsufficientDataError:
         slope = float("nan")
     v_norm = operator_norm(V)
-    bc, bh = [], []
+    rows = []
     for eps, rem in zip(cfg.epsilons, rems):
         # ||eps V|| = eps ||V||, and bit for bit the SVD's value when eps is
         # a power of two
         vn = eps * v_norm
-        bc.append(bounds.remainder_bound_compact(f, D0, vn, order, rem).rhs)
-        bh.append(bounds.remainder_bound_hs(f, D0, vn, order, rem).rhs)
-    return (dim, order, trial, rems, bc, bh, slope)
+        rows.append(_row(cfg.seed, dim, order, trial, eps, abs(rem),
+                         bounds.remainder_bound_compact(f, D0, vn, order, rem).rhs,
+                         bounds.remainder_bound_hs(f, D0, vn, order, rem).rhs,
+                         slope))
+    return (f"dim {dim}, n {order}, trial {trial}",
+            [Check("slope", slope, ">=", order - SLOPE_MARGIN)], rows)
 
 
 def cmd_sweep(cfg, out_dir):
-    results = _map(cfg, _sweep_trial)
-    header = ["seed", "dim", "n", "trial", "epsilon", "remainder_abs",
-              "bound_compact", "bound_hs", "slope"]
-    rows, checks = [], []
-    for dim, order, trial, rems, bc, bh, slope in results:
-        checks.append((f"dim {dim}, n {order}, trial {trial}",
-                       Check("slope", slope, ">=", order - SLOPE_MARGIN)))
-        for eps, r, c, h in zip(cfg.epsilons, rems, bc, bh):
-            rows.append([str(cfg.seed), str(dim), str(order), str(trial),
-                         _fmt(eps), _fmt(abs(r)), _fmt(c), _fmt(h), _fmt(slope)])
-    _write_rows(out_dir / "sweep.csv", header, rows)
+    checks, rows = _run(cfg, _sweep_trial)
+    _write_rows(out_dir / "sweep.csv",
+                ["seed", "dim", "n", "trial", "epsilon", "remainder_abs",
+                 "bound_compact", "bound_hs", "slope"], rows)
     return _conclude("sweep", lambda verdict: (
-        f"sweep: {len(results)} fits, slopes {verdict}"), checks)
+        f"sweep: {len(checks)} fits, slopes {verdict}"), checks)
 
 
 # -- certify --------------------------------------------------------------
@@ -277,7 +274,7 @@ def cmd_sweep(cfg, out_dir):
 def _certify_trial(args):
     cfg, dim, order, trial = args
     f = cfg.function()
-    D0, D1, V = _trial_spectra(cfg, dim, order, trial)
+    D0, [D1], V = _trial_spectra(cfg, dim, order, trial)
     D0.derivative_table(f, order)  # read by the terms and the order-n integral
     rem = taylor._remainder_trace(f, D0, D1, V, order)
     v_norm = operator_norm(V)
@@ -289,19 +286,14 @@ def _certify_trial(args):
     if order == 2:
         data = shift.shift_data(D0, D1, V, shift.default_window(D0, D1, v_norm))
         certs["eta_l1"] = shift.eta_l1_bound_check(D0, v_norm, data)
-    return (dim, order, trial, certs)
+    return (f"dim {dim}, n {order}, trial {trial}",
+            [cert.check(name) for name, cert in certs.items()],
+            [{**cert.to_json_dict(), "check": name, "seed": cfg.seed, "dim": dim,
+              "n": order, "trial": trial} for name, cert in certs.items()])
 
 
 def cmd_certify(cfg, out_dir):
-    results = _map(cfg, _certify_trial)
-    payload, checks = [], []
-    for dim, order, trial, certs in results:
-        for name, cert in certs.items():
-            d = cert.to_json_dict()
-            d.update({"check": name, "seed": cfg.seed, "dim": dim,
-                      "n": order, "trial": trial})
-            checks.append((f"dim {dim}, n {order}, trial {trial}", cert.check(name)))
-            payload.append(d)
+    checks, payload = _run(cfg, _certify_trial)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "certificates.json", "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
@@ -317,7 +309,7 @@ def cmd_certify(cfg, out_dir):
 def _shift_trial(args):
     cfg, dim, trial = args
     f = cfg.function()
-    D0, D1, V = _trial_spectra(cfg, dim, 2, trial)
+    D0, [D1], V = _trial_spectra(cfg, dim, 2, trial)
     v_norm = operator_norm(V)
     data = shift.shift_data(D0, D1, V, shift.default_window(D0, D1, v_norm))
     D1.derivative_table(f, 1)  # read by Tr f(H0 + V) and both checks
@@ -326,29 +318,28 @@ def _shift_trial(args):
     r1 = shift.trace_formula_check(f, D0, D1, data.xi, data.window, rem)
     r2 = shift.trace_formula_check(f, D0, D1, data.eta, data.window, rem - tau_1)
     cert = shift.eta_l1_bound_check(D0, v_norm, data)
-    return (dim, trial, r1, r2, cert, shift.shift_data_json(data))
+    return (f"dim {dim}, trial {trial}",
+            [Check("first_order_residual", r1, "<=", 1e-10),
+             Check("second_order_residual", r2, "<=", 1e-8),
+             cert.check("eta_l1")],
+            [(f"shift_d{dim}_t{trial}.json", shift.shift_data_json(data),
+              _row(cfg.seed, dim, trial, r1, r2, cert.lhs, cert.rhs))])
 
 
 def cmd_shift(cfg, out_dir):
-    work = [(cfg, d, t) for d in cfg.dims for t in range(cfg.trials)]
-    results = _map(cfg, _shift_trial, work)
-    rows, checks = [], []
+    checks, records = _run(cfg, _shift_trial,
+                           [(cfg, d, t) for d in cfg.dims for t in range(cfg.trials)])
     out_dir.mkdir(parents=True, exist_ok=True)
-    for dim, trial, r1, r2, cert, data in results:
-        where = f"dim {dim}, trial {trial}"
-        checks += [(where, Check("first_order_residual", r1, "<=", 1e-10)),
-                   (where, Check("second_order_residual", r2, "<=", 1e-8)),
-                   (where, cert.check("eta_l1"))]
-        rows.append([str(cfg.seed), str(dim), str(trial), _fmt(r1), _fmt(r2),
-                     _fmt(cert.lhs), _fmt(cert.rhs)])
-        with open(out_dir / f"shift_d{dim}_t{trial}.json", "w") as fh:
+    for name, data, _ in records:
+        with open(out_dir / name, "w") as fh:
             json.dump(data, fh, indent=1, sort_keys=True)
             fh.write("\n")
     _write_rows(out_dir / "shift.csv",
                 ["seed", "dim", "trial", "first_order_residual",
-                 "second_order_residual", "eta_l1", "eta_l1_bound"], rows)
+                 "second_order_residual", "eta_l1", "eta_l1_bound"],
+                [row for *_, row in records])
     return _conclude("shift", lambda verdict: (
-        f"shift: {len(rows)} trials {verdict}"), checks)
+        f"shift: {len(records)} trials {verdict}"), checks)
 
 
 # -- selftest -------------------------------------------------------------
@@ -425,7 +416,8 @@ def build_parser():
     ap.add_argument("--config", type=str, default=None,
                     help="path to a key = value config file")
     ap.add_argument("--seed", type=int, default=None, help="override the seed")
-    ap.add_argument("--out", type=str, default=None, help="output directory")
+    ap.add_argument("--out", type=str, default=None, dest="out_dir", metavar="OUT",
+                    help="output directory")
     ap.add_argument("--jobs", type=int, default=None, help="worker processes")
     return ap
 
@@ -434,12 +426,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config_file(args.config) if args.config else ExperimentConfig()
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out_dir = args.out
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
+        for key in ("seed", "out_dir", "jobs"):
+            if getattr(args, key) is not None:
+                setattr(cfg, key, getattr(args, key))
         cfg.validate()
         # reports go to out_dir, which must be or lie under a directory
         out_dir = Path(cfg.out_dir)

@@ -14,8 +14,6 @@ from .divided_diff import divided_difference_tensor
 from .operator_core import _function_of, schatten_norm
 from .scalar_functions import _memoized
 
-_EINSUM_LETTERS = "abcdefghij"
-
 
 def evaluate_symbol_moi(F, D, perturbations):
     """Spectral-sum operator integral T_phi(V_1..V_p) as a matrix, for the
@@ -29,10 +27,11 @@ def evaluate_symbol_moi(F, D, perturbations):
             raise ValueError("perturbation dimension mismatch")
     if p == 0:
         return _function_of(D, F)
-    Vt = [U.conj().T @ V @ U for V in perturbations]
-    idx = _EINSUM_LETTERS[: p + 1]
-    spec = idx + "," + ",".join(idx[i: i + 2] for i in range(p)) + "->" + idx[0] + idx[-1]
-    M = np.einsum(spec, F, *Vt)
+    # integer subscripts, uncapped in p: V_k joins i_{k-1} to i_k
+    operands = [F, list(range(p + 1))]
+    for k, V in enumerate(perturbations):
+        operands += [U.conj().T @ V @ U, [k, k + 1]]
+    M = np.einsum(*operands, [0, p])
     return U @ M @ U.conj().T
 
 
@@ -52,10 +51,10 @@ def _trace_derivative(f, D, V, p):
     U = D.eigenvectors
     Vt = U.conj().T @ V @ U
     F = divided_difference_tensor(D.derivative_table(f, p)[1:], D.index_values())
-    idx = _EINSUM_LETTERS[:p]
-    pairs = [idx[i] + idx[(i + 1) % p] for i in range(p)]
-    spec = idx + "," + ",".join(pairs) + "->"
-    return math.factorial(p - 1) * complex(np.einsum(spec, F, *([Vt] * p))).real
+    operands = [F, list(range(p))]
+    for k in range(p):
+        operands += [Vt, [k, (k + 1) % p]]
+    return math.factorial(p - 1) * complex(np.einsum(*operands, [])).real
 
 
 def trace_derivative_first(f, D, V):

@@ -205,12 +205,17 @@ def test_sweep_determinism_and_columns(tmp_path):
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
+@pytest.mark.parametrize("command", ["expand", "certify", "shift", "sweep"])
+def test_parallel_matches_serial(tmp_path, command):
+    # every report file is the same under one worker and under two
     cfg = write_cfg(tmp_path)
     a, b = tmp_path / "pa", tmp_path / "pb"
-    assert cli.main(["sweep", "--config", cfg, "--out", str(a)]) == 0
-    assert cli.main(["sweep", "--config", cfg, "--out", str(b), "--jobs", "2"]) == 0
-    assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+    assert cli.main([command, "--config", cfg, "--out", str(a)]) == 0
+    assert cli.main([command, "--config", cfg, "--out", str(b), "--jobs", "2"]) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names and names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_seed_override_changes_output(tmp_path):

@@ -3,25 +3,34 @@
 Each fault is a ``monkeypatch`` of one library function (the library gains
 no hook), rebound in every namespace that holds a copy: the u-weighting
 rules, the divided-difference recursion, the expansion terms and the
-constants of the certificates. Under each fault, all five commands run in
-process at a small config (dims 4, one trial per order), and at least one
-of them must exit 1. The matrix of exit codes is printed, one row per fault.
+constants of the certificates, the trace-formula kernels and the cyclic
+contraction. Under each fault, all five commands run in process at a small
+config (dims 4, one trial per order), and ``expand`` also at
+``configs/high_orders.cfg``; at least one of these runs must exit 1. The
+matrix of exit codes is printed, one row per fault.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial import polyutils as pu
 
-from tracetaylor import bounds, cli, divided_diff, taylor
+from tracetaylor import bounds, cli, divided_diff, moi, shift, taylor
 from tracetaylor import scalar_functions as sf
 
-COMMANDS = ("selftest", "expand", "certify", "shift", "sweep")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# each column is a command, run at the small config or, when a second word
+# names one, at that file of configs/
+COMMANDS = ("selftest", "expand", "certify", "shift", "sweep",
+            "expand high_orders")
 
 # every namespace in which a fault's name is rebound, if it holds it
-NAMESPACES = (sf, sf.SmoothCompactFunction, bounds, cli, divided_diff, taylor)
+NAMESPACES = (sf, sf.SmoothCompactFunction, bounds, cli, divided_diff, moi,
+              shift, taylor)
 
 _product_with_u2 = sf.product_with_u2
 _rows = divided_diff._divided_difference_rows
@@ -62,12 +71,36 @@ def _rows_without_factorials(table, lam, idx):
                  lam, idx)
 
 
-def _last_tau_scaled(f, D0, V, n):
-    """The expansion terms with the last one scaled by 1.01."""
-    taus = _expansion_terms(f, D0, V, n)
-    if taus:
-        taus[-1] *= 1.01
-    return taus
+def _tau_scaled(k, factor):
+    """The expansion terms with the one at index ``k`` scaled by ``factor``."""
+    def terms(f, D0, V, n):
+        taus = _expansion_terms(f, D0, V, n)
+        if taus:
+            taus[k] *= factor
+        return taus
+    return terms
+
+
+def _kernel_scaled(build, factors):
+    """The kernel builder ``build`` with column j of its kernel's
+    coefficients scaled by ``factors[j]``."""
+    def scaled(*args):
+        kernel = build(*args)
+        return shift.Kernel(kernel.breaks, kernel.coef * factors)
+    return scaled
+
+
+def _cyclic_last_to_itself(f, D, V, p):
+    """``moi._trace_derivative`` with the cyclic contraction's last factor
+    joining i_(p-1) to itself, not to i_0 (the same sum at p = 1)."""
+    U = D.eigenvectors
+    Vt = U.conj().T @ V @ U
+    F = divided_diff.divided_difference_tensor(D.derivative_table(f, p)[1:],
+                                               D.index_values())
+    operands = [F, list(range(p))]
+    for k in range(p):
+        operands += [Vt, [k, min(k + 1, p - 1)]]
+    return math.factorial(p - 1) * complex(np.einsum(*operands, [])).real
 
 
 def _a_sequence_tenth(n):
@@ -95,10 +128,15 @@ FAULTS = {
         "_divided_difference_rows", _rows_scaled(2, 1.0 + 1e-3)),
     "equal-node branch without its 1/w!": (
         "_divided_difference_rows", _rows_without_factorials),
-    "last tau scaled by 1.01": ("expansion_terms", _last_tau_scaled),
+    "last tau scaled by 1.01": ("expansion_terms", _tau_scaled(-1, 1.01)),
+    "tau_1 scaled by 1 + 1e-8": ("expansion_terms", _tau_scaled(0, 1.0 + 1e-8)),
     "a_sequence / 10": ("a_sequence", _a_sequence_tenth),
     "gp_seminorm scaled by 0.01": (
         "gp_seminorm", lambda f, p: 0.01 * _gp_seminorm(f, p)),
+    "xi's sign flipped": ("xi", _kernel_scaled(shift.xi, [-1.0])),
+    "eta's slope sign flipped": ("eta", _kernel_scaled(shift.eta, [1.0, -1.0])),
+    "cyclic contraction closes on i_(p-1)": (
+        "_trace_derivative", _cyclic_last_to_itself),
 }
 
 
@@ -108,12 +146,15 @@ def _clear_shared():
     sf.weight_u.cache_clear()
 
 
-def _run(command, tmp_path, capsys):
-    """The exit code of ``command`` in process at the small config."""
+def _run(column, tmp_path, capsys):
+    """The exit code of the run of ``column`` in process."""
+    command, *shipped = column.split()
     cfg = tmp_path / "small.cfg"
     cfg.write_text("dims = 4\ntrials = 1\n")
+    if shipped:
+        cfg = CONFIGS / f"{shipped[0]}.cfg"
     argv = [command] + ([] if command == "selftest" else [
-        "--config", str(cfg), "--out", str(tmp_path / command)])
+        "--config", str(cfg), "--out", str(tmp_path / column.replace(" ", "_"))])
     code = cli.main(argv)
     capsys.readouterr()
     return code

@@ -227,3 +227,24 @@ def test_symbol_moi_multilinearity():
     T1 = evaluate_symbol_moi(F, D, [V, 2.0 * V])
     T2 = evaluate_symbol_moi(F, D, [V, V])
     assert np.max(np.abs(T1 - 2.0 * T2)) < 1e-10
+
+
+@pytest.mark.parametrize("p", [10, 11])
+def test_symbol_moi_takes_any_number_of_perturbations(p):
+    # the all-ones symbol puts the sum of all eigenprojections, the
+    # identity, between consecutive factors: T(V, .., V) = V^p
+    H, D, V = rand_instance(17, 2)
+    T = evaluate_symbol_moi(np.ones((2,) * (p + 1)), D, [V] * p)
+    W = np.linalg.matrix_power(V, p)
+    assert np.linalg.norm(T - W) <= 1e-13 * np.linalg.norm(W)
+
+
+def test_cyclic_trace_sum_takes_any_order(monkeypatch):
+    # with an all-ones symbol the cyclic sum is (p - 1)! Re Tr V^p
+    monkeypatch.setattr(moi, "divided_difference_tensor",
+                        lambda table, lam: np.ones((lam.size,) * len(table)))
+    f = make_poly_bump(0.0, 1.0, 20)
+    H, D, V = rand_instance(18, 2)
+    p = 11
+    want = math.factorial(p - 1) * np.trace(np.linalg.matrix_power(V, p)).real
+    assert trace_derivative_higher(f, D, V, p) == pytest.approx(want, rel=1e-12)
